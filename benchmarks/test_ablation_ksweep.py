@@ -1,4 +1,4 @@
-"""Ablation: k' sweep granularity (DESIGN.md Section 5).
+"""Ablation: k' sweep granularity (``DagHetPartConfig.k_prime_strategy``).
 
 The paper sweeps every k' in 1..k; our default uses a doubling subset on
 large clusters. This bench quantifies what the subset costs in makespan

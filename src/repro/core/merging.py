@@ -71,8 +71,7 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
                 q.unmerge(token1)
                 continue
 
-        requirement = cache.peak(q.blocks[merged_id].tasks)
-        if requirement <= proc.memory:
+        if cache.fits(q.blocks[merged_id].tasks, proc.memory):
             # estimated makespan with the merged vertex on partner's proc
             q.set_proc(merged_id, proc)
             if evaluator is not None:
@@ -157,7 +156,7 @@ def merge_unassigned_to_assigned(q: QuotientGraph, cluster: Cluster,
                 q.blocks[nu].retry_count += 1
                 next_round.append(nu)
         if next_round and not progress:
-            # Last resorts beyond the paper's pseudocode (see DESIGN.md):
+            # Last resorts beyond the paper's pseudocode:
             # (1) place the fragment on a free processor that can hold it;
             # (2) merge with a *non-adjacent* assigned block — valid under
             #     all DAGP-PM constraints, it just saves no communication.

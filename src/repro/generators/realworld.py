@@ -3,7 +3,7 @@
 The paper evaluates five small real workflows (11-58 tasks) exported from
 nextflow pipelines [10], weighted with Lotaru historical measurements [3].
 We do not have those proprietary trace files; this module reproduces their
-*statistical fingerprint* instead (substitution documented in DESIGN.md):
+*statistical fingerprint* instead:
 
 * small DAGs with nf-core pipeline shapes (per-sample fans feeding
   aggregation stages and a MultiQC-style sink);

@@ -5,11 +5,15 @@ algorithm [18] in the paper: given a workflow block, produce a topological
 traversal whose peak memory consumption is as small as possible, and report
 that peak as the block's memory requirement ``r_{V_i}``.
 
-Engine composition (see DESIGN.md, substitutions):
+Engine composition (standing in for the memDag implementation itself: the
+requirement is the smallest peak over the engines below, each peak that of
+a valid traversal):
 
 * :mod:`repro.memdag.model` — the exact memory semantics of a traversal
   (internal edges live between producer and consumer, external inputs are
-  streamed, external outputs are retained until the block completes);
+  streamed, external outputs are retained until the block completes) and
+  ``BlockStatics``, the per-task quantities all engines share, computed in
+  one pass per block;
 * :mod:`repro.memdag.segments` — hill-valley profile decomposition and the
   optimal merge of independent segment sequences (Liu-style);
 * :mod:`repro.memdag.sp_tree` — recognition + decomposition of two-terminal
@@ -19,7 +23,8 @@ Engine composition (see DESIGN.md, substitutions):
 * :mod:`repro.memdag.traversal` — the candidate traversal generators and the
   ``memdag_traversal`` front-end that returns the best of them;
 * :mod:`repro.memdag.requirement` — ``r_{V_i}`` for arbitrary blocks of a
-  workflow, with caching keyed by the block's task set.
+  workflow, with caching keyed by the block's task set, and capacity
+  queries (``RequirementCache.fits``) that run only the engines needed.
 """
 
 from repro.memdag.model import (

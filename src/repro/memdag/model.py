@@ -1,7 +1,7 @@
 """Memory semantics of executing a block of a workflow on one processor.
 
-The model (DESIGN.md Section 6) generalizes the paper's single-task
-requirement ``r_u = sum_in c + sum_out c + m_u`` to multi-task blocks:
+The model generalizes the paper's single-task requirement
+``r_u = sum_in c + sum_out c + m_u`` to multi-task blocks:
 
 * an **internal** edge ``(u, v)`` (both endpoints inside the block) occupies
   ``c_{u,v}`` bytes from the completion of ``u`` to the completion of ``v``;
@@ -19,7 +19,7 @@ reduces to ``r_u`` exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.workflow.graph import Workflow
 
@@ -85,6 +85,74 @@ class TraversalState:
 
     def _ext_in(self, u: Node) -> float:
         return sum(c for p, c in self.wf.in_edges(u) if p not in self.block)
+
+
+class BlockStatics:
+    """Per-task quantities of one block that no traversal changes.
+
+    One pass over the block's in-edges computes, for every task ``u``:
+
+    * ``terms[u] = (ext_in, m, out, delta)`` — the three addends of the
+      usage while ``u`` executes and the net change of the resident set
+      once it completes (``out - freed``, ``freed`` being the in-block
+      inputs it consumes);
+    * ``a[u] = ext_in + m + out`` and ``delta[u]`` — the activation and net
+      change the engines rank and merge by (see segments.py); ``a`` rounds
+      differently from the left-to-right usage sum, so peaks never use it;
+    * ``n_pred[u]`` — its number of in-block parents;
+    * ``kids[u]`` — its in-block children, in the workflow's child order.
+
+    ``block`` is kept as given: the engines iterate it, and their
+    tie-breaks follow its iteration order.
+    """
+
+    __slots__ = ("block", "terms", "a", "delta", "n_pred", "kids")
+
+    def __init__(self, wf: Workflow, block: Set[Node]):
+        self.block = block
+        self.terms: Dict[Node, Tuple[float, float, float, float]] = {}
+        self.a: Dict[Node, float] = {}
+        self.delta: Dict[Node, float] = {}
+        self.n_pred: Dict[Node, int] = {}
+        self.kids: Dict[Node, List[Node]] = {}
+        for u in block:
+            ext_in = 0.0
+            freed = 0.0
+            n_pred = 0
+            for p, c in wf.in_edges(u):
+                if p in block:
+                    freed += c
+                    n_pred += 1
+                else:
+                    ext_in += c
+            m = wf.memory(u)
+            out = wf.out_cost(u)
+            delta = out - freed
+            self.terms[u] = (ext_in, m, out, delta)
+            self.a[u] = ext_in + m + out
+            self.delta[u] = delta
+            self.n_pred[u] = n_pred
+            self.kids[u] = [v for v in wf.children(u) if v in block]
+
+
+def traversal_peak(statics: BlockStatics, order: Sequence[Node]) -> float:
+    """:func:`peak_of_traversal` of a valid ``order``, from the statics.
+
+    The same float operations in the same order as :class:`TraversalState`
+    (usage ``((live + ext_in) + m) + out``, then ``live += out - freed``),
+    so the result is bit-identical; ``order`` is trusted to be a
+    topological order of the whole block and is not checked.
+    """
+    terms = statics.terms
+    live = 0.0
+    peak = float("-inf")
+    for u in order:
+        ext_in, m, out, delta = terms[u]
+        usage = live + ext_in + m + out
+        if usage > peak:
+            peak = usage
+        live += delta
+    return peak if order else 0.0
 
 
 def evaluate_traversal(wf: Workflow, order: Sequence[Node],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set
 
+from repro.memdag.model import BlockStatics
 from repro.memdag.segments import Segment, merge_segment_sequences
 from repro.workflow.graph import Workflow
 
@@ -28,42 +29,39 @@ def layered_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> List[N
     hill-valley merge rule gives the best intra-level order.
     """
     block_set = set(block) if block is not None else set(wf.tasks())
+    return layered_order(BlockStatics(wf, block_set))
 
-    # longest-path level restricted to block-internal edges
-    levels: Dict[Node, int] = {}
-    indeg = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
-    ready = [u for u in block_set if indeg[u] == 0]
+
+def layered_order(st: BlockStatics) -> List[Node]:
+    """:func:`layered_traversal` of a block whose statics are at hand."""
+    kids = st.kids
+    # longest-path level restricted to block-internal edges, pushed from
+    # each task to its children in Kahn order
+    indeg = dict(st.n_pred)
+    levels = dict.fromkeys(st.block, 0)
+    ready = [u for u in st.block if indeg[u] == 0]
     head = 0
     while head < len(ready):
         u = ready[head]
         head += 1
-        lvl = 0
-        for p in wf.parents(u):
-            if p in block_set:
-                lvl = max(lvl, levels[p] + 1)
-        levels[u] = lvl
-        for v in wf.children(u):
-            if v in block_set:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-    if len(levels) != len(block_set):
+        below = levels[u] + 1
+        for v in kids[u]:
+            if levels[v] < below:
+                levels[v] = below
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if len(ready) != len(st.block):
         raise ValueError("block graph contains a cycle")
 
     by_level: Dict[int, List[Node]] = {}
-    for u, lvl in levels.items():
-        by_level.setdefault(lvl, []).append(u)
+    for u in ready:
+        by_level.setdefault(levels[u], []).append(u)
 
+    a, delta = st.a, st.delta
     order: List[Node] = []
     for lvl in sorted(by_level):
-        tasks = by_level[lvl]
-        sequences = []
-        for u in tasks:
-            a = (sum(c for p, c in wf.in_edges(u) if p not in block_set)
-                 + wf.memory(u) + wf.out_cost(u))
-            freed = sum(c for p, c in wf.in_edges(u) if p in block_set)
-            delta = wf.out_cost(u) - freed
-            sequences.append([Segment((u,), a, delta)])
+        sequences = [[Segment((u,), a[u], delta[u])] for u in by_level[lvl]]
         merged, _ = merge_segment_sequences(sequences)
         order.extend(merged)
     return order

@@ -13,7 +13,11 @@ Three candidate engines, cheapest first:
 
 :func:`memdag_traversal` evaluates the applicable candidates under the real
 semantics and returns the best — the returned peak is therefore always the
-peak of a *valid* traversal, never an unachievable estimate.
+peak of a *valid* traversal, never an unachievable estimate. The engines
+share one :class:`~repro.memdag.model.BlockStatics` pass and are scored by
+the fused :func:`~repro.memdag.model.traversal_peak`; a
+:class:`MemdagSearch` runs them one at a time, so a capacity query can stop
+at the first candidate that fits and a later exact query resume it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.memdag.model import peak_of_traversal
+from repro.memdag.model import BlockStatics, traversal_peak
 from repro.memdag.segments import Segment, decompose_profile, merge_segment_sequences
 from repro.memdag.sp_tree import SPTree, sp_decompose
-from repro.memdag.spize import layered_traversal
+from repro.memdag.spize import layered_order
 from repro.workflow.graph import Workflow
 
 Node = Hashable
@@ -36,6 +40,9 @@ SP_SIZE_LIMIT = 20_000
 
 #: blocks up to this size may use the exact branch-and-bound engine
 EXACT_SIZE_LIMIT = 12
+
+#: every engine, in the order they run and break ties (cheapest first)
+ENGINES = ("best_first", "layered", "sp", "exact")
 
 
 @dataclass(frozen=True)
@@ -47,24 +54,6 @@ class TraversalResult:
     method: str
 
 
-def _statics(wf: Workflow, block: Set[Node]) -> Tuple[Dict[Node, float], Dict[Node, float]]:
-    """Per-task activation ``a(u)`` and net change ``delta(u)`` (see segments.py)."""
-    a: Dict[Node, float] = {}
-    delta: Dict[Node, float] = {}
-    for u in block:
-        ext_in = 0.0
-        freed = 0.0
-        for p, c in wf.in_edges(u):
-            if p in block:
-                freed += c
-            else:
-                ext_in += c
-        out = wf.out_cost(u)
-        a[u] = ext_in + wf.memory(u) + out
-        delta[u] = out - freed
-    return a, delta
-
-
 def best_first_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> List[Node]:
     """Greedy min-peak topological order.
 
@@ -74,26 +63,29 @@ def best_first_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Lis
     heap suffices.
     """
     block_set = set(block) if block is not None else set(wf.tasks())
-    a, delta = _statics(wf, block_set)
-    seq = {u: i for i, u in enumerate(wf.tasks()) if u in block_set}
+    return _best_first_order(wf, BlockStatics(wf, block_set))
+
+
+def _best_first_order(wf: Workflow, st: BlockStatics) -> List[Node]:
+    a, delta, kids = st.a, st.delta, st.kids
+    seq = wf.positions()
 
     def prio(u: Node) -> Tuple[int, float, float, int]:
         d = delta[u]
         return (0 if d <= 0 else 1, a[u], d, seq[u])
 
-    pending = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
-    heap = [prio(u) + (u,) for u in block_set if pending[u] == 0]
+    pending = dict(st.n_pred)
+    heap = [prio(u) + (u,) for u in st.block if pending[u] == 0]
     heapq.heapify(heap)
     order: List[Node] = []
     while heap:
         *_, u = heapq.heappop(heap)
         order.append(u)
-        for v in wf.children(u):
-            if v in block_set:
-                pending[v] -= 1
-                if pending[v] == 0:
-                    heapq.heappush(heap, prio(v) + (v,))
-    if len(order) != len(block_set):
+        for v in kids[u]:
+            pending[v] -= 1
+            if pending[v] == 0:
+                heapq.heappush(heap, prio(v) + (v,))
+    if len(order) != len(st.block):
         raise ValueError("block graph contains a cycle")
     return order
 
@@ -130,18 +122,19 @@ def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[Li
     are stripped from the returned order.
     """
     block_set = set(block) if block is not None else set(wf.tasks())
+    return _series_parallel_order(BlockStatics(wf, block_set))
+
+
+def _series_parallel_order(st: BlockStatics) -> Optional[List[Node]]:
+    block_set, kids = st.block, st.kids
     if not block_set:
         return []
     if len(block_set) == 1:
         return list(block_set)
 
-    edges: List[Tuple[Node, Node]] = [
-        (u, v) for u in block_set for v in wf.children(u) if v in block_set
-    ]
-    sources = [u for u in block_set
-               if not any(p in block_set for p in wf.parents(u))]
-    sinks = [u for u in block_set
-             if not any(c in block_set for c in wf.children(u))]
+    edges: List[Tuple[Node, Node]] = [(u, v) for u in block_set for v in kids[u]]
+    sources = [u for u in block_set if st.n_pred[u] == 0]
+    sinks = [u for u in block_set if not kids[u]]
     if not sources or not sinks:
         return None
 
@@ -155,49 +148,101 @@ def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[Li
     if tree is None:
         return None
 
-    a, delta = _statics(wf, block_set)
-    a[vsrc] = a[vsink] = 0.0
-    delta[vsrc] = delta[vsink] = 0.0
-    order = [u for u in tree.internal_vertices() if u not in (vsrc, vsink)]
-    # internal_vertices of the root are exactly the block tasks; re-derive
-    # the optimized order instead of the structural one:
-    order = [u for u in _sp_order(tree, a, delta) if u not in (vsrc, vsink)]
+    # the virtual terminals are the root's source and sink, never one of
+    # the vertices _sp_order emits, so they need no statics of their own
+    order = _sp_order(tree, st.a, st.delta)
     if len(order) != len(block_set):
         return None
     return order
+
+
+def _engine_order(wf: Workflow, st: BlockStatics,
+                  method: str) -> Optional[Tuple[float, Tuple[Node, ...]]]:
+    """``(peak, order)`` of one engine on the block, ``None`` if it does not apply."""
+    if method == "best_first":
+        order = _best_first_order(wf, st)
+    elif method == "layered":
+        order = layered_order(st)
+    elif method == "sp":
+        if len(st.block) > SP_SIZE_LIMIT:
+            return None
+        order = _series_parallel_order(st)
+        if order is None:
+            return None
+    else:  # exact: its own search already yields the peak
+        if len(st.block) > EXACT_SIZE_LIMIT:
+            return None
+        result = _brute_force(st)
+        return result.peak, result.order
+    return traversal_peak(st, order), tuple(order)
+
+
+class MemdagSearch:
+    """The engines run so far for one block, resumable across calls.
+
+    ``candidates`` holds ``(peak, method, order)`` for every engine run so
+    far and ``pending`` the configured engines still to run, both in
+    :data:`ENGINES` order. The block's requirement is the smallest peak
+    over all candidates, the earliest engine winning ties, so a search
+    stopped early (:meth:`run` with a capacity) and resumed later ends with
+    exactly the result of an uninterrupted one.
+    """
+
+    __slots__ = ("methods", "pending", "candidates")
+
+    def __init__(self, methods: Sequence[str]):
+        self.methods = tuple(methods)
+        self.pending: List[str] = [m for m in ENGINES if m in methods]
+        self.candidates: List[Tuple[float, str, Tuple[Node, ...]]] = []
+
+    def fitting(self, capacity: float) -> Optional[TraversalResult]:
+        """The first candidate found so far whose peak is ``<= capacity``."""
+        for peak, method, order in self.candidates:
+            if peak <= capacity:
+                return TraversalResult(order=order, peak=peak, method=method)
+        return None
+
+    def run(self, wf: Workflow, block: Set[Node],
+            capacity: Optional[float] = None) -> TraversalResult:
+        """Run the pending engines on ``block``; return the best candidate.
+
+        With ``capacity``, stop at the first new candidate whose peak is
+        ``<= capacity`` while engines are still pending and return it
+        instead: it answers "does the block fit?" (the requirement is at
+        most its peak) without being the requirement. Once every engine
+        has run, the exact requirement is returned.
+        """
+        if not block:
+            self.pending.clear()
+            return TraversalResult(order=(), peak=0.0, method="empty")
+        st = BlockStatics(wf, block) if self.pending else None
+        while self.pending:
+            method = self.pending.pop(0)
+            found = _engine_order(wf, st, method)
+            if found is None:
+                continue
+            peak, order = found
+            self.candidates.append((peak, method, order))
+            if capacity is not None and peak <= capacity and self.pending:
+                return TraversalResult(order=order, peak=peak, method=method)
+        if not self.candidates:
+            raise ValueError(f"no traversal engines selected from {self.methods!r}")
+        peak, method, order = min(self.candidates, key=lambda t: t[0])
+        return TraversalResult(order=order, peak=peak, method=method)
 
 
 def memdag_traversal(wf: Workflow, block: Optional[Set[Node]] = None,
                      methods: Sequence[str] = ("best_first", "layered", "sp")) -> TraversalResult:
     """Best valid traversal among the requested engines (the memDag role).
 
-    Candidates are evaluated under the exact semantics of
-    :func:`repro.memdag.model.peak_of_traversal`; the smallest peak wins,
-    with ties resolved toward the cheaper engine.
+    Engines run in :data:`ENGINES` order whatever the order of
+    ``methods``; each candidate's peak is that of
+    :func:`repro.memdag.model.peak_of_traversal`, bit for bit (``exact``
+    reports the peak its own search computed), and the smallest peak
+    wins, with ties resolved toward the cheaper engine.
     """
     block_set = set(block) if block is not None else set(wf.tasks())
-    if not block_set:
-        return TraversalResult(order=(), peak=0.0, method="empty")
-
-    candidates: List[Tuple[float, str, List[Node]]] = []
-    if "best_first" in methods:
-        order = best_first_traversal(wf, block_set)
-        candidates.append((peak_of_traversal(wf, order, block_set), "best_first", order))
-    if "layered" in methods:
-        order = layered_traversal(wf, block_set)
-        candidates.append((peak_of_traversal(wf, order, block_set), "layered", order))
-    if "sp" in methods and len(block_set) <= SP_SIZE_LIMIT:
-        order = sp_traversal(wf, block_set)
-        if order is not None:
-            candidates.append((peak_of_traversal(wf, order, block_set), "sp", order))
-    if "exact" in methods and len(block_set) <= EXACT_SIZE_LIMIT:
-        result = brute_force_min_peak(wf, block_set, limit=EXACT_SIZE_LIMIT)
-        candidates.append((result.peak, "exact", list(result.order)))
-
-    if not candidates:
-        raise ValueError(f"no traversal engines selected from {methods!r}")
-    peak, method, order = min(candidates, key=lambda t: t[0])
-    return TraversalResult(order=tuple(order), peak=peak, method=method)
+    return MemdagSearch(methods).run(wf, block_set)
 
 
 def brute_force_min_peak(wf: Workflow, block: Optional[Set[Node]] = None,
@@ -210,13 +255,19 @@ def brute_force_min_peak(wf: Workflow, block: Optional[Set[Node]] = None,
     n = len(block_set)
     if n > limit:
         raise ValueError(f"brute force limited to {limit} tasks, got {n}")
+    return _brute_force(BlockStatics(wf, block_set))
+
+
+def _brute_force(st: BlockStatics) -> TraversalResult:
+    block_set = st.block
+    n = len(block_set)
     if n == 0:
         return TraversalResult(order=(), peak=0.0, method="brute")
 
-    a, delta = _statics(wf, block_set)
+    a, delta, kids = st.a, st.delta, st.kids
     best_peak = float("inf")
     best_order: List[Node] = []
-    pending = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
+    pending = dict(st.n_pred)
     order: List[Node] = []
 
     def dfs(live: float, peak: float) -> None:
@@ -232,13 +283,11 @@ def brute_force_min_peak(wf: Workflow, block: Optional[Set[Node]] = None,
                 usage = live + a[u]
                 order.append(u)
                 order_set.add(u)
-                for v in wf.children(u):
-                    if v in block_set:
-                        pending[v] -= 1
+                for v in kids[u]:
+                    pending[v] -= 1
                 dfs(live + delta[u], max(peak, usage))
-                for v in wf.children(u):
-                    if v in block_set:
-                        pending[v] += 1
+                for v in kids[u]:
+                    pending[v] += 1
                 order_set.discard(u)
                 order.pop()
 

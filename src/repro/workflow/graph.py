@@ -41,7 +41,7 @@ class Workflow:
     """
 
     __slots__ = ("name", "_work", "_memory", "_succ", "_pred", "_n_edges",
-                 "_in_total", "_out_total", "_version", "_compiled")
+                 "_in_total", "_out_total", "_version", "_compiled", "_positions")
 
     def __init__(self, name: str = "workflow"):
         self.name = name
@@ -58,6 +58,7 @@ class Workflow:
         #: bumped on every mutation; keys the compiled-view cache
         self._version = 0
         self._compiled = None
+        self._positions: Optional[Dict[Node, int]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -65,6 +66,7 @@ class Workflow:
     def _touch(self) -> None:
         self._version += 1
         self._compiled = None
+        self._positions = None
 
     def add_task(self, u: Node, work: float = 1.0, memory: float = 0.0) -> None:
         """Add task ``u``; re-adding updates its weights in place."""
@@ -146,6 +148,12 @@ class Workflow:
         for u, nbrs in self._succ.items():
             for v, c in nbrs.items():
                 yield u, v, c
+
+    def positions(self) -> Dict[Node, int]:
+        """Insertion rank of every task (cached until the next mutation)."""
+        if self._positions is None:
+            self._positions = {u: i for i, u in enumerate(self._work)}
+        return self._positions
 
     def work(self, u: Node) -> float:
         return self._work[u]
@@ -392,3 +400,4 @@ class Workflow:
         self._out_total = {}
         self._version = 0
         self._compiled = None
+        self._positions = None

@@ -1,4 +1,4 @@
-"""Tests of the traversal memory semantics (DESIGN.md Section 6)."""
+"""Tests of the traversal memory semantics (see ``repro.memdag.model``)."""
 
 import pytest
 

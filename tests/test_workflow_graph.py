@@ -114,6 +114,15 @@ class TestStructure:
         assert wf.find_cycle() is None
         assert len(wf.topological_order()) == n
 
+    def test_positions_follow_insertion_order_across_mutations(self):
+        wf = Workflow()
+        for u in "abc":
+            wf.add_task(u)
+        assert wf.positions() == {"a": 0, "b": 1, "c": 2}
+        wf.remove_task("a")
+        wf.add_edge("c", "d")
+        assert wf.positions() == {"b": 0, "c": 1, "d": 2}
+
     def test_copy_is_independent(self, diamond_workflow):
         clone = diamond_workflow.copy()
         clone.set_work("x", 99.0)
