@@ -8,8 +8,8 @@ produced. Environment knobs:
 * ``REPRO_SCALE=n``  — divide the paper's sizes by ``n`` instead;
 * ``REPRO_BENCH_FAMILIES`` — comma-separated family subset.
 
-The relative-makespan *shapes* these produce are recorded and compared to
-the paper in EXPERIMENTS.md.
+The relative-makespan *shapes* these produce are the reproduction's
+comparison with the paper; a committed record of it is ROADMAP item 5(a).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ def test_fig7_bandwidth_sweep(benchmark):
         rounds=1, iterations=1)
     show(result, "Fig. 7: relative makespan (%) vs bandwidth")
     # The *relative* series is noisy at reduced corpus scale because the
-    # baseline is bandwidth-sensitive too (EXPERIMENTS.md discusses this);
+    # baseline is bandwidth-sensitive too (ROADMAP item 5(a) tracks the
+    # record of reduced-scale results against the paper);
     # the robust form of the paper's claim is that DagHetPart's absolute
     # makespans improve monotonically-ish with bandwidth.
     from repro.experiments.metrics import aggregate_by

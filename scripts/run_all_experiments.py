@@ -1,4 +1,4 @@
-"""Run the complete evaluation and dump results for EXPERIMENTS.md.
+"""Run the complete evaluation and dump results (see ROADMAP item 5(a)).
 
 Each cluster configuration is one declarative :class:`ScenarioSpec`
 (built by :func:`repro.experiments.figures.corpus_scenario` — the same

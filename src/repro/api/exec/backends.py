@@ -9,8 +9,8 @@ and progress hooks all stay in the batch façade
 (:func:`repro.api.batch.iter_solve_batch`) — a backend only decides how
 the ``solve`` call executes.
 
-Backends register exactly like algorithms do (same canonical names, same
-duplicate rejection): ``@register_backend("mybackend")``. Three ship:
+Backends share the algorithm registry's mechanism (same canonical names,
+same duplicate rejection): ``@register_backend("mybackend")``. Three ship:
 
 ``serial``   in-process, synchronous — ``submit`` returns a completed
              handle, so the façade's streaming is bit-for-bit the classic
@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
-from repro.api.registry import canonical_name, get_algorithm
+from repro.api.registry import get_algorithm
+from repro.utils.registry import Registry
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +179,7 @@ class ExecutionBackend(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Backend registry (mirrors the algorithm registry's contract)
+# Backend registry (shares the algorithm registry's mechanism)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BackendInfo:
@@ -191,7 +192,7 @@ class BackendInfo:
     capabilities: Tuple[str, ...] = ()
 
 
-_BACKENDS: Dict[str, BackendInfo] = {}
+_BACKENDS: Registry[BackendInfo] = Registry("execution backend")
 
 
 def register_backend(name: str, *, summary: str = "",
@@ -201,39 +202,19 @@ def register_backend(name: str, *, summary: str = "",
     Names are canonicalized exactly like algorithm names (case and
     ``-``/``_``/spaces ignored); duplicates are rejected.
     """
-    key = canonical_name(name)
-    if not key:
-        raise ValueError(f"backend name {name!r} is empty after canonicalization")
+    key = _BACKENDS.key(name)
 
     def decorator(cls):
-        if key in _BACKENDS:
-            raise ValueError(
-                f"backend {name!r} already registered; use "
-                f"unregister_backend first to replace it")
-        _BACKENDS[key] = BackendInfo(name=key, factory=cls, summary=summary,
-                                     capabilities=tuple(capabilities))
+        _BACKENDS.add(BackendInfo(name=key, factory=cls, summary=summary,
+                                  capabilities=tuple(capabilities)))
         return cls
 
     return decorator
 
 
-def unregister_backend(name: str) -> None:
-    """Remove an entry (plugin teardown / tests); unknown names are a no-op."""
-    _BACKENDS.pop(canonical_name(name), None)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered backend."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> BackendInfo:
-    """Resolve a (canonicalized) name; unknown names list the valid ones."""
-    info = _BACKENDS.get(canonical_name(name))
-    if info is None:
-        valid = ", ".join(available_backends()) or "(none registered)"
-        raise ValueError(f"unknown execution backend {name!r}; available: {valid}")
-    return info
+unregister_backend = _BACKENDS.remove
+available_backends = _BACKENDS.names
+get_backend = _BACKENDS.get
 
 
 def create_backend(name: str) -> ExecutionBackend:

@@ -23,18 +23,17 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Dict,
     FrozenSet,
     Iterable,
     Optional,
     Protocol,
-    Tuple,
     runtime_checkable,
 )
 
 from repro.api.envelopes import SchedulerOutput
 from repro.core.mapping import Mapping
 from repro.platform.cluster import Cluster
+from repro.utils.registry import Registry, canonical_name  # noqa: F401
 from repro.workflow.graph import Workflow
 
 
@@ -65,14 +64,7 @@ class AlgorithmInfo:
     summary: str = ""
 
 
-_REGISTRY: Dict[str, AlgorithmInfo] = {}
-
-
-def canonical_name(name: str) -> str:
-    """Normalize an algorithm name: lowercase, drop ``-``/``_``/spaces."""
-    if not isinstance(name, str):
-        raise TypeError(f"algorithm name must be a str, got {type(name).__name__}")
-    return "".join(ch for ch in name.lower() if ch not in "-_ ")
+_REGISTRY: Registry[AlgorithmInfo] = Registry("algorithm")
 
 
 class _FunctionScheduler:
@@ -104,51 +96,26 @@ def register_algorithm(name: str, *, display_name: Optional[str] = None,
     returning a :class:`SchedulerOutput` or bare ``Mapping``. Duplicate
     names (after canonicalization) are rejected.
     """
-    key = canonical_name(name)
-    if not key:
-        raise ValueError(f"algorithm name {name!r} is empty after canonicalization")
+    key = _REGISTRY.key(name)
 
     def decorator(obj):
         scheduler: Any = obj() if isinstance(obj, type) else obj
         if not callable(getattr(scheduler, "run", None)):
             scheduler = _FunctionScheduler(scheduler)
-        if key in _REGISTRY:
-            raise ValueError(
-                f"algorithm {name!r} already registered "
-                f"(as {_REGISTRY[key].display_name!r}); use unregister_algorithm "
-                f"first to replace it")
-        _REGISTRY[key] = AlgorithmInfo(
+        _REGISTRY.add(AlgorithmInfo(
             name=key,
             display_name=display_name or name,
             scheduler=scheduler,
             config_cls=config_cls,
             capabilities=frozenset(capabilities),
             summary=summary,
-        )
+        ))
         return obj
 
     return decorator
 
 
-def unregister_algorithm(name: str) -> None:
-    """Remove an entry (plugin teardown / tests); unknown names are a no-op."""
-    _REGISTRY.pop(canonical_name(name), None)
-
-
-def available_algorithms() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered algorithm."""
-    return tuple(sorted(_REGISTRY))
-
-
-def algorithm_infos() -> Tuple[AlgorithmInfo, ...]:
-    """Every registry entry, sorted by canonical name."""
-    return tuple(_REGISTRY[k] for k in available_algorithms())
-
-
-def get_algorithm(name: str) -> AlgorithmInfo:
-    """Resolve a (canonicalized) name; unknown names list the valid ones."""
-    info = _REGISTRY.get(canonical_name(name))
-    if info is None:
-        valid = ", ".join(available_algorithms()) or "(none registered)"
-        raise ValueError(f"unknown algorithm {name!r}; available: {valid}")
-    return info
+unregister_algorithm = _REGISTRY.remove
+available_algorithms = _REGISTRY.names
+algorithm_infos = _REGISTRY.infos
+get_algorithm = _REGISTRY.get

@@ -4,8 +4,8 @@ Paper sizes: 200 / 1 000 / 2 000 / 4 000 / 8 000 (small), 10 000 / 15 000 /
 18 000 (middle), 20 000 / 25 000 / 30 000 (big), plus five real workflows of
 11-58 tasks. A pure-Python run of the full corpus takes hours, so the
 default sizes are the paper's divided by :data:`DEFAULT_SCALE` (size
-*ordering and spread* are preserved; EXPERIMENTS.md records that the
-result shapes are stable across scales). Set ``REPRO_FULL=1`` to run the
+*ordering and spread* are preserved; the figure benchmarks in
+``benchmarks/`` regenerate each result shape at reduced scale). Set ``REPRO_FULL=1`` to run the
 paper's sizes, or ``REPRO_SCALE=<divisor>`` for anything in between.
 """
 

@@ -3,7 +3,7 @@
 The evaluation environment has no plotting stack, so the figure drivers
 render their series as text: :func:`ascii_line_plot` draws multi-series
 scatter/line charts with axis labels (used by the CLI and by
-EXPERIMENTS.md snippets), :func:`ascii_bar_chart` draws labelled bars.
+``scripts/render_figures.py``), :func:`ascii_bar_chart` draws labelled bars.
 """
 
 from __future__ import annotations

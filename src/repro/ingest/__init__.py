@@ -2,7 +2,7 @@
 
 The paper evaluates its partitioners on real scientific workflows
 (nextflow pipelines, Pegasus benchmarks); this package is the seam those
-workflows enter through. It mirrors the registry idiom used for
+workflows enter through. It shares the registry mechanism used for
 algorithms, backends, and policies: importers self-register under a
 format name, ``detect_format`` sniffs content before trusting
 extensions, and everything funnels through one normalization/validation
@@ -24,9 +24,9 @@ from repro.ingest.load import ingest_path, ingest_text
 from repro.ingest.normalize import (DEFAULT_OPTIONS, NormalizeOptions,
                                     WorkflowAssembler, normalize_workflow,
                                     workflow_fingerprint, workflow_stats)
-from repro.ingest.registry import (available_formats, canonical_format,
-                                   detect_format, format_infos, get_format,
-                                   register_format, unregister_format)
+from repro.ingest.registry import (available_formats, detect_format,
+                                   format_infos, get_format, register_format,
+                                   unregister_format)
 from repro.ingest.templates import (build_from_document, parse_structured,
                                     render_template)
 
@@ -47,7 +47,6 @@ __all__ = [
     "unregister_format",
     "available_formats",
     "format_infos",
-    "canonical_format",
     "NormalizeOptions",
     "DEFAULT_OPTIONS",
     "WorkflowAssembler",

@@ -1,6 +1,6 @@
 """Importer registry — the single dispatch point for workflow formats.
 
-Mirrors the algorithm/backend/policy registry idiom: every format the
+Shares the algorithm/backend/policy registry mechanism: every format the
 library can ingest is registered exactly once with :func:`register_format`,
 and both the CLI (``repro ingest``) and the scenario workflow sources
 resolve names through :func:`get_format` instead of per-caller
@@ -25,9 +25,10 @@ afterwards, once, for every format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.utils.errors import IngestError
+from repro.utils.registry import Registry
 from repro.workflow.graph import Workflow
 
 #: importer signature: text + keyword context -> raw Workflow
@@ -64,14 +65,7 @@ class FormatInfo:
         return best
 
 
-_REGISTRY: Dict[str, FormatInfo] = {}
-
-
-def canonical_format(name: str) -> str:
-    """Normalize a format name: lowercase, drop ``-``/``_``/spaces."""
-    if not isinstance(name, str):
-        raise TypeError(f"format name must be a str, got {type(name).__name__}")
-    return "".join(ch for ch in name.lower() if ch not in "-_ ")
+_REGISTRY: Registry[FormatInfo] = Registry("workflow format")
 
 
 def register_format(name: str, *, extensions: Tuple[str, ...] = (),
@@ -83,51 +77,26 @@ def register_format(name: str, *, extensions: Tuple[str, ...] = (),
     data=None)`` and return a :class:`~repro.workflow.graph.Workflow`.
     Duplicate names (after canonicalization) are rejected.
     """
-    key = canonical_format(name)
-    if not key:
-        raise ValueError(f"format name {name!r} is empty after canonicalization")
+    key = _REGISTRY.key(name)
 
     def decorator(fn: Importer) -> Importer:
-        if key in _REGISTRY:
-            raise ValueError(
-                f"format {name!r} already registered "
-                f"(as {_REGISTRY[key].display_name!r}); use unregister_format "
-                f"first to replace it")
-        _REGISTRY[key] = FormatInfo(
+        _REGISTRY.add(FormatInfo(
             name=key,
             display_name=display_name or name,
             importer=fn,
             extensions=tuple(ext.lower() for ext in extensions),
             sniffer=sniffer,
             summary=summary,
-        )
+        ))
         return fn
 
     return decorator
 
 
-def unregister_format(name: str) -> None:
-    """Remove an entry (plugin teardown / tests); unknown names are a no-op."""
-    _REGISTRY.pop(canonical_format(name), None)
-
-
-def available_formats() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered format."""
-    return tuple(sorted(_REGISTRY))
-
-
-def format_infos() -> Tuple[FormatInfo, ...]:
-    """Every registry entry, sorted by canonical name."""
-    return tuple(_REGISTRY[k] for k in available_formats())
-
-
-def get_format(name: str) -> FormatInfo:
-    """Resolve a (canonicalized) name; unknown names list the valid ones."""
-    info = _REGISTRY.get(canonical_format(name))
-    if info is None:
-        valid = ", ".join(available_formats()) or "(none registered)"
-        raise ValueError(f"unknown workflow format {name!r}; available: {valid}")
-    return info
+unregister_format = _REGISTRY.remove
+available_formats = _REGISTRY.names
+format_infos = _REGISTRY.infos
+get_format = _REGISTRY.get
 
 
 def detect_format(text: Optional[str] = None,

@@ -5,11 +5,12 @@ perturbation stream — job arrivals, processor fail/leave/join,
 stochastic runtime inflation — disturbs it, and measures robustness:
 makespan degradation against the undisturbed plan, re-solve latency,
 and task migrations. Reaction policies (``static`` / ``warmstart`` /
-``resolve``) live behind a registry mirroring ``@register_algorithm``.
+``resolve``) share the registry mechanism behind ``@register_algorithm``.
 
-Only the frozen event models are imported eagerly; the engine, the
-policies, the scenario runner, and the benchmark load lazily so that
-``repro.api`` can depend on :class:`DynamicsSpec` without a cycle.
+Only the frozen event models (and the policy registry they validate
+against) are imported eagerly; the engine, the scenario runner, and the
+benchmark load lazily so that ``repro.api`` can depend on
+:class:`DynamicsSpec` without a cycle.
 """
 
 from repro.sim.events import (

@@ -34,6 +34,7 @@ from repro.generators.events import (
     merge_timelines,
     poisson_times,
 )
+from repro.sim.policies import get_policy
 from repro.utils.rng import SeedLike, make_rng, spawn_rngs
 
 #: the event kinds the engine understands
@@ -310,6 +311,8 @@ class DynamicsSpec:
                 raise ValueError(f"not an event model: {model!r}")
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        # resolve now, so a bad policy name fails before any planning
+        get_policy(self.policy)
 
     # ------------------------------------------------------------------
     def compile(self) -> List[SimEvent]:

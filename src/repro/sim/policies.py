@@ -5,7 +5,7 @@ pending blocks that need a processor, re-mappable blocks that have not
 started, the free processor list, and the shared incremental
 :class:`~repro.core.evaluator.MakespanEvaluator`) and mutates the plan
 through the context's ``place`` / ``replace_remaining`` methods. Three
-policies ship, behind a registry mirroring ``@register_algorithm``:
+policies ship, behind the registry mechanism ``@register_algorithm`` uses:
 
 ``static``
     Never re-plans. Forced repairs only: orphaned blocks and arriving
@@ -25,9 +25,10 @@ policies ship, behind a registry mirroring ``@register_algorithm``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro.platform.processor import Processor
+from repro.utils.registry import Registry
 
 __all__ = [
     "ReactionContext",
@@ -94,45 +95,27 @@ class PolicyInfo:
     summary: str = ""
 
 
-_POLICIES: Dict[str, PolicyInfo] = {}
-
-
-def _canonical(name: str) -> str:
-    cleaned = name.strip().lower().replace("-", "").replace("_", "")
-    if not cleaned:
-        raise ValueError(f"invalid policy name: {name!r}")
-    return cleaned
+_POLICIES: Registry[PolicyInfo] = Registry("reaction policy")
 
 
 def register_policy(name: str, summary: str = "") -> Callable[[type], type]:
     """Class decorator registering a :class:`ReactionPolicy`."""
-    key = _canonical(name)
+    key = _POLICIES.key(name)
 
     def deco(cls: type) -> type:
-        if key in _POLICIES:
-            raise ValueError(f"reaction policy {name!r} is already registered")
+        _POLICIES.add(PolicyInfo(name=key, cls=cls, summary=summary))
         cls.name = key
-        _POLICIES[key] = PolicyInfo(name=key, cls=cls, summary=summary)
         return cls
     return deco
 
 
 def get_policy(name: str) -> ReactionPolicy:
     """A fresh instance of the named policy (policies are stateless)."""
-    key = _canonical(name)
-    info = _POLICIES.get(key)
-    if info is None:
-        valid = ", ".join(sorted(_POLICIES))
-        raise ValueError(f"unknown reaction policy {name!r}; valid: {valid}")
-    return info.cls()
+    return _POLICIES.get(name).cls()
 
 
-def available_policies() -> List[str]:
-    return sorted(_POLICIES)
-
-
-def policy_infos() -> List[PolicyInfo]:
-    return [_POLICIES[k] for k in sorted(_POLICIES)]
+available_policies = _POLICIES.names
+policy_infos = _POLICIES.infos
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,27 @@ class TestFingerprint:
         assert base not in fingerprints
         assert len(fingerprints) == len(others)  # all pairwise distinct
 
+    def test_golden_fingerprint(self):
+        # every stored jsonl/sqlite cache entry is keyed by this digest:
+        # a change to the payload or to canonical_name orphans them all
+        from repro.platform.cluster import Cluster
+        from repro.platform.processor import Processor
+        from repro.workflow.graph import Workflow
+
+        wf = Workflow(name="golden")
+        for u, (work, mem) in enumerate([(4.0, 2.0), (3.0, 1.5),
+                                         (2.0, 1.0), (5.0, 2.5)]):
+            wf.add_task(u, work=work, memory=mem)
+        for u, v, c in [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0), (2, 3, 1.0)]:
+            wf.add_edge(u, v, c)
+        cluster = Cluster([Processor("fast", 2.0, 8.0, kind="A"),
+                           Processor("big", 1.0, 16.0, kind="B")],
+                          bandwidth=1.0, name="golden-cluster")
+        request = ScheduleRequest(workflow=wf, cluster=cluster,
+                                  algorithm="Dag-Het_Part")
+        assert request_fingerprint(request) == (
+            "5b12ab967f50064f2f6c60d272fea5781da7cc25e1f33bd5de3105d6dade35eb")
+
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):

@@ -123,3 +123,94 @@ class TestRegistration:
 
     def test_unregister_unknown_is_noop(self):
         unregister_algorithm("never-registered")
+
+
+# ----------------------------------------------------------------------
+# One contract for every name registry (algorithms, execution backends,
+# reaction policies, workflow formats)
+# ----------------------------------------------------------------------
+def _registry_cases():
+    from repro.api.exec import backends
+    from repro.ingest import registry as formats
+    from repro.sim import policies
+
+    # each case: kind, register(name), resolve(name) -> registered object,
+    # names(), unregister(name)
+    return {
+        "algorithm": ("algorithm", register_algorithm,
+                      lambda n: type(get_algorithm(n).scheduler),
+                      available_algorithms, unregister_algorithm),
+        "backend": ("execution backend", backends.register_backend,
+                    lambda n: backends.get_backend(n).factory,
+                    backends.available_backends, backends.unregister_backend),
+        "policy": ("reaction policy", policies.register_policy,
+                   lambda n: type(policies.get_policy(n)),
+                   policies.available_policies, policies._POLICIES.remove),
+        "format": ("workflow format", formats.register_format,
+                   lambda n: formats.get_format(n).importer,
+                   formats.available_formats, formats.unregister_format),
+    }
+
+
+def _throwaway():
+    """A fresh class every registry accepts (it has ``run`` and ``name``)."""
+    from repro.sim.policies import ReactionPolicy
+    return type("Throwaway", (ReactionPolicy,),
+                {"run": lambda self, *args: None})
+
+
+@pytest.fixture(params=["algorithm", "backend", "policy", "format"])
+def registry(request):
+    kind, register, resolve, names, unregister = \
+        _registry_cases()[request.param]
+    yield kind, register, resolve, names, unregister
+    unregister("contract-test")
+
+
+class TestRegistryContract:
+    @pytest.mark.parametrize("alias", [
+        "contract-test", "CONTRACT_TEST", "Contract Test", "contracttest",
+    ])
+    def test_aliases_resolve(self, registry, alias):
+        _, register, resolve, names, _ = registry
+        cls = register("contract-test")(_throwaway())
+        assert resolve(alias) is cls
+        assert "contracttest" in names()
+        assert isinstance(names(), tuple)
+
+    def test_empty_name_rejected(self, registry):
+        _, register, _, _, _ = registry
+        with pytest.raises(ValueError, match="empty"):
+            register("-_ ")
+
+    def test_non_string_name_rejected(self, registry):
+        _, register, resolve, _, _ = registry
+        with pytest.raises(TypeError):
+            register(7)
+        with pytest.raises(TypeError):
+            resolve(7)
+
+    def test_duplicate_leaves_first_entry(self, registry):
+        _, register, resolve, _, _ = registry
+        first, second = _throwaway(), _throwaway()
+        register("contract-test")(first)
+        with pytest.raises(ValueError, match="already registered"):
+            register("Contract_Test")(second)
+        assert resolve("contract-test") is first
+        # only the policy registry stamps ``name``; a rejected class keeps
+        # the base default everywhere
+        assert second.name == ""
+
+    def test_unknown_name_lists_available(self, registry):
+        kind, _, resolve, names, _ = registry
+        with pytest.raises(ValueError,
+                           match=f"unknown {kind} 'no-such-entry'; "
+                                 f"available: ") as exc:
+            resolve("no-such-entry")
+        assert all(name in str(exc.value) for name in names())
+
+    def test_unregister_unknown_is_noop(self, registry):
+        _, _, _, names, unregister = registry
+        before = names()
+        unregister("never-registered")
+        assert names() == before

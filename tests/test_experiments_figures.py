@@ -1,7 +1,7 @@
 """Smoke + shape tests for every figure/table driver (tiny corpora).
 
 These check the *structure* of each experiment's output; the shape of the
-numbers against the paper is recorded by the benchmarks and EXPERIMENTS.md.
+numbers against the paper is checked by the figure benchmarks in ``benchmarks/``.
 """
 
 import pytest

@@ -187,6 +187,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             DynamicsSpec(horizon=0.0)
 
+    def test_policy_resolved_at_construction(self, monkeypatch):
+        with pytest.raises(TypeError):
+            DynamicsSpec(policy=7)
+        with pytest.raises(ValueError, match="unknown reaction policy 'nope'; "
+                                             "available: .*warmstart"):
+            DynamicsSpec(policy="nope")
+        # aliases resolve, and the spelling is stored unchanged: to_json()
+        # is the simulate-cache fingerprint payload
+        assert DynamicsSpec(policy="Warm-Start").policy == "Warm-Start"
+
+        # a bad policy override fails before any (expensive) planning
+        from repro.api.envelopes import ScheduleRequest
+        from repro.generators.families import generate_workflow
+        from repro.platform.presets import small_cluster
+        from repro.sim import runner
+
+        solves = []
+        monkeypatch.setattr(runner, "solve", solves.append)
+        request = ScheduleRequest(workflow=generate_workflow("blast", 10, seed=0),
+                                  cluster=small_cluster(), algorithm="cpack")
+        with pytest.raises(ValueError, match="unknown reaction policy"):
+            runner.simulate_request(request, DynamicsSpec(), policy="nope")
+        assert solves == []
+
     def test_victims_consumed_then_random(self):
         churn = ProcessorChurn(fail_times=(0.2, 0.4), victims=("p7",))
         events = churn.events(0)
