@@ -1,8 +1,9 @@
 """``solve`` / ``solve_batch`` — thin façades over pluggable execution backends.
 
 :func:`solve` executes one :class:`ScheduleRequest` end to end: registry
-lookup, optional memory scaling, timed algorithm run, failure capture into
-a :class:`FailureInfo`, optional validation, envelope assembly.
+lookup, optional memory scaling, an O(n) check for tasks that fit no
+processor, timed algorithm run, failure capture into a
+:class:`FailureInfo`, optional validation, envelope assembly.
 
 :func:`iter_solve_batch` streams results back in request order while
 keeping only a bounded window of requests in flight, so arbitrarily large
@@ -39,7 +40,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
 from repro.api.registry import get_algorithm
-from repro.utils.errors import ReproError
+from repro.core.bounds import oversized_tasks
+from repro.utils.errors import NoFeasibleMappingError, ReproError
 
 #: environment default for ``solve_batch(parallel=None)``; 0 = serial
 PARALLEL_ENV = "REPRO_PARALLEL"
@@ -71,6 +73,8 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
     sweep: Tuple = ()
     start = time.perf_counter()
     try:
+        if "memory-packing" in info.capabilities:
+            _check_tasks_fit(request.workflow, cluster, info.display_name)
         output = info.scheduler.run(request.workflow, cluster, request.config)
     except ReproError as exc:
         failure = FailureInfo.from_exception(exc)
@@ -97,6 +101,24 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
         extra=dict(output.extra) if output is not None else {},
         mapping=mapping if request.want_mapping else None,
     )
+
+
+def _check_tasks_fit(workflow, cluster, algorithm: str) -> None:
+    """Fail in O(n) when some task fits no processor, before any search.
+
+    :func:`solve` runs this for algorithms declaring ``memory-packing``
+    (every block they emit fits its processor). DagHetPart, and anneal,
+    which starts from it, run the same check inside their ``k'`` sweep,
+    so the failure still lists every ``k'``. Other algorithms, plugins
+    included, are not checked: they may map such tasks anyway.
+    """
+    oversized = oversized_tasks(workflow, cluster)
+    if oversized:
+        raise NoFeasibleMappingError(
+            f"{algorithm}: {len(oversized)} task(s) of {workflow.name!r} "
+            f"need more memory than any processor of {cluster.name!r} has "
+            f"({cluster.max_memory():g})",
+            unplaced_tasks=len(oversized))
 
 
 def resolve_parallel(parallel: Optional[int]) -> int:

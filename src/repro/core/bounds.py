@@ -15,12 +15,14 @@ are valid for *any* mapping that satisfies the model of Section 3:
   machines).
 
 ``makespan_lower_bound`` is their maximum; ``optimality_gap`` divides a
-mapping's makespan by it.
+mapping's makespan by it. :func:`oversized_tasks` is the matching
+infeasibility certificate: one task that fits no processor rules out
+every memory-respecting mapping.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Hashable, List
 
 from repro.core.mapping import Mapping
 from repro.platform.cluster import Cluster
@@ -70,6 +72,28 @@ def bottleneck_task_bound(wf: Workflow, cluster: Cluster) -> float:
             return float("inf")  # task fits nowhere: every makespan is inf
         bound = max(bound, wf.work(u) / best_speed)
     return bound
+
+
+#: slack of :func:`oversized_tasks`, relative and absolute: a block peak is
+#: a float sum that may round a few ulps below a member task's requirement,
+#: and the mappers accept peaks up to 1e-9 above a processor's memory
+_FIT_SLACK = 1e-6
+
+
+def oversized_tasks(wf: Workflow, cluster: Cluster) -> List[Hashable]:
+    """Tasks whose requirement ``r_u`` exceeds every processor's memory.
+
+    While a task runs, its block holds the task's inputs, memory and
+    outputs, so every block's peak is at least ``r_u`` for each of its
+    tasks, whatever the traversal. One such task therefore rules out
+    every memory-respecting mapping. O(n); requirements within the
+    rounding slack of the largest memory do not count.
+    """
+    limit = cluster.max_memory()
+    bound = limit + _FIT_SLACK * max(1.0, abs(limit))
+    if not wf.max_task_requirement() > bound:
+        return []
+    return [u for u in wf.tasks() if wf.task_requirement(u) > bound]
 
 
 def makespan_lower_bound(wf: Workflow, cluster: Cluster) -> float:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from repro.core.assignment import biggest_assign
+from repro.core.bounds import oversized_tasks
 from repro.core.evaluator import MakespanEvaluator
 from repro.core.mapping import Mapping
 from repro.core.makespan import makespan
@@ -192,7 +193,13 @@ def dag_het_part_sweep(wf: Workflow, cluster: Cluster,
     best: Optional[Tuple[float, QuotientGraph]] = None
     best_k_prime: Optional[int] = None
     trace: List[SweepPoint] = []
+    # a task that fits no processor makes every k' infeasible: say so
+    # without partitioning
+    oversized = oversized_tasks(wf, cluster)
     for k_prime in _k_prime_candidates(cluster.k, config):
+        if oversized:
+            trace.append(SweepPoint(k_prime, None, "infeasible"))
+            continue
         try:
             result = _run_pipeline(wf, cluster, k_prime, config, cache)
         except (InvalidPartitionError, ReproError):
@@ -207,9 +214,12 @@ def dag_het_part_sweep(wf: Workflow, cluster: Cluster,
             best_k_prime = k_prime
 
     if best is None:
+        reason = (f": {len(oversized)} task(s) need more memory than any "
+                  f"processor has" if oversized else "")
         exc = NoFeasibleMappingError(
             f"DagHetPart: no feasible mapping of {wf.name!r} "
-            f"({wf.n_tasks} tasks) onto {cluster.name!r} ({cluster.k} procs)",
+            f"({wf.n_tasks} tasks) onto {cluster.name!r} ({cluster.k} procs)"
+            f"{reason}",
             unplaced_tasks=wf.n_tasks)
         exc.sweep = tuple(trace)
         raise exc

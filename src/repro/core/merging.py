@@ -40,7 +40,8 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
     partner is ``None`` when no feasible merge exists. The graph is left
     exactly as it was (every tentative merge is undone). ``pool`` overrides
     the set of partners examined (default: ``nu``'s quotient neighbours,
-    as in the paper).
+    as in the paper). ``q`` must be acyclic, as every quotient Step 3 sees
+    is: a merge can then only close cycles through the merged vertex.
     """
     best_mu = float("inf")
     best_partner: Optional[BlockId] = None
@@ -56,12 +57,14 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
         merged_id, token1 = q.merge(nu, partner)
         token2 = None
         third: Optional[BlockId] = None
-        cycle = q.find_cycle()
+        # the whole-graph search runs only when a cycle exists; its choice
+        # of cycle decides which third vertex is absorbed
+        cycle = q.find_cycle() if _on_cycle(q, merged_id) else None
         if cycle is not None:
             if len(cycle) == 2:
                 other = cycle[0] if cycle[0] != merged_id else cycle[1]
                 merged2_id, token2 = q.merge(merged_id, other)
-                if q.find_cycle() is not None:
+                if _on_cycle(q, merged2_id):
                     q.unmerge(token2)
                     q.unmerge(token1)
                     continue
@@ -89,6 +92,21 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
         q.unmerge(token1)
 
     return best_mu, best_partner, best_third
+
+
+def _on_cycle(q: QuotientGraph, v: BlockId) -> bool:
+    """Whether ``v`` lies on a directed cycle: a search of its descendants."""
+    succ = q.succ
+    seen: Set[BlockId] = set()
+    stack = list(succ[v])
+    while stack:
+        x = stack.pop()
+        if x == v:
+            return True
+        if x not in seen:
+            seen.add(x)
+            stack.extend(succ[x])
+    return False
 
 
 def _execute_merge(q: QuotientGraph, nu: BlockId, partner: BlockId,

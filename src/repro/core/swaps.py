@@ -14,6 +14,25 @@ with one, each candidate mutation is priced by delta evaluation
 (O(affected ancestors)) instead of a full bottom-weight pass over the
 quotient. Without one, the original full-recompute path is used — the two
 are bit-for-bit equivalent (see ``benchmarks/test_evaluator_delta.py``).
+
+Critical-path prune
+-------------------
+Most swap candidates cannot beat the best makespan found so far, and the
+swap search proves it without pricing them. Each round takes the current
+critical path ``P`` and its *chain* length: ``P``'s bottom weight
+recomputed from ``P`` alone, sink first, with the evaluator's float
+operations (``own = work / speed``, ``cand = c / link + chain_next``,
+``chain = own + cand``, ``own + 0.0`` at the sink). A swap leaves the
+structure unchanged, and the swapped bottom weight of every ``P[i]`` is
+``own' + best_child'`` with ``best_child' >= cand'`` (a running max).
+IEEE division and addition round monotonically, so by induction from the
+sink the swapped makespan is ``>= l'(P[0]) >= chain'(P)``: a pair whose
+swapped chain (just ``chain(P)`` when neither block is on ``P``) is
+``>= best_mu - 1e-12`` can never pass the acceptance test and is skipped.
+The argument needs no sign assumption, a NaN chain never skips, and the
+order, the first-seen tie-break and the applied swaps are unchanged; the
+differential tests in ``tests/test_core_swaps.py`` hold the search to an
+unpruned steepest descent.
 """
 
 from __future__ import annotations
@@ -22,7 +41,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.evaluator import MakespanEvaluator
 from repro.core.kernels import get_kernel
-from repro.core.makespan import critical_path, makespan
+from repro.core.makespan import critical_path, link_rule, makespan
 from repro.core.quotient import BlockId, QuotientGraph
 from repro.memdag.requirement import RequirementCache
 from repro.platform.cluster import Cluster
@@ -39,12 +58,16 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
     A swap of vertices ``(nu, nu')`` is feasible when each block fits the
     other's processor memory. Each round evaluates all feasible pairs and
     applies the single best strictly-improving one (Algorithm 5 keeps the
-    best pair and stops when no improving swap exists).
+    best pair and stops when no improving swap exists); pairs the
+    critical-path bound rules out are skipped unpriced, which never
+    changes the outcome (module docstring).
     """
     applied = 0
     requirement: Dict[BlockId, float] = {}
     ev = evaluator
     current = ev.makespan() if ev is not None else makespan(q, cluster)
+    link_of = link_rule(cluster)
+    default_speed = ev.default_speed if ev is not None else 1.0
     for _ in range(max_rounds):
         ids = [bid for bid, blk in q.blocks.items() if blk.proc is not None]
         for bid in ids:
@@ -54,11 +77,15 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
                 requirement[bid] = cache.peak(q.blocks[bid].tasks)
         best_mu = current
         best_pair: Optional[Tuple[BlockId, BlockId]] = None
+        path = ev.critical_path() if ev is not None else critical_path(q, cluster)
+        chain = _PathChain(q, path, link_of, default_speed)
         # candidate enumeration (proc-identity + memory feasibility) is a
         # kernel: the pair order is part of the contract, since ties in
         # makespan go to the first-seen pair
         pairs = get_kernel().feasible_swap_pairs(ids, requirement, q.blocks)
         for a, b in pairs:
+            if chain.swapped(a, b) >= best_mu - 1e-12:
+                continue  # cannot pass the acceptance test below
             if ev is not None:
                 mu = ev.eval_swap(a, b)
             else:
@@ -83,6 +110,61 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
         current = best_mu
         applied += 1
     return applied
+
+
+class _PathChain:
+    """A lower bound on the makespan after a swap: one path's chain.
+
+    ``suffix[i]`` is the chain of ``path[i:]`` under the current
+    processors, computed sink first with the evaluator's float operations;
+    the module docstring shows why the chain with two processors exchanged
+    bounds the makespan after that swap from below.
+    """
+
+    __slots__ = ("blocks", "pos", "works", "costs", "procs", "suffix",
+                 "link_of", "default_speed")
+
+    def __init__(self, q: QuotientGraph, path: List[BlockId], link_of,
+                 default_speed: float):
+        self.blocks = q.blocks
+        self.pos = {bid: i for i, bid in enumerate(path)}
+        self.works = [q.blocks[bid].work for bid in path]
+        self.costs = [q.succ[u][v] for u, v in zip(path, path[1:])]
+        self.procs = [q.blocks[bid].proc for bid in path]
+        self.link_of = link_of
+        self.default_speed = default_speed
+        self.suffix = [0.0] * len(path)
+        self._chain(self.procs, len(path) - 1, self.suffix)
+
+    def swapped(self, a: BlockId, b: BlockId) -> float:
+        """The path's chain with the processors of ``a`` and ``b`` exchanged."""
+        ia, ib = self.pos.get(a, -1), self.pos.get(b, -1)
+        if ia < 0 and ib < 0:
+            return self.suffix[0]  # the path's processors are unchanged
+        procs = list(self.procs)
+        if ia >= 0:
+            procs[ia] = self.blocks[b].proc
+        if ib >= 0:
+            procs[ib] = self.blocks[a].proc
+        # below the deeper swapped vertex the chain is unchanged
+        return self._chain(procs, max(ia, ib))
+
+    def _chain(self, procs: List[Optional[Processor]], top: int,
+               out: Optional[List[float]] = None) -> float:
+        """Chain of ``path[0]`` recomputed from ``path[top]`` up."""
+        works, costs, link_of = self.works, self.costs, self.link_of
+        last = len(works) - 1
+        chain = self.suffix[top + 1] if top < last else 0.0
+        for i in range(top, -1, -1):
+            p = procs[i]
+            own = works[i] / (p.speed if p is not None else self.default_speed)
+            if i == last:
+                chain = own + 0.0
+            else:
+                chain = own + (costs[i] / link_of(p, procs[i + 1]) + chain)
+            if out is not None:
+                out[i] = chain
+        return chain
 
 
 def move_critical_to_idle(q: QuotientGraph, cluster: Cluster,

@@ -51,6 +51,63 @@ class TestSolve:
         assert result.cluster  # name of the cluster actually used
 
 
+class TestOversizedTasks:
+    """A task that fits no processor fails the request in O(n)."""
+
+    @pytest.fixture
+    def partition_calls(self, monkeypatch):
+        import importlib
+        heuristic = importlib.import_module("repro.core.heuristic")
+        calls = []
+        real = heuristic.acyclic_partition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(heuristic, "acyclic_partition", counting)
+        return calls
+
+    @pytest.mark.parametrize("algorithm", ["daghetpart", "anneal", "portfolio",
+                                           "daghetmem", "cpack", "exact"])
+    def test_unscaled_blast_fails_without_partitioning(self, algorithm,
+                                                       partition_calls):
+        from repro.generators.families import generate_workflow
+        wf = generate_workflow("blast", 1000, seed=1)
+        cluster = default_cluster()
+        # the scale_memory=False default keeps the 192-unit memories
+        assert wf.max_task_requirement() > 5000 > cluster.max_memory()
+        result = solve(ScheduleRequest(workflow=wf, cluster=cluster,
+                                       algorithm=algorithm))
+        assert result.failure.kind == "NoFeasibleMappingError"
+        assert partition_calls == []
+
+    def test_sweep_lists_every_k_prime_as_infeasible(self, partition_calls):
+        from repro.generators.families import generate_workflow
+        result = solve(ScheduleRequest(
+            workflow=generate_workflow("blast", 1000, seed=1),
+            cluster=default_cluster(), algorithm="daghetpart"))
+        assert [p.k_prime for p in result.sweep] == [1, 2, 4, 8, 16, 32, 36]
+        assert {p.status for p in result.sweep} == {"infeasible"}
+        assert result.failure.unplaced_tasks == 1000
+
+    def test_memory_oblivious_algorithm_still_maps(self):
+        from repro.generators.families import generate_workflow
+        result = solve(ScheduleRequest(
+            workflow=generate_workflow("blast", 1000, seed=1),
+            cluster=default_cluster(), algorithm="heftlist"))
+        assert result.success
+
+    def test_check_uses_the_scaled_cluster(self, partition_calls):
+        from repro.generators.families import generate_workflow
+        result = solve(ScheduleRequest(
+            workflow=generate_workflow("blast", 200, seed=1),
+            cluster=default_cluster(), algorithm="daghetpart",
+            config=FAST_CFG, scale_memory=True))
+        assert result.success
+        assert partition_calls
+
+
 class TestSolveBatch:
     def test_results_in_request_order(self):
         requests = _requests()

@@ -9,6 +9,7 @@ from repro.core.bounds import (
     critical_path_bound,
     makespan_lower_bound,
     optimality_gap,
+    oversized_tasks,
     work_bound,
 )
 from repro.core.heuristic import DagHetPartConfig, dag_het_part
@@ -88,3 +89,27 @@ class TestBoundsAreValid:
         cluster = Cluster([proc])
         mapping = dag_het_mem(wf, cluster)
         assert optimality_gap(mapping) == pytest.approx(1.0)
+
+
+class TestOversizedTasks:
+    def _wf(self):
+        wf = Workflow()
+        wf.add_task("a", memory=4.0)
+        wf.add_task("b", memory=1.0)
+        wf.add_edge("a", "b", 2.0)  # r_a = 6, r_b = 3
+        return wf
+
+    def test_lists_exactly_the_tasks_no_processor_holds(self):
+        cluster = Cluster([Processor("p", 1.0, 5.0), Processor("q", 2.0, 2.0)])
+        assert oversized_tasks(self._wf(), cluster) == ["a"]
+
+    def test_a_task_that_fits_somewhere_is_not_listed(self):
+        cluster = Cluster([Processor("p", 1.0, 6.0), Processor("q", 2.0, 1.0)])
+        assert oversized_tasks(self._wf(), cluster) == []
+
+    def test_rounding_slack_is_not_a_certificate(self):
+        cluster = Cluster([Processor("p", 1.0, 6.0 - 1e-9)])
+        assert oversized_tasks(self._wf(), cluster) == []
+
+    def test_empty_workflow(self):
+        assert oversized_tasks(Workflow(), Cluster([Processor("p", 1.0, 0.1)])) == []

@@ -1,9 +1,12 @@
 """Tests of Step 3 (MergeUnassignedToAssigned / FindMSOptMerge)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.makespan import makespan
 from repro.core.merging import (
+    _on_cycle,
     find_ms_opt_merge,
     merge_unassigned_to_assigned,
 )
@@ -183,3 +186,41 @@ class TestMergeUnassignedToAssigned:
                 assert blk.proc is not None
                 assert cache.peak(blk.tasks) <= blk.proc.memory + 1e-9
             assert q.is_acyclic()
+
+
+@st.composite
+def acyclic_quotient_and_pair(draw):
+    """A random DAG cut into topological runs (an acyclic quotient) and
+    two of its vertices to merge."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    wf = Workflow("random")
+    for u in range(n):
+        wf.add_task(u)
+    for v in range(n):
+        for u in range(v):
+            if draw(st.integers(0, 2)) == 0:
+                wf.add_edge(u, v, 1.0)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2)))
+    bounds = [0, *cuts, n]
+    q = QuotientGraph.from_partition(
+        wf, [set(range(a, b)) for a, b in zip(bounds, bounds[1:])])
+    a, b = draw(st.lists(st.sampled_from(sorted(q.blocks)), min_size=2,
+                         max_size=2, unique=True))
+    return q, a, b
+
+
+class TestCycleCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(case=acyclic_quotient_and_pair())
+    def test_local_check_matches_whole_graph_search(self, case):
+        """Merging two vertices of an acyclic quotient closes a cycle iff
+        the merged vertex lies on one, also after absorbing the third
+        vertex of a 2-cycle."""
+        q, a, b = case
+        merged, _ = q.merge(a, b)
+        cycle = q.find_cycle()
+        assert _on_cycle(q, merged) is (cycle is not None)
+        if cycle is not None and len(cycle) == 2:
+            other = cycle[0] if cycle[0] != merged else cycle[1]
+            merged2, _ = q.merge(merged, other)
+            assert _on_cycle(q, merged2) is (q.find_cycle() is not None)

@@ -1,11 +1,16 @@
 """Tests of Step 4 (swaps and idle-processor moves)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.makespan import makespan
+from repro.core.evaluator import MakespanEvaluator
+from repro.core.kernels import get_kernel
+from repro.core.makespan import link_rule, makespan
 from repro.core.quotient import QuotientGraph
-from repro.core.swaps import improve_by_swaps, move_critical_to_idle
+from repro.core.swaps import _PathChain, improve_by_swaps, move_critical_to_idle
 from repro.memdag.requirement import RequirementCache
+from repro.platform.bandwidth import GroupedBandwidth, LinkBandwidth
 from repro.platform.cluster import Cluster
 from repro.platform.processor import Processor
 from repro.workflow.graph import Workflow
@@ -226,3 +231,159 @@ class TestSwapIdentity:
         q.set_proc(merged, slow)  # heavy merged block on the slow proc
         assert improve_by_swaps(q, cluster, cache) >= 1
         assert q.blocks[q.block_of("a")].proc.name == "fast"
+
+
+# ----------------------------------------------------------------------
+# the critical-path prune: exact, never a different descent
+# ----------------------------------------------------------------------
+#: zero work and zero-cost edges included; sums of these round
+WEIGHTS = (0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 1.0, 2.5, 7.0)
+#: repeated speeds make makespan ties between different swaps
+SPEEDS = (1.0, 1.0, 2.0, 3.0)
+
+
+def _brute_force_swaps(q, cluster, cache, max_rounds=1000):
+    """Algorithm 5 with no prune: price every feasible pair each round by
+    a full recompute, apply the first strictly best one."""
+    applied = 0
+    current = makespan(q, cluster)
+    for _ in range(max_rounds):
+        ids = [bid for bid, blk in q.blocks.items() if blk.proc is not None]
+        req = {bid: cache.peak(q.blocks[bid].tasks) for bid in ids}
+        best_mu, best_pair = current, None
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                pa, pb = q.blocks[a].proc, q.blocks[b].proc
+                if pa is pb or req[a] > pb.memory or req[b] > pa.memory:
+                    continue
+                q.set_proc(a, pb)
+                q.set_proc(b, pa)
+                mu = makespan(q, cluster)
+                q.set_proc(a, pa)
+                q.set_proc(b, pb)
+                if mu < best_mu - 1e-12:
+                    best_mu, best_pair = mu, (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        pa, pb = q.blocks[a].proc, q.blocks[b].proc
+        q.set_proc(a, pb)
+        q.set_proc(b, pa)
+        current = best_mu
+        applied += 1
+    return applied
+
+
+@st.composite
+def swap_instances(draw):
+    """A random DAG cut into blocks, on a cluster with ties and links."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    wf = Workflow("random")
+    for u in range(n):
+        wf.add_task(u, work=draw(st.sampled_from(WEIGHTS)),
+                    memory=draw(st.sampled_from((0.0, 1.0, 2.0))))
+    for v in range(n):
+        for u in range(v):
+            if draw(st.integers(0, 2)) == 0:
+                wf.add_edge(u, v, draw(st.sampled_from(WEIGHTS)))
+    # runs of the topological order 0..n-1 keep the quotient acyclic
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    bounds = [0, *cuts, n]
+    partition = [set(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    k = len(partition) + draw(st.integers(0, 1))
+    procs = [Processor(f"p{i}", speed=draw(st.sampled_from(SPEEDS)),
+                       memory=draw(st.sampled_from((6.0, 12.0, 1e9))))
+             for i in range(k)]
+    if draw(st.booleans()):
+        cluster = Cluster(procs, bandwidth=draw(st.sampled_from((0.5, 1.0))))
+    else:
+        links = {(procs[i].name, procs[j].name):
+                 draw(st.sampled_from((0.25, 1.0, 4.0)))
+                 for i in range(k) for j in range(i + 1, k)
+                 if draw(st.booleans())}
+        cluster = Cluster(procs, bandwidth_model=LinkBandwidth(
+            links, default_beta=draw(st.sampled_from((0.75, 2.0)))))
+    assigned = draw(st.permutations(procs))[:len(partition)]
+    return wf, partition, assigned, cluster
+
+
+class TestPrune:
+    @pytest.mark.parametrize("use_evaluator", [False, True],
+                             ids=["full-recompute", "evaluator"])
+    @settings(max_examples=150, deadline=None)
+    @given(inst=swap_instances())
+    def test_prune_matches_brute_force(self, use_evaluator, inst):
+        wf, partition, assigned, cluster = inst
+        q = QuotientGraph.from_partition(wf, partition, assigned)
+        ref = QuotientGraph.from_partition(wf, partition, assigned)
+        ev = MakespanEvaluator(q, cluster) if use_evaluator else None
+        applied = improve_by_swaps(q, cluster, RequirementCache(wf),
+                                   evaluator=ev)
+        expected = _brute_force_swaps(ref, cluster, RequirementCache(wf))
+        assert applied == expected
+        assert {b: blk.proc.name for b, blk in q.blocks.items()} == \
+               {b: blk.proc.name for b, blk in ref.blocks.items()}
+        # bit-equal, not approximately equal
+        assert makespan(q, cluster) == makespan(ref, cluster)
+        if ev is not None:
+            assert ev.makespan() == makespan(ref, cluster)
+
+    @pytest.mark.parametrize("bandwidth", ["uniform", "links", "grouped"])
+    def test_swapped_chain_bounds_every_feasible_swap(self, bandwidth):
+        from repro.generators.families import generate_workflow
+        from repro.partition.api import acyclic_partition
+        wf = generate_workflow("genome", 80, seed=3)
+        speeds = (1.0, 2.0, 2.0, 4.0, 1.0, 8.0, 3.0, 1.5, 2.0)
+        procs = [Processor(f"p{i}", speed=s, memory=1e9)
+                 for i, s in enumerate(speeds)]
+        names = [p.name for p in procs]
+        model = {
+            "uniform": None,
+            "links": LinkBandwidth(
+                {(names[i], names[j]): 0.25 + (i * 7 + j) % 5
+                 for i in range(9) for j in range(i + 1, 9)
+                 if (i + j) % 3 == 0}, default_beta=0.75),
+            "grouped": GroupedBandwidth(
+                {name: f"site{i % 2}" for i, name in enumerate(names)},
+                4.0, 0.5),
+        }[bandwidth]
+        cluster = Cluster(procs, bandwidth=0.5, bandwidth_model=model)
+        partition = acyclic_partition(wf, 8)
+        q = QuotientGraph.from_partition(wf, partition, procs[:len(partition)])
+        ev = MakespanEvaluator(q, cluster)
+        cache = RequirementCache(wf)
+        chain = _PathChain(q, ev.critical_path(), link_rule(cluster),
+                           ev.default_speed)
+        # along the critical path the chain is the makespan itself
+        assert chain.suffix[0] == ev.makespan()
+        ids = list(q.blocks)
+        requirement = {b: cache.peak(q.blocks[b].tasks) for b in ids}
+        pairs = get_kernel().feasible_swap_pairs(ids, requirement, q.blocks)
+        assert len(pairs) == len(ids) * (len(ids) - 1) // 2
+        on_path = 0
+        for a, b in pairs:
+            bound = chain.swapped(a, b)
+            assert bound <= ev.eval_swap(a, b)
+            on_path += a in chain.pos or b in chain.pos
+        assert on_path > 0
+
+    def test_blast_1000_prices_a_tenth_of_the_swaps(self, monkeypatch):
+        """Before the prune this solve priced 10,933 swaps (both kernels)."""
+        from repro.api import ScheduleRequest, solve
+        from repro.generators.families import generate_workflow
+        from repro.platform.presets import default_cluster
+        unpruned_evals = 10_933
+        calls = []
+        real = MakespanEvaluator.eval_swap
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(MakespanEvaluator, "eval_swap", counting)
+        result = solve(ScheduleRequest(
+            workflow=generate_workflow("blast", 1000, seed=0),
+            cluster=default_cluster(), algorithm="daghetpart",
+            scale_memory=True))
+        assert result.success
+        assert 0 < len(calls) <= unpruned_evals // 10

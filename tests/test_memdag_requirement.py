@@ -138,6 +138,23 @@ def test_fused_peak_is_bitwise_peak_of_traversal(case):
         assert traversal_peak(statics, order).hex() == reference.hex()
 
 
+@settings(max_examples=150, deadline=None)
+@given(dag_and_block())
+def test_peak_is_at_least_every_member_task_requirement(case):
+    """The certificate behind ``bounds.oversized_tasks``: while a task
+    runs its block holds the task's inputs, memory and outputs, so no
+    engine finds a traversal that peaks below a member's ``r_u``. The two
+    are float sums in different orders, so the peak can land an ulp or
+    so below; the certificate allows for that with a wider slack."""
+    wf, block = case
+    need = max(wf.task_requirement(u) for u in block)
+    for engine in ENGINES:
+        if engine == "sp" and sp_traversal(wf, block) is None:
+            continue  # the engine does not apply to this block
+        peak = RequirementCache(wf, methods=(engine,)).peak(block)
+        assert peak >= need - 1e-12 * max(1.0, need)
+
+
 def test_capacity_query_runs_only_the_engines_it_needs():
     wf = Workflow("n-shape")  # a -> c, a -> d, b -> d: not series-parallel
     for u in "abcd":
