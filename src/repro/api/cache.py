@@ -7,12 +7,12 @@ shared; a concrete backend only implements ``_read``/``_write``/
 :func:`open_cache`:
 
 * :class:`ResultCache` (a plain directory path, or ``jsonl://DIR``) — a
-  directory holding one append-only JSONL file; each line is
-  ``{"fp": <fingerprint>, "result": <ScheduleResult.to_dict()>}``.
-  Lines are flushed as they are written, so a crashed sweep leaves a
-  valid prefix behind and the next run resumes where it stopped instead
-  of recomputing (a truncated final line — the crash artifact — is
-  skipped on load and repaired on the next write).
+  directory holding one :class:`~repro.utils.appendlog.AppendLog`; each
+  line is ``{"fp": <fingerprint>, "result": <ScheduleResult.to_dict()>}``.
+  The log's crash contract (flushed lines, torn tail skipped on load and
+  repaired on the next write) means a crashed sweep leaves a valid
+  prefix behind and the next run resumes where it stopped instead of
+  recomputing.
 * :class:`~repro.api.cache_sqlite.SqliteResultCache`
   (``sqlite:///path.db``) — one SQLite file in WAL mode, committed per
   put; the journal gives the same crash guarantee transactionally, and
@@ -52,6 +52,7 @@ from typing import Any, Dict, Optional
 
 from repro.api.envelopes import ScheduleRequest, ScheduleResult
 from repro.api.registry import canonical_name, get_algorithm
+from repro.utils.appendlog import AppendLog
 
 #: file name of the cache inside its directory
 CACHE_FILENAME = "results.jsonl"
@@ -162,10 +163,11 @@ class CacheBackend:
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        #: serializes every get/put across threads — the service
-        #: dispatcher and the thread execution backend drive one shared
-        #: cache from several threads at once; subclasses reuse it for
-        #: their own entry points (it is reentrant)
+        #: the one guard of a shared cache: serializes get/put/stats/
+        #: close across threads — the service dispatcher and the thread
+        #: execution backend drive one cache from several threads at
+        #: once; subclasses reuse it for their own entry points (it is
+        #: reentrant)
         self._lock = threading.RLock()
 
     @property
@@ -227,7 +229,9 @@ class CacheBackend:
 
     def stats(self) -> Dict[str, int]:
         """Counters for summaries: stored entries, hits, misses."""
-        return {"entries": len(self), "hits": self.hits, "misses": self.misses}
+        with self._lock:
+            return {"entries": len(self), "hits": self.hits,
+                    "misses": self.misses}
 
 
 class ResultCache(CacheBackend):
@@ -239,8 +243,9 @@ class ResultCache(CacheBackend):
     >>> cache.hits, cache.misses  # doctest: +SKIP
 
     One process appends at a time (results are written from the batch
-    parent, not from workers); re-opening the same directory later — or
-    after a crash — picks up every complete line.
+    parent, not from workers), and the :class:`CacheBackend` lock
+    serializes that process's threads; re-opening the same directory
+    later — or after a crash — picks up every complete line.
     """
 
     kind = "jsonl"
@@ -256,42 +261,16 @@ class ResultCache(CacheBackend):
                 "(pass a directory path or a jsonl://DIR URI)")
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, CACHE_FILENAME)
+        self._log = AppendLog(self.path)
         #: fingerprint -> byte offset of its line (payloads stay on disk)
-        self._offsets: Dict[str, int] = {}
-        self._load()
-        self._fh = None  # append handle (binary), opened on first put
-        self._rfh = None  # read handle (binary), opened on first hit
+        self._offsets: Dict[str, int] = {
+            entry["fp"]: offset for offset, entry in self._log.replay()
+            if isinstance(entry.get("fp"), str) and "result" in entry}
 
     @property
     def location(self) -> str:
         return self.directory
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            offset = 0
-            for line in fh:
-                entry = self._parse(line)
-                if entry is not None:
-                    self._offsets[entry["fp"]] = offset
-                offset += len(line)
-
-    @staticmethod
-    def _parse(line: bytes) -> Optional[Dict[str, Any]]:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            entry = json.loads(line.decode("utf-8"))
-            entry["fp"], entry["result"]
-            return entry
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            # a truncated/corrupt line (crashed writer); skip it — the
-            # result will simply be recomputed and re-appended
-            return None
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._offsets)
 
@@ -302,41 +281,18 @@ class ResultCache(CacheBackend):
         offset = self._offsets.get(fingerprint)
         if offset is None:
             return None
-        if self._rfh is None:
-            self._rfh = open(self.path, "rb")
-        self._rfh.seek(offset)
-        entry = self._parse(self._rfh.readline())
+        entry = self._log.read_at(offset)
         if entry is None:  # defensive: index said yes, disk disagrees
             return None
         return ScheduleResult.from_dict(entry["result"])
 
     def _write(self, fingerprint: str, result: ScheduleResult) -> None:
-        """Append one entry; flushed line-by-line."""
-        if self._fh is None:
-            # if a previous writer crashed mid-line, terminate the torn
-            # fragment so the new entry starts on its own line
-            torn = False
-            if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-                with open(self.path, "rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    torn = fh.read(1) != b"\n"
-            self._fh = open(self.path, "ab")
-            if torn:
-                self._fh.write(b"\n")
-        line = json.dumps({"fp": fingerprint, "result": result.to_dict()},
-                          sort_keys=True).encode("utf-8") + b"\n"
-        self._fh.flush()
-        # O_APPEND writes land at the true end of file, which is where
-        # the new line's offset is (single-writer contract)
-        self._offsets[fingerprint] = os.fstat(self._fh.fileno()).st_size
-        self._fh.write(line)
-        self._fh.flush()
+        self._offsets[fingerprint] = self._log.append(
+            {"fp": fingerprint, "result": result.to_dict()})
 
     def close(self) -> None:
-        for handle in (self._fh, self._rfh):
-            if handle is not None:
-                handle.close()
-        self._fh = self._rfh = None
+        with self._lock:
+            self._log.close()
 
 
 #: URI scheme -> how :func:`open_cache` interprets the rest of the URI

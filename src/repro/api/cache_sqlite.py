@@ -1,22 +1,24 @@
 """SQLite cache backend: one ``.db`` file, transactional crash safety.
 
 Where the JSONL :class:`~repro.api.cache.ResultCache` gets its crash
-tolerance from line framing (torn tail skipped on load, repaired on the
-next write), :class:`SqliteResultCache` gets the same guarantee from the
-SQLite journal: every ``put`` is its own committed transaction, so a
-process killed mid-write leaves the database at the last commit — no
-repair pass, no in-memory offset index to rebuild on open. That makes it
-the backend of choice for large sweeps (million-entry caches open in
-constant time) and for sharing one cache file between sequential runs.
+tolerance from the line framing of its
+:class:`~repro.utils.appendlog.AppendLog` (torn tail skipped on load,
+repaired on the next write), :class:`SqliteResultCache` gets the same
+guarantee from the SQLite journal: every ``put`` is its own committed
+transaction, so a process killed mid-write leaves the database at the
+last commit — no repair pass, no in-memory offset index to rebuild on
+open. That makes it the backend of choice for large sweeps
+(million-entry caches open in constant time) and for sharing one cache
+file between sequential runs.
 
 Selected by URI through :func:`repro.api.cache.open_cache`:
-``sqlite:///abs/path.db`` or ``sqlite://relative.db``. Unlike the JSONL
-backend, this store is safe for *concurrent* use: every operation on the
-shared connection is serialized through the :class:`CacheBackend` RLock
-(service dispatcher threads, the thread execution backend), and WAL plus
-a generous busy timeout let several *processes* — queue-backend workers
-sharing one zero-solve cache file — read and commit against the same
-database without "database is locked" failures.
+``sqlite:///abs/path.db`` or ``sqlite://relative.db``. Like the JSONL
+backend, every operation is serialized through the
+:class:`CacheBackend` RLock (service dispatcher threads, the thread
+execution backend). Unlike it, this store is also safe across
+*processes*: WAL plus a generous busy timeout let several queue-backend
+workers sharing one zero-solve cache file read and commit against the
+same database without "database is locked" failures.
 """
 
 from __future__ import annotations

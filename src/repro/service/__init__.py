@@ -11,8 +11,8 @@ Layering, bottom up:
 
 * :mod:`repro.service.jobs` — frozen ``JobSpec``/``JobStatus``/
   ``JobResult`` envelopes;
-* :mod:`repro.service.store` — the append-only JSONL job store with
-  ``ResultCache``-style torn-line crash repair;
+* :mod:`repro.service.store` — the durable job store, event-sourced
+  on the crash-tolerant :class:`~repro.utils.appendlog.AppendLog`;
 * :mod:`repro.service.dispatcher` — asyncio queue + worker threads
   feeding :func:`repro.api.batch.iter_solve_batch`;
 * :mod:`repro.service.app` — the HTTP listener and graceful shutdown;

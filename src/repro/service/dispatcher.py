@@ -20,9 +20,14 @@ only inside ``repro-exec*`` threads, so a job running on a service
 worker can still fan out over the thread/process backends exactly as it
 would offline.
 
-Concurrency notes: the shared :class:`~repro.api.cache.CacheBackend` is
-wrapped in a lock (both stores assume one writer), and all cross-thread
-signalling into asyncio-land goes through ``loop.call_soon_threadsafe``.
+Concurrency notes: every worker thread drives the one shared
+:class:`~repro.api.cache.CacheBackend` directly — the backend's own lock
+serializes its get/put/stats/close, and the job store has its own lock —
+and all cross-thread signalling into asyncio-land goes through
+``loop.call_soon_threadsafe``. The backend is handed to
+:func:`~repro.api.batch.iter_solve_batch` unchanged, so engines that
+share a cache with worker processes (the ``queue`` backend over sqlite)
+see its real kind and location.
 
 The :meth:`hold`/:meth:`release` gate exists for the load test: with the
 gate held, accepted jobs pile up in the queue (workers park before
@@ -53,47 +58,6 @@ class ServiceDraining(RuntimeError):
     """Raised on submission once shutdown has begun (the HTTP 503)."""
 
 
-class _LockedCache:
-    """A thread-safe shim over one shared :class:`CacheBackend`.
-
-    Both shipped cache backends assume a single writer (the batch
-    parent); the service runs many batch parents — one per worker
-    thread — against one cache, so every access is serialized here.
-    ``fingerprint`` stays lock-free (it is a pure hash of the request).
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self._lock = threading.Lock()
-
-    def fingerprint(self, request):
-        return self.inner.fingerprint(request)
-
-    def get(self, fingerprint, request=None):
-        with self._lock:
-            return self.inner.get(fingerprint, request)
-
-    def put(self, fingerprint, result):
-        with self._lock:
-            self.inner.put(fingerprint, result)
-
-    def __contains__(self, fingerprint):
-        with self._lock:
-            return fingerprint in self.inner
-
-    def __len__(self):
-        with self._lock:
-            return len(self.inner)
-
-    def stats(self):
-        with self._lock:
-            return self.inner.stats()
-
-    def close(self):
-        with self._lock:
-            self.inner.close()
-
-
 class Dispatcher:
     """Runs accepted jobs; the single source of truth for live progress.
 
@@ -107,7 +71,7 @@ class Dispatcher:
                  backend: Optional[str] = None, workers: int = 2,
                  parallel: int = 0):
         self.store = store
-        self.cache = _LockedCache(cache) if cache is not None else None
+        self.cache = cache
         self.backend = backend
         self.workers = max(1, int(workers))
         self.parallel = int(parallel)
@@ -272,7 +236,7 @@ class Dispatcher:
                 "backends": per_backend,
             }
         snapshot["jobs"] = self.store.counts()
-        snapshot["cache"] = (describe_cache(self.cache.inner)
+        snapshot["cache"] = (describe_cache(self.cache)
                              if self.cache is not None else None)
         return snapshot
 

@@ -1,6 +1,7 @@
-"""Append-only JSONL job store with `ResultCache`-style crash semantics.
+"""Append-only JSONL job store on the shared crash-tolerant log.
 
-One directory, one ``jobs.jsonl`` file, one JSON object per line::
+One directory, one ``jobs.jsonl`` file — an
+:class:`~repro.utils.appendlog.AppendLog` — one JSON object per line::
 
     {"type": "spec",   "job": <JobSpec.to_dict()>}
     {"type": "status", "job": <JobStatus.to_dict()>}
@@ -8,16 +9,16 @@ One directory, one ``jobs.jsonl`` file, one JSON object per line::
 
 The store is event-sourced: a job's history is its sequence of lines,
 and its current state is the *last* status line for its id. Nothing is
-ever rewritten — crash durability is the same contract as the result
-cache (:class:`repro.api.cache.ResultCache`): every append is flushed
-line-by-line, a truncated final line (the crash artifact) is skipped on
-load, and the next writer terminates the torn fragment before appending
-so the file self-repairs.
+ever rewritten — crash durability is the log's contract, the same one
+under the JSONL result cache: every append is flushed line-by-line, a
+truncated final line (the crash artifact) is skipped on load, and the
+next writer terminates the torn fragment before appending so the file
+self-repairs. Lines are strict JSON (``allow_nan=False``), like the job
+envelopes' own encoding.
 
-Memory stays bounded the same way too: specs and statuses are small and
-kept in memory, but result payloads (which carry every per-request
-record of a scenario job) are indexed by byte offset and read back
-lazily on :meth:`JobStore.result`.
+Specs and statuses are small and kept in memory, but result payloads
+(which carry every per-request record of a scenario job) are indexed by
+byte offset and read back lazily on :meth:`JobStore.result`.
 
 :meth:`JobStore.recover` is the restart contract: jobs that were
 ``queued`` when the previous server died are simply still queued (the
@@ -34,18 +35,15 @@ threads while the asyncio loop reads statuses for poll requests.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.service.jobs import JobResult, JobSpec, JobStatus
+from repro.utils.appendlog import AppendLog
 
 #: file name of the job log inside its directory
 STORE_FILENAME = "jobs.jsonl"
-
-#: line types the store knows how to replay
-LINE_TYPES = ("spec", "status", "result")
 
 
 class JobStore:
@@ -62,81 +60,41 @@ class JobStore:
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, STORE_FILENAME)
         self._lock = threading.Lock()
+        self._log = AppendLog(self.path)
         self._specs: Dict[str, JobSpec] = {}
         self._statuses: Dict[str, JobStatus] = {}
         #: job id -> byte offset of its result line (payloads stay on disk)
         self._result_offsets: Dict[str, int] = {}
         self._order: List[str] = []  # submission order of job ids
-        self._fh = None   # append handle (binary), opened on first append
-        self._rfh = None  # read handle (binary), opened on first result read
-        self._load()
+        for offset, entry in self._log.replay():
+            self._replay(entry, offset)
 
     # -- replay ---------------------------------------------------------
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            offset = 0
-            for line in fh:
-                entry = self._parse(line)
-                if entry is not None:
-                    self._replay(entry, offset)
-                offset += len(line)
-
-    @staticmethod
-    def _parse(line: bytes) -> Optional[Dict]:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            entry = json.loads(line.decode("utf-8"))
-            if entry.get("type") not in LINE_TYPES:
-                return None
-            entry["job"]["id"]
-            return entry
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            # a truncated/corrupt line (crashed writer); skip it — at
-            # worst the affected job replays one state older than it was
-            return None
-
     def _replay(self, entry: Dict, offset: int) -> None:
-        kind, payload = entry["type"], entry["job"]
+        kind = entry.get("type")
         try:
+            payload = entry["job"]
+            job_id = payload["id"]
             if kind == "spec":
                 spec = JobSpec.from_dict(payload)
                 if spec.id not in self._specs:
                     self._order.append(spec.id)
                 self._specs[spec.id] = spec
             elif kind == "status":
-                self._statuses[payload["id"]] = JobStatus.from_dict(payload)
-            else:
+                self._statuses[job_id] = JobStatus.from_dict(payload)
+            elif kind == "result":
                 # the payload is validated lazily on read; only the
                 # offset is kept so huge scenario results cost nothing
-                self._result_offsets[payload["id"]] = offset
+                self._result_offsets[job_id] = offset
         except (ValueError, KeyError, TypeError):
-            pass  # same contract as _parse: a bad record is skipped
+            # a record the log parsed but the store cannot replay; skip
+            # it — at worst the job replays one state older than it was
+            pass
 
-    # -- appends --------------------------------------------------------
     def _append(self, kind: str, payload: Dict) -> int:
         """Write one line; returns its byte offset. Caller holds the lock."""
-        if self._fh is None:
-            # terminate a torn fragment left by a crashed writer so the
-            # new line starts cleanly (ResultCache's repair contract)
-            torn = False
-            if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-                with open(self.path, "rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    torn = fh.read(1) != b"\n"
-            self._fh = open(self.path, "ab")
-            if torn:
-                self._fh.write(b"\n")
-                self._fh.flush()
-        line = json.dumps({"type": kind, "job": payload},
-                          sort_keys=True, allow_nan=False).encode("utf-8")
-        offset = os.fstat(self._fh.fileno()).st_size
-        self._fh.write(line + b"\n")
-        self._fh.flush()
-        return offset
+        return self._log.append({"type": kind, "job": payload},
+                                allow_nan=False)
 
     # -- the write API --------------------------------------------------
     def submit(self, spec: JobSpec) -> JobStatus:
@@ -196,10 +154,7 @@ class JobStore:
             offset = self._result_offsets.get(job_id)
             if offset is None:
                 return None
-            if self._rfh is None:
-                self._rfh = open(self.path, "rb")
-            self._rfh.seek(offset)
-            entry = self._parse(self._rfh.readline())
+            entry = self._log.read_at(offset)
         if entry is None:  # defensive: index said yes, disk disagrees
             return None
         try:
@@ -268,10 +223,7 @@ class JobStore:
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         with self._lock:
-            for handle in (self._fh, self._rfh):
-                if handle is not None:
-                    handle.close()
-            self._fh = self._rfh = None
+            self._log.close()
 
     def __enter__(self) -> "JobStore":
         return self

@@ -420,18 +420,18 @@ class TestFingerprintRoundTrip:
             request_fingerprint(_request(cluster=floats))
 
 
-class TestSqliteThreadSafety:
-    def test_concurrent_get_put_hammer(self, tmp_path):
-        """One shared connection driven from many threads (the service
-        dispatcher pattern) must serialize cleanly: no sqlite3 errors, no
-        lost entries, counters that add up."""
+class TestThreadSafety:
+    def test_concurrent_get_put_hammer(self, make_cache):
+        """One shared cache driven from many threads (the service
+        dispatcher pattern) must serialize cleanly behind the backend's
+        own lock: no storage errors, no lost entries, counters that add
+        up."""
+        import sys
         import threading
-
-        from repro.api.cache_sqlite import SqliteResultCache
 
         request = _request()
         result = solve(request)
-        cache = SqliteResultCache(str(tmp_path / "hammer.db"))
+        cache = make_cache()
         errors = []
         n_threads, n_ops = 8, 40
 
@@ -451,17 +451,29 @@ class TestSqliteThreadSafety:
 
         threads = [threading.Thread(target=hammer, args=(t,))
                    for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving inside get/put
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(cache) == n_threads * n_ops
         stats = cache.stats()
         assert stats["hits"] == n_threads * n_ops
         assert stats["misses"] == n_threads * n_ops
         cache.close()
+        # every entry the threads wrote survives a reopen
+        reopened = make_cache()
+        assert len(reopened) == n_threads * n_ops
+        reopened.close()
 
+
+class TestSqliteThreadSafety:
     def test_two_connections_share_one_database(self, tmp_path):
         """Two independent opens of the same file (two queue workers, or
         worker + parent) see each other's committed puts — WAL + busy

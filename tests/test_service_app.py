@@ -197,6 +197,43 @@ class TestScenarioJobs:
             assert record["makespan"] == expected.to_dict()["makespan"]
 
 
+class TestSharedCache:
+    """The dispatcher hands its cache backend to the engines unchanged."""
+
+    def test_queue_backend_gets_the_sqlite_cache_uri(self, tmp_path):
+        from repro.api import open_cache
+        from repro.api.exec.queue import QueueBackend
+        from repro.service.dispatcher import Dispatcher
+
+        cache = open_cache(f"sqlite://{tmp_path}/cache.db")
+        with JobStore(str(tmp_path / "store")) as store:
+            engine = QueueBackend(spawn=False)
+            # what iter_solve_batch does with the cache a service job
+            # passes it: the queue workers must open the same database
+            engine.set_cache(Dispatcher(store, cache=cache).cache)
+        assert engine._cache_uri == f"sqlite://{tmp_path}/cache.db"
+        cache.close()
+
+    def test_stats_describe_the_cache_backend(self, tmp_path):
+        from repro.api.cache import describe_cache
+
+        svc = RunningService(tmp_path / "store",
+                             cache=f"sqlite://{tmp_path}/cache.db")
+        try:
+            payload = _request_dict()
+            for _ in range(2):
+                accepted = svc.client.submit_schedule(payload)
+                svc.client.wait(accepted["id"], timeout=60)
+            stats = svc.client.stats()["cache"]
+            assert stats == describe_cache(svc.app.cache)
+            assert stats == {"kind": "sqlite",
+                             "location": str(tmp_path / "cache.db"),
+                             "entries": 1, "hits": 1, "misses": 1,
+                             "hit_rate": 0.5}
+        finally:
+            svc.stop()
+
+
 class TestErrorSurfaces:
     def test_invalid_payloads_get_400(self, service):
         with pytest.raises(ServiceError) as err:
