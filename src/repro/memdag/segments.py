@@ -30,16 +30,15 @@ are monotone and a greedy k-way head merge realizes the rule exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+import heapq
+from typing import Hashable, List, NamedTuple, Sequence, Tuple
 
 Node = Hashable
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """An atomic run of tasks with hill ``h`` and valley ``v``.
 
     ``h`` is the maximum usage within the run relative to the resident-set
@@ -90,23 +89,27 @@ def decompose_profile(order: Sequence[Node], a, delta) -> List[Segment]:
     minimum of the residual curve; the tail beyond the global minimum forms
     one final segment with non-negative valley.
     """
-    tops, residuals = profile_of_traversal(order, a, delta)
+    geta = a.__getitem__ if isinstance(a, dict) else a
+    getd = delta.__getitem__ if isinstance(delta, dict) else delta
     segments: List[Segment] = []
     seg_start = 0
     base = 0.0  # residual at the start of the current segment
     running_min = 0.0  # global minimum of residuals seen so far
-    for i in range(len(order)):
-        if residuals[i] < running_min - _EPS:
-            running_min = residuals[i]
-            h = max(tops[seg_start:i + 1]) - base
-            v = residuals[i] - base
-            segments.append(Segment(tuple(order[seg_start:i + 1]), h, v))
+    live = 0.0  # the residual, as profile_of_traversal computes it
+    hill = float("-inf")  # highest top since the segment's start
+    for i, u in enumerate(order):
+        top = live + geta(u)
+        if top > hill:
+            hill = top
+        live += getd(u)
+        if live < running_min - _EPS:
+            running_min = live
+            segments.append(Segment(tuple(order[seg_start:i + 1]), hill - base, live - base))
             seg_start = i + 1
-            base = residuals[i]
+            base = live
+            hill = float("-inf")
     if seg_start < len(order):
-        h = max(tops[seg_start:]) - base
-        v = residuals[-1] - base
-        segments.append(Segment(tuple(order[seg_start:]), h, v))
+        segments.append(Segment(tuple(order[seg_start:]), hill - base, live - base))
     return segments
 
 
@@ -135,13 +138,13 @@ def merge_segment_sequences(sequences: List[List[Segment]]) -> Tuple[List[Node],
     Sequences are normalized first; then heads are consumed greedily in key
     order, which realizes the two-class rule subject to sequence order.
     """
-    import heapq
-
-    normalized = [normalize_segments(list(seq)) for seq in sequences if seq]
-    heap: List[Tuple[Tuple[int, float], int, int]] = []
-    for si, seq in enumerate(normalized):
-        if seq:
-            heapq.heappush(heap, (seq[0].key(), si, 0))
+    # a one-segment sequence is normalized already
+    normalized = [seq if len(seq) == 1 else normalize_segments(seq)
+                  for seq in sequences if seq]
+    # entries are distinct (by sequence index), so they pop in one order
+    # however the heap was built
+    heap = [(seq[0].key(), si, 0) for si, seq in enumerate(normalized)]
+    heapq.heapify(heap)
 
     order: List[Node] = []
     live = 0.0

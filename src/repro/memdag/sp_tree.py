@@ -12,15 +12,27 @@ by repeatedly applying
 SP-tree whose leaves are original edges; the traversal optimizer walks this
 tree, concatenating series children and optimally interleaving parallel
 children (:mod:`repro.memdag.traversal`).
+
+:func:`sp_reduce` works on integer-labelled vertices and builds light
+tuple nodes; :func:`sp_decompose` labels arbitrary vertices, calls it, and
+converts the result to :class:`SPTree`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 Node = Hashable
+
+#: the light nodes :func:`sp_reduce` builds: ``EDGE`` (a leaf),
+#: ``(SERIES, left, w, right)`` and ``(PARALLEL, first, second)``
+EDGE: Tuple = ()
+SERIES = 0
+PARALLEL = 1
+
+LightTree = Tuple
 
 
 @dataclass
@@ -56,138 +68,186 @@ class SPTree:
         return out
 
 
-def _series_node(left: SPTree, mid: Node, right: SPTree) -> SPTree:
-    """Compose ``left -> mid -> right``, flattening nested series nodes."""
-    children: List[SPTree] = []
-    via: List[Node] = []
-    if left.kind == "series":
-        children.extend(left.children)
-        via.extend(left.via)
-    else:
-        children.append(left)
-    via.append(mid)
-    if right.kind == "series":
-        children.extend(right.children)
-        via.extend(right.via)
-    else:
-        children.append(right)
-    return SPTree("series", left.source, right.sink, children, via)
+def sp_reduce(n: int, tails: Sequence[int], heads: Sequence[int],
+              source: int, sink: int) -> Optional[LightTree]:
+    """Light SP-tree of the two-terminal DAG on vertices ``0..n-1``.
 
+    Edge ``e`` runs from ``tails[e]`` to ``heads[e]``. Returns ``None``
+    when the DAG is not TTSP. A light tree is ``EDGE`` for an edge,
+    ``(SERIES, left, w, right)`` for ``left`` then vertex ``w`` then
+    ``right``, and ``(PARALLEL, first, second)`` for two parallel
+    branches; nested nodes of one kind stand for one flattened node
+    (:func:`_series_parts`, :func:`parallel_branches`).
 
-def _parallel_node(a: SPTree, b: SPTree) -> SPTree:
-    """Compose two parallel branches, flattening nested parallel nodes."""
-    children: List[SPTree] = []
-    for part in (a, b):
-        if part.kind == "parallel":
-            children.extend(part.children)
+    Each reduction removes an edge, so there are fewer reductions than
+    edges. Series candidates are kept on a stack seeded in order of the
+    vertices' first appearance in the edge list, parallel candidates on a
+    stack of vertex pairs; the parallel pairs are drained first, then the
+    series vertices, until neither stack has work. A pair's parallel
+    edges are fused two oldest first into a new, newest edge, until one
+    is left.
+    """
+    m = len(tails)
+    if m == 0:
+        return None
+    tails = list(tails)
+    heads = list(heads)
+    trees: List[LightTree] = [EDGE] * m
+    # per vertex: its in/out degree and its newest in/out edge. Removing
+    # an edge of a vertex that stays always adds a newer one (the fused
+    # or bypassing edge), so the newest edge is live, and it is the one
+    # edge whenever the degree is 1.
+    in_deg = [0] * n
+    out_deg = [0] * n
+    in_last = [0] * n
+    out_last = [0] * n
+    #: live parallel edges per pair ``u * n + v``, oldest first
+    pairs: Dict[int, List[int]] = {}
+    for e, (u, v) in enumerate(zip(tails, heads)):
+        if u == v:
+            return None
+        out_deg[u] += 1
+        out_last[u] = e
+        in_deg[v] += 1
+        in_last[v] = e
+        key = u * n + v
+        ids = pairs.get(key)
+        if ids is None:
+            pairs[key] = [e]
         else:
-            children.append(part)
-    return SPTree("parallel", a.source, a.sink, children)
+            ids.append(e)
+
+    series = [w for w in dict.fromkeys(chain.from_iterable(zip(tails, heads)))
+              if in_deg[w] == 1 and out_deg[w] == 1 and w != source and w != sink]
+    parallel = [key for key, ids in pairs.items() if len(ids) >= 2]
+    alive = m
+    while True:
+        while parallel:
+            key = parallel.pop()
+            u, v = divmod(key, n)
+            ids = pairs[key]
+            k = len(ids)
+            if k >= 2:
+                branches = [trees[e] for e in ids]
+                for i in range(0, 2 * k - 3, 2):
+                    branches.append((PARALLEL, branches[i], branches[i + 1]))
+                e = len(tails)
+                out_deg[u] -= k - 1
+                out_last[u] = e
+                in_deg[v] -= k - 1
+                in_last[v] = e
+                tails.append(u)
+                heads.append(v)
+                trees.append(branches[-1])
+                pairs[key] = [e]
+                alive -= k - 1
+            for w in (u, v):
+                if in_deg[w] == 1 and out_deg[w] == 1 and w != source and w != sink:
+                    series.append(w)
+        while series:
+            w = series.pop()
+            if in_deg[w] != 1 or out_deg[w] != 1:
+                continue  # reduced already, or no longer reducible
+            e_in = in_last[w]
+            e_out = out_last[w]
+            u = tails[e_in]
+            x = heads[e_out]
+            if u == x:
+                return None  # the reduction would close a cycle
+            in_deg[w] = out_deg[w] = 0
+            del pairs[u * n + w], pairs[w * n + x]
+            e = len(tails)
+            out_last[u] = e
+            in_last[x] = e
+            tails.append(u)
+            heads.append(x)
+            trees.append((SERIES, trees[e_in], w, trees[e_out]))
+            alive -= 1
+            key = u * n + x
+            ids = pairs.get(key)
+            if ids is None:
+                pairs[key] = [e]
+            else:
+                ids.append(e)
+                parallel.append(key)
+            if in_deg[u] == 1 and out_deg[u] == 1 and u != source and u != sink:
+                series.append(u)
+            if in_deg[x] == 1 and out_deg[x] == 1 and x != source and x != sink:
+                series.append(x)
+        if not parallel:
+            break
+
+    # every reduction ends by adding an edge, so the newest one is alive
+    e = len(tails) - 1
+    if alive == 1 and tails[e] == source and heads[e] == sink:
+        return trees[e]
+    return None
+
+
+def parallel_branches(tree: LightTree) -> List[LightTree]:
+    """The branches of a parallel node, nested parallel nodes flattened."""
+    branches: List[LightTree] = []
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if node and node[0] == PARALLEL:
+            pending.append(node[2])
+            pending.append(node[1])
+        else:
+            branches.append(node)
+    return branches
+
+
+def _series_parts(tree: LightTree) -> Tuple[List[LightTree], List[int]]:
+    """``(children, via)`` of a series node, nested series nodes flattened."""
+    children: List[LightTree] = []
+    via: List[int] = []
+    pending: List = [tree]
+    while pending:
+        node = pending.pop()
+        if type(node) is int:
+            via.append(node)
+        elif node and node[0] == SERIES:
+            pending.append(node[3])
+            pending.append(node[2])
+            pending.append(node[1])
+        else:
+            children.append(node)
+    return children, via
+
+
+def _to_sptree(tree: LightTree, source: Node, sink: Node,
+               nodes: List[Node]) -> SPTree:
+    if not tree:
+        return SPTree("leaf", source, sink)
+    if tree[0] == PARALLEL:
+        return SPTree("parallel", source, sink,
+                      [_to_sptree(b, source, sink, nodes)
+                       for b in parallel_branches(tree)])
+    parts, via = _series_parts(tree)
+    ends = [source] + [nodes[w] for w in via] + [sink]
+    return SPTree("series", source, sink,
+                  [_to_sptree(part, ends[i], ends[i + 1], nodes)
+                   for i, part in enumerate(parts)], ends[1:-1])
 
 
 def sp_decompose(edges: List[Tuple[Node, Node]], source: Node, sink: Node) -> Optional[SPTree]:
     """Decompose the two-terminal DAG given by ``edges`` into an SP-tree.
 
-    Returns ``None`` if the DAG is not TTSP. Runs in O(E log E); each
-    reduction removes an edge and candidates are tracked incrementally.
+    Returns ``None`` if the DAG is not TTSP. Performs fewer reductions
+    than there are edges (:func:`sp_reduce`).
     """
-    if not edges:
-        return None
-    edge_ids = itertools.count()
-    trees: Dict[int, SPTree] = {}
-    # adjacency: for each vertex, dict of incident edge-id -> (other endpoint, is_out)
-    out_adj: Dict[Node, Set[int]] = {}
-    in_adj: Dict[Node, Set[int]] = {}
-    endpoints: Dict[int, Tuple[Node, Node]] = {}
-    # pair index for parallel detection: (u, v) -> set of edge ids
-    pairs: Dict[Tuple[Node, Node], Set[int]] = {}
-
-    def add_edge(u: Node, v: Node, tree: SPTree) -> int:
-        eid = next(edge_ids)
-        trees[eid] = tree
-        endpoints[eid] = (u, v)
-        out_adj.setdefault(u, set()).add(eid)
-        in_adj.setdefault(v, set()).add(eid)
-        out_adj.setdefault(v, set())
-        in_adj.setdefault(u, set())
-        pairs.setdefault((u, v), set()).add(eid)
-        return eid
-
-    def remove_edge(eid: int) -> None:
-        u, v = endpoints.pop(eid)
-        out_adj[u].discard(eid)
-        in_adj[v].discard(eid)
-        pairs[(u, v)].discard(eid)
-        del trees[eid]
-
+    labels: Dict[Node, int] = {}
     for u, v in edges:
-        if u == v:
-            return None
-        add_edge(u, v, SPTree("leaf", u, v))
-
-    # worklists
-    series_candidates = [w for w in out_adj if w not in (source, sink)
-                         and len(in_adj[w]) == 1 and len(out_adj[w]) == 1]
-    parallel_candidates = [pair for pair, ids in pairs.items() if len(ids) >= 2]
-
-    while True:
-        progressed = False
-
-        while parallel_candidates:
-            pair = parallel_candidates.pop()
-            ids = pairs.get(pair, set())
-            while len(ids) >= 2:
-                it = iter(sorted(ids))
-                e1, e2 = next(it), next(it)
-                t = _parallel_node(trees[e1], trees[e2])
-                remove_edge(e1)
-                remove_edge(e2)
-                add_edge(pair[0], pair[1], t)
-                progressed = True
-                ids = pairs.get(pair, set())
-            # endpoints of the merged edge may have become series-reducible
-            for w in pair:
-                if w not in (source, sink) and len(in_adj[w]) == 1 and len(out_adj[w]) == 1:
-                    series_candidates.append(w)
-
-        while series_candidates:
-            w = series_candidates.pop()
-            if w in (source, sink) or w not in in_adj:
-                continue
-            if len(in_adj[w]) != 1 or len(out_adj[w]) != 1:
-                continue
-            (e_in,) = in_adj[w]
-            (e_out,) = out_adj[w]
-            if e_in == e_out:
-                return None
-            u = endpoints[e_in][0]
-            x = endpoints[e_out][1]
-            if u == x and u in (source, sink) and len(pairs.get((u, x), ())) == 0:
-                # series reduction would create a self-loop at a terminal
-                return None
-            t = _series_node(trees[e_in], w, trees[e_out])
-            remove_edge(e_in)
-            remove_edge(e_out)
-            del in_adj[w], out_adj[w]
-            if u == x:
-                return None  # self-loop: not a DAG shape we accept
-            add_edge(u, x, t)
-            progressed = True
-            if len(pairs[(u, x)]) >= 2:
-                parallel_candidates.append((u, x))
-            for y in (u, x):
-                if y not in (source, sink) and len(in_adj[y]) == 1 and len(out_adj[y]) == 1:
-                    series_candidates.append(y)
-
-        if not progressed:
-            break
-
-    remaining = list(trees.items())
-    if len(remaining) == 1:
-        eid, tree = remaining[0]
-        if endpoints[eid] == (source, sink):
-            return tree
-    return None
+        labels.setdefault(u, len(labels))
+        labels.setdefault(v, len(labels))
+    s = labels.setdefault(source, len(labels))
+    t = labels.setdefault(sink, len(labels))
+    tree = sp_reduce(len(labels), [labels[u] for u, _ in edges],
+                     [labels[v] for _, v in edges], s, t)
+    if tree is None:
+        return None
+    return _to_sptree(tree, source, sink, list(labels))
 
 
 def is_series_parallel(edges: List[Tuple[Node, Node]], source: Node, sink: Node) -> bool:

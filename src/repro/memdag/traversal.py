@@ -23,13 +23,12 @@ at the first candidate that fits and a later exact query resume it.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.memdag.model import BlockStatics, traversal_peak
 from repro.memdag.segments import Segment, decompose_profile, merge_segment_sequences
-from repro.memdag.sp_tree import SPTree, sp_decompose
+from repro.memdag.sp_tree import SERIES, LightTree, parallel_branches, sp_reduce
 from repro.memdag.spize import layered_order
 from repro.workflow.graph import Workflow
 
@@ -90,28 +89,59 @@ def _best_first_order(wf: Workflow, st: BlockStatics) -> List[Node]:
     return order
 
 
-def _sp_order(tree: SPTree, a: Dict[Node, float], delta: Dict[Node, float]) -> List[Node]:
-    """Recursive traversal of an SP-tree's internal vertices."""
-    if tree.kind == "leaf":
-        return []
-    if tree.kind == "series":
-        order: List[Node] = []
-        for i, child in enumerate(tree.children):
-            order.extend(_sp_order(child, a, delta))
-            if i < len(tree.via):
-                order.append(tree.via[i])
-        return order
-    # parallel: branches share only the terminals -> independent sequences
-    sequences: List[List[Segment]] = []
-    for child in tree.children:
-        child_order = _sp_order(child, a, delta)
-        if child_order:
-            sequences.append(decompose_profile(child_order, a, delta))
-    merged, _ = merge_segment_sequences(sequences)
-    return merged
+#: markers on :func:`_sp_order`'s work stack, which otherwise holds light
+#: trees, vertex labels (``>= 0``) and ready segment sequences (lists)
+_OPEN_BRANCH, _CLOSE_BRANCH, _CLOSE_PARALLEL = -1, -2, -3
 
 
-_VIRTUAL = itertools.count()
+def _sp_order(tree: LightTree, nodes: Sequence[Node], a: Dict[Node, float],
+              delta: Dict[Node, float]) -> List[Node]:
+    """Traversal of a light SP-tree's internal vertices, without recursion.
+
+    A series node emits its left part, its junction vertex ``nodes[w]``,
+    then its right part. Each branch of a parallel node (nested parallel
+    nodes flattened, bare edges skipped: they hold no vertex) is emitted
+    into an order of its own and cut into hill-valley segments; the
+    branches share only the terminals, so their segments are merged. A
+    branch of one vertex ``u`` is the one segment ``(a[u], delta[u])``
+    that :func:`decompose_profile` would cut, and is built directly.
+    """
+    out: List[Node] = []
+    enclosing: List[List[Node]] = []
+    groups: List[List[List[Segment]]] = []
+    stack: List = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            if item >= 0:
+                out.append(nodes[item])
+            elif item == _OPEN_BRANCH:
+                enclosing.append(out)
+                out = []
+            elif item == _CLOSE_BRANCH:
+                groups[-1].append(decompose_profile(out, a, delta))
+                out = enclosing.pop()
+            else:
+                merged, _ = merge_segment_sequences(groups.pop())
+                out.extend(merged)
+        elif type(item) is list:
+            groups[-1].append(item)
+        elif not item:
+            continue
+        elif item[0] == SERIES:
+            stack += (item[3], item[2], item[1])
+        else:
+            groups.append([])
+            stack.append(_CLOSE_PARALLEL)
+            for branch in reversed(parallel_branches(item)):
+                if not branch:
+                    continue
+                if branch[0] == SERIES and not branch[1] and not branch[3]:
+                    u = nodes[branch[2]]
+                    stack.append([Segment((u,), a[u], delta[u])])
+                else:
+                    stack += (_CLOSE_BRANCH, branch, _OPEN_BRANCH)
+    return out
 
 
 def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[List[Node]]:
@@ -126,32 +156,34 @@ def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[Li
 
 
 def _series_parallel_order(st: BlockStatics) -> Optional[List[Node]]:
-    block_set, kids = st.block, st.kids
-    if not block_set:
-        return []
-    if len(block_set) == 1:
-        return list(block_set)
-
-    edges: List[Tuple[Node, Node]] = [(u, v) for u in block_set for v in kids[u]]
-    sources = [u for u in block_set if st.n_pred[u] == 0]
-    sinks = [u for u in block_set if not kids[u]]
+    # tasks are labelled 0..n-1 in block order, the virtual source n and
+    # the virtual sink n + 1; edge ids follow the block's edges, then the
+    # source's, then the sink's
+    nodes = list(st.block)
+    n = len(nodes)
+    if n <= 1:
+        return nodes
+    n_pred = st.n_pred
+    kids = [st.kids[u] for u in nodes]
+    label = dict(zip(nodes, range(n)))
+    tails = [i for i, vs in enumerate(kids) for _ in vs]
+    heads = [label[v] for vs in kids for v in vs]
+    sources = [i for i, u in enumerate(nodes) if n_pred[u] == 0]
+    sinks = [i for i, vs in enumerate(kids) if not vs]
     if not sources or not sinks:
         return None
+    tails += [n] * len(sources)
+    heads += sources
+    tails += sinks
+    heads += [n + 1] * len(sinks)
 
-    tag = next(_VIRTUAL)
-    vsrc: Node = ("__sp_source__", tag)
-    vsink: Node = ("__sp_sink__", tag)
-    edges.extend((vsrc, s) for s in sources)
-    edges.extend((t, vsink) for t in sinks)
-
-    tree = sp_decompose(edges, vsrc, vsink)
+    tree = sp_reduce(n + 2, tails, heads, n, n + 1)
     if tree is None:
         return None
-
-    # the virtual terminals are the root's source and sink, never one of
-    # the vertices _sp_order emits, so they need no statics of their own
-    order = _sp_order(tree, st.a, st.delta)
-    if len(order) != len(block_set):
+    # the virtual terminals are the root's source and sink, never a
+    # junction vertex _sp_order emits, so they need no statics of their own
+    order = _sp_order(tree, nodes, st.a, st.delta)
+    if len(order) != n:
         return None
     return order
 

@@ -105,9 +105,9 @@ class TestResultCache:
         path = str(tmp_path / "c")
         with ResultCache(path) as cache:
             cache.put(cache.fingerprint(request), result)
-        reopened = ResultCache(path)
-        assert len(reopened) == 1
-        assert reopened.get(reopened.fingerprint(request), request) == result
+        with ResultCache(path) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get(reopened.fingerprint(request), request) == result
 
     def test_truncated_final_line_is_skipped(self, tmp_path):
         """A crash mid-write leaves a partial line; the prefix stays usable."""
@@ -118,13 +118,14 @@ class TestResultCache:
             cache.put(cache.fingerprint(request), result)
         with open(cache.path, "a") as fh:
             fh.write('{"fp": "deadbeef", "result": {"algo')  # torn write
-        reopened = ResultCache(path)
-        assert len(reopened) == 1
-        assert reopened.get(reopened.fingerprint(request), request) == result
-        # and the cache still accepts new entries afterwards
-        other = _request(scale_memory=False)
-        reopened.put(reopened.fingerprint(other), solve(other))
-        assert len(ResultCache(path)) == 2
+        with ResultCache(path) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get(reopened.fingerprint(request), request) == result
+            # and the cache still accepts new entries afterwards
+            other = _request(scale_memory=False)
+            reopened.put(reopened.fingerprint(other), solve(other))
+        with ResultCache(path) as final:
+            assert len(final) == 2
 
     def test_duplicate_put_not_rewritten(self, tmp_path):
         request = _request()
@@ -133,7 +134,7 @@ class TestResultCache:
             fp = cache.fingerprint(request)
             cache.put(fp, result)
             cache.put(fp, dataclasses.replace(result, runtime=99.0))
-        lines = [l for l in open(cache.path) if l.strip()]
+        lines = [l for l in _read_bytes(cache.path).splitlines() if l.strip()]
         assert len(lines) == 1
         assert json.loads(lines[0])["result"]["runtime"] != 99.0
 
@@ -147,8 +148,16 @@ class TestResultCache:
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _populated_cache(tmp_path, n=3):
-    """A closed cache with ``n`` complete entries; returns (path, [(fp, result)])."""
+    """A closed cache with ``n`` complete entries.
+
+    Returns ``(directory, log file, [(fp, request)])``.
+    """
     entries = []
     path = str(tmp_path / "c")
     with ResultCache(path) as cache:
@@ -157,7 +166,7 @@ def _populated_cache(tmp_path, n=3):
             fp = cache.fingerprint(request)
             cache.put(fp, solve(request))
             entries.append((fp, request))
-    return path, entries
+    return path, cache.path, entries
 
 
 class TestMidAppendCrashRecovery:
@@ -166,9 +175,8 @@ class TestMidAppendCrashRecovery:
 
     @pytest.mark.parametrize("keep", [0.02, 0.25, 0.5, 0.97])
     def test_torn_final_line_drops_only_that_entry(self, tmp_path, keep):
-        path, entries = _populated_cache(tmp_path)
-        cache_file = ResultCache(path).path
-        raw = open(cache_file, "rb").read()
+        path, cache_file, entries = _populated_cache(tmp_path)
+        raw = _read_bytes(cache_file)
         last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
         last_len = len(raw) - last_start
         # cut the final payload line `keep` of the way in (1 byte .. just
@@ -177,30 +185,28 @@ class TestMidAppendCrashRecovery:
         with open(cache_file, "r+b") as fh:
             fh.truncate(cut)
 
-        reopened = ResultCache(path)
-        assert len(reopened) == len(entries) - 1
-        for fp, request in entries[:-1]:
-            assert reopened.get(fp, request) is not None
-        torn_fp, torn_request = entries[-1]
-        assert torn_fp not in reopened
-        assert reopened.get(torn_fp, torn_request) is None
+        with ResultCache(path) as reopened:
+            assert len(reopened) == len(entries) - 1
+            for fp, request in entries[:-1]:
+                assert reopened.get(fp, request) is not None
+            torn_fp, torn_request = entries[-1]
+            assert torn_fp not in reopened
+            assert reopened.get(torn_fp, torn_request) is None
 
     def test_missing_final_newline_alone_is_not_a_torn_entry(self, tmp_path):
         # dying between write() and the newline flush leaves complete
         # JSON without its terminator — that entry is still recoverable
-        path, entries = _populated_cache(tmp_path)
-        cache_file = ResultCache(path).path
-        size = len(open(cache_file, "rb").read())
+        path, cache_file, entries = _populated_cache(tmp_path)
+        size = len(_read_bytes(cache_file))
         with open(cache_file, "r+b") as fh:
             fh.truncate(size - 1)
-        reopened = ResultCache(path)
-        assert len(reopened) == len(entries)
-        assert reopened.get(*entries[-1]) is not None
+        with ResultCache(path) as reopened:
+            assert len(reopened) == len(entries)
+            assert reopened.get(*entries[-1]) is not None
 
     def test_corrupt_middle_line_drops_only_that_entry(self, tmp_path):
-        path, entries = _populated_cache(tmp_path)
-        cache_file = ResultCache(path).path
-        lines = open(cache_file, "rb").read().splitlines(keepends=True)
+        path, cache_file, entries = _populated_cache(tmp_path)
+        lines = _read_bytes(cache_file).splitlines(keepends=True)
         assert len(lines) == 3
         # a hole punched mid-file (lost page, partial sector write): the
         # middle line's payload is garbage but its framing survives
@@ -208,16 +214,15 @@ class TestMidAppendCrashRecovery:
         with open(cache_file, "wb") as fh:
             fh.writelines(lines)
 
-        reopened = ResultCache(path)
-        assert len(reopened) == 2
-        assert entries[0][0] in reopened and entries[2][0] in reopened
-        assert entries[1][0] not in reopened
+        with ResultCache(path) as reopened:
+            assert len(reopened) == 2
+            assert entries[0][0] in reopened and entries[2][0] in reopened
+            assert entries[1][0] not in reopened
 
     @pytest.mark.parametrize("keep", [0.3, 0.8])
     def test_next_writer_repairs_the_torn_tail(self, tmp_path, keep):
-        path, entries = _populated_cache(tmp_path)
-        cache_file = ResultCache(path).path
-        raw = open(cache_file, "rb").read()
+        path, cache_file, entries = _populated_cache(tmp_path)
+        raw = _read_bytes(cache_file)
         last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
         cut = last_start + max(1, int((len(raw) - last_start) * keep))
         with open(cache_file, "r+b") as fh:
@@ -226,17 +231,16 @@ class TestMidAppendCrashRecovery:
         # the torn request is recomputed and re-appended; the fragment is
         # newline-terminated first so the new entry parses on its own line
         torn_fp, torn_request = entries[-1]
-        reopened = ResultCache(path)
-        assert reopened.get(torn_fp, torn_request) is None
-        reopened.put(torn_fp, solve(torn_request))
-        reopened.close()
+        with ResultCache(path) as reopened:
+            assert reopened.get(torn_fp, torn_request) is None
+            reopened.put(torn_fp, solve(torn_request))
 
-        final = ResultCache(path)
-        assert len(final) == len(entries)
-        for fp, request in entries:
-            assert final.get(fp, request) is not None
+        with ResultCache(path) as final:
+            assert len(final) == len(entries)
+            for fp, request in entries:
+                assert final.get(fp, request) is not None
         # every line except the repaired fragment is valid JSON
-        bad = [l for l in open(final.path, "rb").read().splitlines()
+        bad = [l for l in _read_bytes(cache_file).splitlines()
                if l and not _parses(l)]
         assert len(bad) == 1  # exactly the terminated torn fragment
 
@@ -424,8 +428,14 @@ class TestThreadSafety:
     def test_concurrent_get_put_hammer(self, make_cache):
         """One shared cache driven from many threads (the service
         dispatcher pattern) must serialize cleanly behind the backend's
-        own lock: no storage errors, no lost entries, counters that add
-        up."""
+        own lock. Every thread puts the same fingerprints at the same
+        time, so a JSONL put's "stored already?" check and its append
+        race unless the lock spans both: each fingerprint must end up as
+        one entry and one stored line or row, with no storage errors and
+        counters that add up. (sqlite dedupes in SQL; there a missing
+        lock shows as errors from statements interleaving on the one
+        shared connection.) With a no-op lock both backends fail this on
+        every run."""
         import sys
         import threading
 
@@ -433,19 +443,20 @@ class TestThreadSafety:
         result = solve(request)
         cache = make_cache()
         errors = []
-        n_threads, n_ops = 8, 40
+        n_threads, n_fps = 32, 200
+        fingerprints = [f"fp-{i}" for i in range(n_fps)]
+        start = threading.Barrier(n_threads)
 
         def hammer(tid):
             try:
-                for i in range(n_ops):
-                    fp = f"fp-{tid}-{i}"
+                start.wait()
+                for i, fp in enumerate(fingerprints):
                     cache.put(fp, result)
                     assert cache.get(fp, request) is not None
-                    cache.put(fp, result)  # duplicate put must dedupe
-                    len(cache)
                     assert fp in cache
                     assert f"missing-{tid}-{i}" not in cache
                     assert cache.get(f"missing-{tid}-{i}", request) is None
+                    len(cache)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -462,15 +473,29 @@ class TestThreadSafety:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(cache) == n_threads * n_ops
+        assert len(cache) == n_fps
         stats = cache.stats()
-        assert stats["hits"] == n_threads * n_ops
-        assert stats["misses"] == n_threads * n_ops
+        assert stats["hits"] == n_threads * n_fps
+        assert stats["misses"] == n_threads * n_fps
         cache.close()
+        assert _stored_records(cache) == n_fps  # no fingerprint written twice
         # every entry the threads wrote survives a reopen
         reopened = make_cache()
-        assert len(reopened) == n_threads * n_ops
+        assert len(reopened) == n_fps
         reopened.close()
+
+
+def _stored_records(cache) -> int:
+    """Lines of a JSONL cache's log, or rows of a sqlite cache's table."""
+    if cache.kind == "sqlite":
+        import sqlite3
+        conn = sqlite3.connect(cache.path)
+        try:
+            return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+        finally:
+            conn.close()
+    with open(cache.path, "rb") as fh:
+        return sum(1 for line in fh if line.strip())
 
 
 class TestSqliteThreadSafety:

@@ -77,3 +77,54 @@ class TestWorkflowFamiliesAreSP:
         from repro.memdag.traversal import sp_traversal
         wf = generate_topology("montage", 40)
         assert sp_traversal(wf) is None
+
+
+#: Python run in a subprocess with a fixed hash seed: task ids are strings,
+#: so a block's iteration order -- and with it the engines' tie-breaks --
+#: depends on the seed
+_GOLDEN_ORDERS_SCRIPT = r"""
+import hashlib
+from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
+from repro.memdag.traversal import sp_traversal
+from repro.partition.api import acyclic_partition, bisect_block
+from repro.utils.errors import PartitionSplitError
+
+digest = hashlib.sha256()
+kinds = set()
+inputs = [(f, 200) for f in WORKFLOW_FAMILIES] + [("blast", 1000), ("genome", 1000)]
+for family, n in inputs:
+    wf = generate_workflow(family, n, seed=0)
+    for k in (2, 4, 8, 16):
+        for block in acyclic_partition(wf, k):
+            blocks = [block]
+            try:
+                blocks.extend(bisect_block(wf, block))
+            except PartitionSplitError:
+                pass
+            for b in blocks:
+                order = sp_traversal(wf, b)
+                kinds.add(order is not None)
+                digest.update(repr((sorted(b), order)).encode())
+print(digest.hexdigest(), sorted(kinds))
+"""
+
+
+class TestGoldenOrders:
+    def test_sp_orders_of_partition_blocks_are_pinned(self):
+        """``sp_traversal`` of every Step 1 block (k = 2..16) and of its
+        bisection halves, over all seven families at 200 tasks and blast
+        and genome at 1000, hashes to a recorded digest: a rewrite of the
+        SP engine must reproduce every order (or ``None``) exactly."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", _GOLDEN_ORDERS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout.split()
+        assert out[1:] == ["[False,", "True]"]  # SP and non-SP blocks occur
+        assert out[0] == (
+            "2165b7164ec98075577248d0c667ca0af7f306955bb5e979b792719d2a7bef2e")
