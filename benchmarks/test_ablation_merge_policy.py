@@ -7,7 +7,7 @@ preference (merging into the best neighbour regardless).
 
 import math
 
-from repro.core.heuristic import DagHetPartConfig, dag_het_part
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import generate_workflow
 from repro.platform.presets import small_cluster
@@ -23,7 +23,8 @@ def _geomean_makespan(prefer_off_cp: bool) -> float:
         cfg = DagHetPartConfig(k_prime_strategy="doubling",
                                prefer_off_critical_path=prefer_off_cp)
         try:
-            values.append(dag_het_part(wf, cluster, cfg).makespan())
+            values.append(dag_het_part_sweep(
+                wf, cluster, cfg).mapping.makespan())
         except Exception:
             continue
     return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -6,7 +6,7 @@ search versus Steps 1-3 alone.
 
 import math
 
-from repro.core.heuristic import DagHetPartConfig, dag_het_part
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster
@@ -22,7 +22,7 @@ def _geomean(enable_swaps, enable_idle):
         cfg = DagHetPartConfig(k_prime_strategy="doubling",
                                enable_swaps=enable_swaps,
                                enable_idle_moves=enable_idle)
-        values.append(dag_het_part(wf, cluster, cfg).makespan())
+        values.append(dag_het_part_sweep(wf, cluster, cfg).mapping.makespan())
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 

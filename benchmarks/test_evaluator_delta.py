@@ -20,7 +20,7 @@ from conftest import bench_families, BENCH_SIZES
 
 from repro.core.assignment import biggest_assign
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.heuristic import DagHetPartConfig, dag_het_part
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.merging import merge_unassigned_to_assigned
 from repro.core.quotient import QuotientGraph
 from repro.core.swaps import improve_by_swaps
@@ -105,6 +105,6 @@ def test_single_instance_speed(benchmark):
     cluster = scaled_cluster_for(wf, default_cluster())
     cfg = DagHetPartConfig(k_prime_strategy="doubling")
     result = benchmark.pedantic(
-        lambda: dag_het_part(wf, cluster, cfg).makespan(),
+        lambda: dag_het_part_sweep(wf, cluster, cfg).mapping.makespan(),
         rounds=1, iterations=1)
     assert result > 0

@@ -10,7 +10,7 @@ Run:  python examples/custom_workflow.py
 
 from repro import Cluster, DagHetPartConfig, Processor, Workflow
 from repro.api import ScheduleRequest, solve
-from repro.workflow.io import workflow_from_dot
+from repro.ingest.dot import import_dot
 from repro.workflow.validation import validate_workflow
 
 VIDEO_PIPELINE_DOT = """
@@ -35,7 +35,7 @@ digraph "video-analytics" {
 
 def main() -> None:
     # 1. Import the DAG from a DOT export and validate the model rules.
-    wf = workflow_from_dot(VIDEO_PIPELINE_DOT, name="video-analytics")
+    wf = import_dot(VIDEO_PIPELINE_DOT, name="video-analytics")
     validate_workflow(wf, require_single_source=True)
     print(f"imported {wf}: max task requirement "
           f"{wf.max_task_requirement():.0f}")

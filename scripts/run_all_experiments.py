@@ -9,7 +9,7 @@ record sets instead of re-running corpora per figure. Writes
 
 Environment: REPRO_SCALE / REPRO_FULL control workflow sizes as usual;
 ``--parallel N`` (or REPRO_PARALLEL) fans requests out over N worker
-processes per scenario. ``--cache-dir DIR`` turns the whole evaluation
+processes per scenario. ``--cache DIR`` turns the whole evaluation
 into a resumable sweep: results are fingerprint-cached on disk, so an
 interrupted run (or a re-run after editing the aggregations) only solves
 what is missing. The dumped ``results`` section holds the full
@@ -74,13 +74,10 @@ def main() -> None:
                         help="fingerprint-keyed result cache URI "
                              "(sqlite:///path.db, jsonl://DIR, or a plain "
                              "directory); makes the whole evaluation resumable")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="legacy alias for --cache with a plain directory")
     args = parser.parse_args()
     sizes = synthetic_sizes()
     log(f"synthetic sizes: {sizes}")
-    uri = args.cache or args.cache_dir
-    cache = open_cache(uri) if uri else None
+    cache = open_cache(args.cache) if args.cache else None
 
     def spec(name, **kwargs):
         return corpus_scenario(name, seed=SEED, sizes=sizes, config=CONFIG,

@@ -3,12 +3,19 @@ Heterogeneous Platforms" (Kulagina, Meyerhenke, Benoit; ICPP 2024).
 
 Quickstart
 ----------
->>> from repro import generate_workflow, default_cluster, schedule
+Every algorithm runs through one entry point, :func:`repro.api.solve`.
+``scale_memory=True`` applies the paper's rule (Section 5.1.2): memories
+grow until the largest task has a processor it fits on.
+
+>>> from repro import ScheduleRequest, default_cluster, generate_workflow, solve
 >>> wf = generate_workflow("blast", n_tasks=200, seed=1)
->>> cluster = default_cluster()
->>> mapping = schedule(wf, cluster, algorithm="daghetpart")
->>> mapping.validate()
->>> mapping.makespan()  # doctest: +SKIP
+>>> request = ScheduleRequest(workflow=wf, cluster=default_cluster(),
+...                           algorithm="daghetpart", scale_memory=True)
+>>> result = solve(request)
+>>> result.success, result.failure
+(True, None)
+>>> result.mapping.validate()
+>>> result.makespan, result.k_prime  # doctest: +SKIP
 
 Package layout
 --------------
@@ -21,12 +28,6 @@ Package layout
                      request/result envelopes, ``solve``/``solve_batch``;
 ``repro.generators`` workflow families and weight models (Section 5.1.1);
 ``repro.experiments`` harness regenerating every table and figure.
-
-New code should schedule through :mod:`repro.api`:
-
->>> from repro.api import ScheduleRequest, solve
->>> result = solve(ScheduleRequest(workflow=wf, cluster=cluster))
->>> result.makespan, result.k_prime, result.failure  # doctest: +SKIP
 """
 
 from repro.workflow import Workflow
@@ -45,8 +46,6 @@ from repro.core import (
     DagHetPartConfig,
     Mapping,
     dag_het_mem,
-    dag_het_part,
-    schedule,
 )
 from repro.api import (
     FailureInfo,
@@ -84,8 +83,6 @@ __all__ = [
     "DagHetPartConfig",
     "Mapping",
     "dag_het_mem",
-    "dag_het_part",
-    "schedule",
     "FailureInfo",
     "ScenarioSpec",
     "ScheduleRequest",

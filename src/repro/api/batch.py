@@ -61,12 +61,7 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
     job (:func:`repro.api.exec.backends.solve_with_policy`).
     """
     info = get_algorithm(request.algorithm)  # raises on unknown names
-
-    cluster = request.cluster
-    if request.scale_memory:
-        # lazy: repro.experiments imports repro.api at package load
-        from repro.experiments.instances import scaled_cluster_for
-        cluster = scaled_cluster_for(request.workflow, cluster)
+    cluster = _effective_cluster(request)
 
     failure: Optional[FailureInfo] = None
     output = None
@@ -101,6 +96,15 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
         extra=dict(output.extra) if output is not None else {},
         mapping=mapping if request.want_mapping else None,
     )
+
+
+def _effective_cluster(request: ScheduleRequest):
+    """The cluster a request runs on: memory-scaled when it asks for it."""
+    if not request.scale_memory:
+        return request.cluster
+    # lazy: repro.experiments imports repro.api at package load
+    from repro.experiments.instances import scaled_cluster_for
+    return scaled_cluster_for(request.workflow, request.cluster)
 
 
 def _check_tasks_fit(workflow, cluster, algorithm: str) -> None:

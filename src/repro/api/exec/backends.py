@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
+from repro.api.batch import _effective_cluster
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
 from repro.api.registry import get_algorithm
 from repro.utils.registry import Registry
@@ -54,7 +55,7 @@ def failure_result(request: ScheduleRequest, kind: str, message: str,
                    elapsed: float = 0.0) -> ScheduleResult:
     """A structured failure envelope for an execution-layer outcome.
 
-    The cluster is resolved exactly as ``solve`` resolves it (memory
+    The cluster is resolved by the same helper ``solve`` uses (memory
     scaling applied), so the record aligns with every other outcome of
     the same request — ``scenario diff`` matches them by cluster name.
     ``makespan=inf`` like any other failure; identical on every backend
@@ -62,10 +63,7 @@ def failure_result(request: ScheduleRequest, kind: str, message: str,
     poison-request tombstones.
     """
     info = get_algorithm(request.algorithm)
-    cluster = request.cluster
-    if request.scale_memory:
-        from repro.experiments.instances import scaled_cluster_for
-        cluster = scaled_cluster_for(request.workflow, cluster)
+    cluster = _effective_cluster(request)
     return ScheduleResult(
         algorithm=info.display_name,
         workflow=request.workflow.name,

@@ -1,11 +1,10 @@
 """Algorithm registry — the single dispatch point for scheduler names.
 
 Every algorithm the library can run is registered exactly once with
-:func:`register_algorithm`; the CLI, the experiment runner, and the
-``schedule()`` back-compat shim all resolve names through
-:func:`get_algorithm` instead of carrying their own ``if algorithm ==``
-chains. Registering a new heuristic therefore makes it available to every
-entry point at once:
+:func:`register_algorithm`; the CLI, :func:`repro.api.solve` and the
+scenario runner all resolve names through :func:`get_algorithm` instead
+of carrying their own ``if algorithm ==`` chains. Registering a new
+heuristic therefore makes it available to every entry point at once:
 
 >>> @register_algorithm("greedy-cp", summary="critical-path greedy")
 ... class GreedyCP:

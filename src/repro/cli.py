@@ -298,8 +298,7 @@ def cmd_scenario_run(args) -> int:
           f"{sum(a.count() for a in spec.platforms)} platform point(s) x "
           f"{len(spec.algorithms)} algorithm(s))")
 
-    uri = args.cache or args.cache_dir
-    cache = open_cache(uri) if uri else None
+    cache = open_cache(args.cache) if args.cache else None
     progress = None
     if args.progress:
         def progress(index, request, result):
@@ -811,8 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "or a plain directory; previously computed requests "
                          "are served from it and new results appended, so "
                          "re-runs and interrupted sweeps resume")
-    pr.add_argument("--cache-dir", metavar="DIR",
-                    help="legacy alias for --cache with a plain directory")
     pr.add_argument("--json", metavar="FILE",
                     help="write result envelopes to FILE as JSONL (streamed)")
     pr.add_argument("--progress", action="store_true")

@@ -27,9 +27,7 @@ from repro.core.heuristic import (
     DagHetPartConfig,
     SweepOutcome,
     SweepPoint,
-    dag_het_part,
     dag_het_part_sweep,
-    schedule,
 )
 
 __all__ = [
@@ -50,10 +48,8 @@ __all__ = [
     "find_ms_opt_merge",
     "improve_by_swaps",
     "move_critical_to_idle",
-    "dag_het_part",
     "dag_het_part_sweep",
     "DagHetPartConfig",
     "SweepOutcome",
     "SweepPoint",
-    "schedule",
 ]

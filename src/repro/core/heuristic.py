@@ -1,9 +1,9 @@
 """DagHetPart — the four-step heuristic (Section 4.2).
 
 The public scheduling surface lives in :mod:`repro.api` (registry +
-request/result envelopes); ``schedule()`` below is the thin back-compat
-shim over it, and :func:`dag_het_part_sweep` exposes the winning ``k'``
-and per-``k'`` trace the API reports.
+request/result envelopes, ``solve``); :func:`dag_het_part_sweep` is the
+implementation it runs, returning the best mapping together with the
+winning ``k'`` and the per-``k'`` trace the API reports.
 
 Step 1 partitions the workflow into ``k'`` blocks for several values of
 ``k'`` ("we tentatively partition the DAG into k' blocks, with
@@ -227,30 +227,3 @@ def dag_het_part_sweep(wf: Workflow, cluster: Cluster,
     mapping = Mapping.from_quotient(best[1], cluster, cache, algorithm="DagHetPart")
     return SweepOutcome(mapping, k_prime=best_k_prime, sweep=tuple(trace))
 
-
-def dag_het_part(wf: Workflow, cluster: Cluster,
-                 config: Optional[DagHetPartConfig] = None,
-                 cache: Optional[RequirementCache] = None) -> Mapping:
-    """Run DagHetPart; returns the best valid Mapping over the ``k'`` sweep.
-
-    Raises :class:`NoFeasibleMappingError` when no ``k'`` admits a valid
-    assignment (the platform lacks resources for the workflow). Use
-    :func:`dag_het_part_sweep` (or ``repro.api.solve``) when the winning
-    ``k'`` / sweep trace is needed as well.
-    """
-    return dag_het_part_sweep(wf, cluster, config=config, cache=cache).mapping
-
-
-def schedule(wf: Workflow, cluster: Cluster, algorithm: str = "daghetpart",
-             config: Optional[DagHetPartConfig] = None) -> Mapping:
-    """Back-compat front-end: run one registered algorithm by name.
-
-    Resolves ``algorithm`` through the :mod:`repro.api` registry (so names
-    like ``"DagHetPart"`` / ``"dag-het-mem"`` and any plugin-registered
-    algorithm work) and returns the bare :class:`Mapping`. New code should
-    prefer ``repro.api.solve``, which also reports runtime, the ``k'``
-    sweep, and structured failures.
-    """
-    from repro.api.registry import get_algorithm
-
-    return get_algorithm(algorithm).scheduler.run(wf, cluster, config).mapping

@@ -6,8 +6,9 @@ Selection order:
 2. the ``REPRO_KERNEL`` environment variable — ``reference``, ``array``,
    or ``auto`` (default);
 3. ``auto`` resolves to the array kernel when numpy imports, with a
-   small-instance cutoff below which it delegates to the reference loops
-   (``REPRO_ARRAY_CUTOFF``, default 256); without numpy it quietly
+   small-instance cutoff (:data:`~repro.core.kernels.array.DEFAULT_CUTOFF`,
+   256 blocks) below which it delegates to the reference loops; without
+   numpy it quietly
    resolves to ``reference``.
 
 ``REPRO_KERNEL=array`` is an explicit opt-in: it forces the array path

@@ -26,7 +26,6 @@ leg do).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.kernels.base import BlockId, Kernel, Node
@@ -36,14 +35,6 @@ import numpy as np
 
 #: below this many blocks/tasks, `auto` mode stays on the reference loops
 DEFAULT_CUTOFF = 256
-
-
-def _cutoff() -> int:
-    raw = os.environ.get("REPRO_ARRAY_CUTOFF", "")
-    try:
-        return int(raw) if raw else DEFAULT_CUTOFF
-    except ValueError:
-        return DEFAULT_CUTOFF
 
 
 class ArrayKernel(Kernel):
@@ -56,7 +47,7 @@ class ArrayKernel(Kernel):
         self._ref = ReferenceKernel()
 
     def _use_array(self, n: int) -> bool:
-        return self._forced or n >= _cutoff()
+        return self._forced or n >= DEFAULT_CUTOFF
 
     # ------------------------------------------------------------------
     def bottom_weights(self, q, cluster, default_speed: float = 1.0

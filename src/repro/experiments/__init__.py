@@ -1,11 +1,13 @@
 """Experiment harness: regenerates every table and figure of Section 5.
 
-* :mod:`repro.experiments.instances` — the evaluation corpus (workflow
-  families x sizes + real-world workflows) with laptop-scale defaults and
-  ``REPRO_FULL=1`` for the paper's sizes;
-* :mod:`repro.experiments.runner` — thin corpus→request adapter over
-  :mod:`repro.api`; records makespans, runtimes, success, failure reasons
-  and the winning ``k'`` per run;
+* :mod:`repro.experiments.instances` — the corpus sizes (laptop-scale
+  defaults, ``REPRO_FULL=1`` for the paper's), the memory-scaling rule and
+  the paper's evaluation grid as one :class:`repro.api.ScenarioSpec`; the
+  instances themselves come from the scenario sources
+  (:class:`repro.api.FamilyGridSource`, :class:`repro.api.RealWorkflowSource`);
+* :mod:`repro.experiments.runner` — flattens scenario results into
+  records: makespans, runtimes, success, failure reasons and the winning
+  ``k'`` per run;
 * :mod:`repro.experiments.metrics` — geometric means and relative
   makespans, matching the paper's aggregation;
 * :mod:`repro.experiments.figures` — one driver per table/figure
@@ -17,17 +19,12 @@
 from repro.experiments.instances import (
     Instance,
     PAPER_SCENARIO,
-    build_corpus,
-    real_instances,
-    synthetic_instances,
     synthetic_sizes,
     scaled_cluster_for,
     SIZE_CATEGORIES,
 )
 from repro.experiments.runner import (
     RunRecord,
-    run_instance,
-    run_corpus,
     scenario_records,
 )
 from repro.experiments.metrics import (
@@ -41,15 +38,10 @@ from repro.experiments.report import format_table
 __all__ = [
     "Instance",
     "PAPER_SCENARIO",
-    "build_corpus",
-    "real_instances",
-    "synthetic_instances",
     "synthetic_sizes",
     "scaled_cluster_for",
     "SIZE_CATEGORIES",
     "RunRecord",
-    "run_instance",
-    "run_corpus",
     "scenario_records",
     "geometric_mean",
     "relative_makespan_by",

@@ -57,14 +57,12 @@ def corpus_scenario(name: str, preset: str = "default", bandwidth: float = 1.0,
     """The classic corpus sweep (Section 5.1.1 corpus on one cluster) as a
     declarative scenario.
 
-    Expansion order matches the old ``build_corpus`` + ``run_corpus``
-    pipeline exactly (real workflows first, then the family grid,
-    instance-major / algorithm-minor), so the records a figure driver
-    aggregates are bit-for-bit those of the hand-written sweep. ``config``
-    is attached to every algorithm that declares a config class;
-    ``algorithm_specs`` overrides the whole algorithm grid for drivers
-    whose algorithms take *different* config types (e.g. the refinement
-    suite's DagHetPartConfig + AnnealConfig pairing).
+    Expansion order is real workflows first, then the family grid,
+    instance-major / algorithm-minor. ``config`` is attached to every
+    algorithm that declares a config class; ``algorithm_specs`` overrides
+    the whole algorithm grid for drivers whose algorithms take *different*
+    config types (e.g. the refinement suite's DagHetPartConfig +
+    AnnealConfig pairing).
     """
     sources: List = []
     if include_real:

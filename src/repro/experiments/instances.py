@@ -1,5 +1,9 @@
 """The evaluation corpus (Section 5.1.1) and platform scaling rules.
 
+The instances come from the scenario sources
+(:class:`repro.api.FamilyGridSource`, :class:`repro.api.RealWorkflowSource`);
+this module holds their sizes, seed rule and grouping type.
+
 Paper sizes: 200 / 1 000 / 2 000 / 4 000 / 8 000 (small), 10 000 / 15 000 /
 18 000 (middle), 20 000 / 25 000 / 30 000 (big), plus five real workflows of
 11-58 tasks. A pure-Python run of the full corpus takes hours, so the
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api.scenario import (
     AlgorithmSpec,
@@ -23,8 +27,6 @@ from repro.api.scenario import (
     RealWorkflowSource,
     ScenarioSpec,
 )
-from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
-from repro.generators.realworld import REAL_WORKFLOW_NAMES, generate_real_workflow
 from repro.platform.cluster import Cluster
 from repro.utils.rng import SeedLike, stable_hash
 from repro.workflow.graph import Workflow
@@ -93,59 +95,6 @@ def seed_base(seed: SeedLike) -> int:
         raise TypeError(
             f"corpus seed must be an int, None, or a numpy Generator, "
             f"got {type(seed).__name__}") from None
-
-
-def synthetic_instances(seed: SeedLike = 0, full: Optional[bool] = None,
-                        families: Optional[Sequence[str]] = None,
-                        sizes: Optional[Dict[str, Tuple[int, ...]]] = None,
-                        work_factor: float = 1.0) -> List[Instance]:
-    """All synthetic instances: families x sizes, deterministic per (family, size)."""
-    families = tuple(families) if families is not None else WORKFLOW_FAMILIES
-    sizes = sizes if sizes is not None else synthetic_sizes(full)
-    base = seed_base(seed)
-    out: List[Instance] = []
-    for family in families:
-        for category, counts in sizes.items():
-            for n in counts:
-                inst_seed = (base + stable_hash(f"{family}:{n}")) % (2 ** 31)
-                wf = generate_workflow(family, n, seed=inst_seed,
-                                       work_factor=work_factor)
-                out.append(Instance(
-                    name=f"{family}-{n}",
-                    family=family,
-                    category=category,
-                    n_tasks_requested=n,
-                    workflow=wf,
-                ))
-    return out
-
-
-def real_instances(seed: SeedLike = 0, work_factor: float = 1.0) -> List[Instance]:
-    """The five real-world-like workflows (category ``"real"``)."""
-    return [
-        Instance(
-            name=name,
-            family=name,
-            category="real",
-            n_tasks_requested=0,
-            workflow=generate_real_workflow(name, seed=seed, work_factor=work_factor),
-        )
-        for name in REAL_WORKFLOW_NAMES
-    ]
-
-
-def build_corpus(seed: SeedLike = 0, full: Optional[bool] = None,
-                 families: Optional[Sequence[str]] = None,
-                 include_real: bool = True,
-                 sizes: Optional[Dict[str, Tuple[int, ...]]] = None,
-                 work_factor: float = 1.0) -> List[Instance]:
-    """The complete corpus: real + synthetic instances."""
-    corpus: List[Instance] = []
-    if include_real:
-        corpus.extend(real_instances(seed=seed, work_factor=work_factor))
-    corpus.extend(synthetic_instances(seed=seed, full=full, families=families,
-                                      sizes=sizes, work_factor=work_factor))
-    return corpus
 
 
 def scaled_cluster_for(wf: Workflow, cluster: Cluster,

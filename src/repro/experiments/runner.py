@@ -1,46 +1,29 @@
-"""Corpus adapter over :mod:`repro.api`: instances → requests → records.
+"""Scenario results → flat records for the metrics layer.
 
 One :class:`RunRecord` per (instance, algorithm). Failures to schedule are
 legitimate outcomes (Section 5.2.2 counts them), so they are recorded —
 with a ``failure_reason`` — not raised.
 
-All execution (timing, failure capture, multiprocessing, deterministic
-merge) lives in :func:`repro.api.solve_batch`; this module only translates
-corpus :class:`Instance` objects into :class:`ScheduleRequest` envelopes
-and flattens the resulting :class:`ScheduleResult` list into the flat
-records the metrics layer aggregates.
+All execution (timing, failure capture, backends, caching, deterministic
+merge) lives in :mod:`repro.api`; this module only flattens each
+:class:`ScheduleResult` (its scalars plus the instance tags the scenario
+expansion attached) into the record the metrics layer aggregates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
-from repro.api import (
-    PARALLEL_ENV,
-    ScenarioSpec,
-    ScheduleRequest,
-    ScheduleResult,
-    resolve_parallel,
-    run_scenario,
-    solve,
-    solve_batch,
-)
-from repro.experiments.instances import Instance
-from repro.platform.cluster import Cluster
+from repro.api import ScenarioSpec, ScheduleResult, run_scenario
 
 #: the paper's pairing, in evaluation order (canonical registry aliases)
 ALGORITHMS = ("DagHetMem", "DagHetPart")
 
 __all__ = [
     "ALGORITHMS",
-    "PARALLEL_ENV",
     "RunRecord",
-    "corpus_requests",
     "record_from_result",
-    "resolve_parallel",
-    "run_corpus",
-    "run_instance",
     "scenario_records",
 ]
 
@@ -64,34 +47,6 @@ class RunRecord:
     k_prime: Optional[int] = None  # winning k' (sweep algorithms only)
 
 
-def corpus_requests(instances: Sequence[Instance], cluster: Cluster,
-                    config=None, algorithms: Sequence[str] = ALGORITHMS,
-                    validate: bool = False,
-                    scale_memory: bool = True) -> List[ScheduleRequest]:
-    """One :class:`ScheduleRequest` per (instance, algorithm), instance-major.
-
-    Instance metadata rides along in ``tags`` so records can be rebuilt
-    from results (or from persisted result JSON) without the corpus.
-    ``scale_memory`` applies the paper's proportional memory scaling so the
-    largest task fits somewhere (synthetic corpus rule).
-    """
-    return [
-        ScheduleRequest(
-            workflow=inst.workflow,
-            cluster=cluster,
-            algorithm=algorithm,
-            config=config,
-            scale_memory=scale_memory,
-            validate=validate,
-            want_mapping=False,  # records only need the scalars
-            tags={"instance": inst.name, "family": inst.family,
-                  "category": inst.category, "n_tasks": inst.n_tasks},
-        )
-        for inst in instances
-        for algorithm in algorithms
-    ]
-
-
 def record_from_result(result: ScheduleResult) -> RunRecord:
     """Flatten one API result (tags + scalars) into a RunRecord."""
     tags = result.tags
@@ -112,67 +67,16 @@ def record_from_result(result: ScheduleResult) -> RunRecord:
     )
 
 
-def run_instance(inst: Instance, cluster: Cluster,
-                 config=None,
-                 algorithms: Sequence[str] = ALGORITHMS,
-                 validate: bool = False,
-                 scale_memory: bool = True) -> List[RunRecord]:
-    """Run the requested algorithms on one instance (always in-process)."""
-    requests = corpus_requests([inst], cluster, config=config,
-                               algorithms=algorithms, validate=validate,
-                               scale_memory=scale_memory)
-    return [record_from_result(solve(request)) for request in requests]
-
-
-def run_corpus(instances: Sequence[Instance], cluster: Cluster,
-               config=None,
-               algorithms: Sequence[str] = ALGORITHMS,
-               validate: bool = False,
-               progress: Optional[Callable[[str], None]] = None,
-               parallel: Optional[int] = None) -> List[RunRecord]:
-    """Run all instances; returns the flat record list.
-
-    ``parallel`` > 1 distributes requests over that many worker processes
-    (``None`` consults the ``REPRO_PARALLEL`` environment variable, ``-1``
-    uses every CPU); see :func:`repro.api.solve_batch` for the merge
-    guarantee — apart from the measured ``runtime`` fields the output is
-    identical to a serial run. ``progress`` receives one message per
-    *instance* (once all its algorithms finished).
-    """
-    instances = list(instances)
-    algorithms = tuple(algorithms)
-    requests = corpus_requests(instances, cluster, config=config,
-                               algorithms=algorithms, validate=validate)
-
-    hook = None
-    if progress is not None and instances and algorithms:
-        pending = {i: len(algorithms) for i in range(len(instances))}
-        done = [0]
-
-        def hook(index, request, result):
-            key = index // len(algorithms)
-            pending[key] -= 1
-            if pending[key] == 0:
-                done[0] += 1
-                inst = instances[key]
-                progress(f"finished {inst.name} ({inst.n_tasks} tasks) on "
-                         f"{cluster.name} ({done[0]}/{len(instances)})")
-
-    results = solve_batch(requests, parallel=parallel, progress=hook)
-    return [record_from_result(r) for r in results]
-
-
 def scenario_records(spec: ScenarioSpec,
                      parallel: Optional[int] = None,
                      progress: Optional[Callable[[str], None]] = None,
                      cache=None) -> List[RunRecord]:
     """Run a declarative scenario and flatten its results into records.
 
-    The scenario counterpart of :func:`run_corpus`: results stream
-    through :func:`repro.api.run_scenario` (so ``cache`` — a directory
-    path or :class:`repro.api.ResultCache` — turns re-runs into disk
-    reads) and are flattened as they arrive. ``progress`` receives one
-    message per completed request.
+    Results stream through :func:`repro.api.run_scenario` (so ``cache``
+    — a directory path or :class:`repro.api.ResultCache` — turns re-runs
+    into disk reads) and are flattened as they arrive. ``progress``
+    receives one message per completed request.
     """
     hook = None
     if progress is not None:

@@ -59,8 +59,8 @@ def _percentile(values: List[float], q: float) -> float:
     return ordered[index]
 
 
-def _build_corpus(n_jobs: int, n_tasks: int, algorithm: str,
-                  seed: int) -> List[bytes]:
+def _request_bodies(n_jobs: int, n_tasks: int, algorithm: str,
+                    seed: int) -> List[bytes]:
     """Pre-serialized POST bodies, one distinct request per job."""
     from repro.api.envelopes import ScheduleRequest
     from repro.core.heuristic import DagHetPartConfig
@@ -129,7 +129,7 @@ async def _run_loadtest(n_jobs: int, workers: int, connections: int,
 
     say(f"building corpus: {n_jobs} requests "
         f"({'/'.join(FAMILY_CYCLE)} x n={n_tasks}, {algorithm})")
-    bodies = _build_corpus(n_jobs, n_tasks, algorithm, seed)
+    bodies = _request_bodies(n_jobs, n_tasks, algorithm, seed)
 
     app = ServiceApp(store_dir, cache=None, backend=None,
                      workers=workers, parallel=0)

@@ -24,7 +24,6 @@ from repro.workflow.io import (
     save_workflow_json,
     load_workflow_json,
     workflow_to_dot,
-    workflow_from_dot,
 )
 from repro.workflow.transform import (
     scale_work,
@@ -50,7 +49,6 @@ __all__ = [
     "save_workflow_json",
     "load_workflow_json",
     "workflow_to_dot",
-    "workflow_from_dot",
     "scale_work",
     "scale_memory",
     "normalize_memory_to",

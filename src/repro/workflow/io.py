@@ -1,9 +1,8 @@
 """Workflow serialization: JSON (canonical) and GraphViz DOT (interop).
 
 The paper converts nextflow pipelines to ``.dot`` via ``-with-dag``; the
-DOT reader lives in :mod:`repro.ingest.dot` these days (hardened:
-quoted identifiers, comments, loud errors) — :func:`workflow_from_dot`
-remains here as the stable convenience wrapper. Deserialization routes
+DOT reader is :func:`repro.ingest.dot.import_dot` (quoted identifiers,
+comments, loud errors). Deserialization routes
 through the shared :class:`~repro.ingest.normalize.WorkflowAssembler`,
 so duplicate task ids and edges referencing unknown tasks fail with the
 offender named instead of being silently absorbed.
@@ -86,24 +85,6 @@ def workflow_to_dot(wf: Workflow) -> str:
         lines.append(f'  "{_key(u)}" -> "{_key(v)}" [cost={c}];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def workflow_from_dot(text: str, name: str = "workflow") -> Workflow:
-    """Parse a DOT digraph (nextflow ``-with-dag`` flavour).
-
-    Delegates to the hardened importer in :mod:`repro.ingest.dot`:
-    quoted identifiers with spaces and escapes, ``//``/``#``/``/* */``
-    comments, edge chains, and node-only statements all work, and an
-    unparsable line raises :class:`~repro.utils.errors.IngestError`
-    instead of returning a silently empty workflow. Recognized
-    attributes: ``work``, ``memory`` on nodes, ``cost`` (or ``weight``)
-    on edges; unweighted elements get the defaults work=1, memory=0,
-    cost=0 — matching the paper's handling of tasks without historical
-    data.
-    """
-    from repro.ingest.dot import import_dot
-
-    return import_dot(text, name=name)
 
 
 def _key(u: Any) -> Any:

@@ -2,17 +2,23 @@
 
 import pytest
 
-from repro.api import ScheduleRequest, iter_solve_batch, solve, solve_batch
+from repro.api import (
+    FamilyGridSource,
+    ScheduleRequest,
+    iter_solve_batch,
+    solve,
+    solve_batch,
+)
 from repro.core.heuristic import DagHetPartConfig
-from repro.experiments.instances import synthetic_instances
 from repro.platform.presets import default_cluster
 
 FAST_CFG = DagHetPartConfig(k_prime_values=(1, 4, 12))
 
 
 def _requests(n_instances=2):
-    instances = synthetic_instances(sizes={"small": (24, 32)[:n_instances]},
-                                    families=("blast", "bwa"))
+    instances = FamilyGridSource(families=("blast", "bwa"),
+                                 sizes={"small": (24, 32)[:n_instances]}
+                                 ).instances()
     return [
         ScheduleRequest(workflow=inst.workflow, cluster=default_cluster(),
                         algorithm=algorithm, config=FAST_CFG,
@@ -224,26 +230,33 @@ class TestResolveParallelEnv:
 
 
 class TestRunnerAdapter:
-    """The corpus runner is now a thin adapter over the API."""
+    """Records are flattened API results: tags plus the result scalars."""
+
+    @staticmethod
+    def _records(cluster, scale_memory=True):
+        from repro.experiments.runner import record_from_result
+        inst = next(FamilyGridSource(families=("blast",),
+                                     sizes={"small": (24,)}).instances())
+        return [record_from_result(solve(ScheduleRequest(
+                    workflow=inst.workflow, cluster=cluster,
+                    algorithm=algorithm, config=FAST_CFG,
+                    scale_memory=scale_memory,
+                    tags={"instance": inst.name, "family": inst.family,
+                          "category": inst.category})))
+                for algorithm in ("DagHetMem", "DagHetPart")]
 
     def test_records_carry_failure_reason(self):
-        from repro.experiments.runner import run_instance
         from repro.platform.cluster import Cluster
         from repro.platform.processor import Processor
-        inst = synthetic_instances(sizes={"small": (24,)},
-                                   families=("blast",))[0]
         tiny = Cluster([Processor("p", 1.0, 0.001)])
-        records = run_instance(inst, tiny, config=FAST_CFG,
-                               scale_memory=False)
+        records = self._records(tiny, scale_memory=False)
         assert all(not r.success for r in records)
         assert all(r.failure_reason.startswith("NoFeasibleMappingError:")
                    for r in records)
+        assert {r.instance for r in records} == {"blast-24"}
 
     def test_records_carry_winning_k_prime(self):
-        from repro.experiments.runner import run_instance
-        inst = synthetic_instances(sizes={"small": (24,)},
-                                   families=("blast",))[0]
-        records = run_instance(inst, default_cluster(), config=FAST_CFG)
+        records = self._records(default_cluster())
         by_alg = {r.algorithm: r for r in records}
         assert by_alg["DagHetPart"].k_prime in (1, 4, 12)
         assert by_alg["DagHetMem"].k_prime is None

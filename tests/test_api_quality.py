@@ -70,17 +70,17 @@ class TestDeterminism:
         """Same seed, same mapping — across two fresh runs of everything."""
         from repro import (
             DagHetPartConfig,
+            ScheduleRequest,
             default_cluster,
             generate_workflow,
-            schedule,
+            solve,
         )
-        from repro.experiments.instances import scaled_cluster_for
 
         def run():
             wf = generate_workflow("genome", 70, seed=99)
-            cluster = scaled_cluster_for(wf, default_cluster())
-            mapping = schedule(wf, cluster, "daghetpart",
-                               config=DagHetPartConfig(k_prime_strategy="doubling"))
+            mapping = solve(ScheduleRequest(
+                workflow=wf, cluster=default_cluster(), scale_memory=True,
+                config=DagHetPartConfig(k_prime_strategy="doubling"))).mapping
             return (mapping.makespan(),
                     sorted((sorted(map(str, a.tasks)), a.processor.name)
                            for a in mapping.assignments))

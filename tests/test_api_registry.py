@@ -61,7 +61,6 @@ class TestNameResolution:
 class TestRegistration:
     def test_register_and_solve_through_every_entry_point(self):
         from repro.api import ScheduleRequest, solve
-        from repro.core.heuristic import schedule
 
         @register_algorithm("first-fit-test", display_name="FirstFitTest",
                             capabilities=("test",))
@@ -85,11 +84,7 @@ class TestRegistration:
                                            algorithm="first_fit_test",
                                            scale_memory=True))
             assert result.success and result.algorithm == "FirstFitTest"
-            # via the back-compat shim — no string dispatch to update
-            from repro.experiments.instances import scaled_cluster_for
-            mapping = schedule(wf, scaled_cluster_for(wf, cluster),
-                               "FirstFitTest")
-            assert mapping.algorithm == "FirstFitTest"
+            assert result.mapping.algorithm == "FirstFitTest"
         finally:
             unregister_algorithm("first-fit-test")
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -87,7 +87,8 @@ class TestJsonRoundTrip:
         save_scenario(spec, path)
         assert load_scenario(path) == spec
         # the file is plain, editable JSON
-        data = json.loads(open(path).read())
+        with open(path) as fh:
+            data = json.load(fh)
         assert data["name"] == "tiny"
         assert data["workflows"][0]["kind"] == "families"
 
@@ -351,3 +352,32 @@ class TestPaperScenario:
         # the per-algorithm configs rebuild through the registry
         for alg in spec.algorithms:
             alg.build_config()
+
+
+class TestCorpusGolden:
+    """The evaluation corpus is pinned: same names, groups and workflows."""
+
+    #: sha256 over (name, family, category, n_tasks_requested, workflow
+    #: fingerprint) of every default-size instance for seeds 0 and 7
+    DIGEST = "6ea146f84a38164b4361e977d21832693b3a4cff193fc3b5279e7cb38fca1967"
+
+    @staticmethod
+    def _digest(instances):
+        import hashlib
+        from repro.ingest import workflow_fingerprint
+        h = hashlib.sha256()
+        for inst in instances:
+            row = (inst.name, inst.family, inst.category,
+                   inst.n_tasks_requested, workflow_fingerprint(inst.workflow))
+            h.update(json.dumps(row).encode())
+        return h.hexdigest()
+
+    def test_corpus_digest_is_pinned(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        instances = [inst for seed in (0, 7)
+                     for source in (RealWorkflowSource(seed=seed),
+                                    FamilyGridSource(seed=seed))
+                     for inst in source.instances()]
+        assert len(instances) == 2 * (5 + 7 * 11)
+        assert self._digest(instances) == self.DIGEST

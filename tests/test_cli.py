@@ -150,10 +150,10 @@ class TestScenario:
     def test_scenario_run_cached_twice(self, tmp_path, capsys):
         path = self._write_spec(tmp_path)
         cache = str(tmp_path / "cache")
-        rc = main(["scenario", "run", path, "--cache-dir", cache])
+        rc = main(["scenario", "run", path, "--cache", cache])
         assert rc == 0
         assert "misses=2" in capsys.readouterr().out
-        rc = main(["scenario", "run", path, "--cache-dir", cache])
+        rc = main(["scenario", "run", path, "--cache", cache])
         assert rc == 0
         out = capsys.readouterr().out
         assert "hits=2" in out and "misses=0" in out

@@ -12,7 +12,7 @@ from repro.core.bounds import (
     oversized_tasks,
     work_bound,
 )
-from repro.core.heuristic import DagHetPartConfig, dag_het_part
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import generate_workflow
 from repro.platform.cluster import Cluster
@@ -65,8 +65,9 @@ class TestBoundsAreValid:
         lb = makespan_lower_bound(wf, cluster)
         checked = 0
         for algorithm in (dag_het_mem,
-                          lambda w, c: dag_het_part(
-                              w, c, DagHetPartConfig(k_prime_strategy="doubling"))):
+                          lambda w, c: dag_het_part_sweep(
+                              w, c, DagHetPartConfig(
+                                  k_prime_strategy="doubling")).mapping):
             try:
                 mapping = algorithm(wf, cluster)
             except NoFeasibleMappingError:
@@ -78,8 +79,8 @@ class TestBoundsAreValid:
     def test_optimality_gap_at_least_one(self):
         wf = generate_workflow("bwa", 60, seed=31)
         cluster = scaled_cluster_for(wf, default_cluster())
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="doubling"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
         assert optimality_gap(mapping) >= 1.0 - 1e-9
 
     def test_single_task_gap_is_exact(self):

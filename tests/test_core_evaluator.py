@@ -202,14 +202,14 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("family", ["blast", "genome", "soykb"])
     def test_full_pipeline_identical(self, family):
-        from repro.core.heuristic import DagHetPartConfig, dag_het_part
+        from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
         from repro.experiments.instances import scaled_cluster_for
         from repro.platform.presets import default_cluster
         wf = generate_workflow(family, 80, seed=5)
         cluster = scaled_cluster_for(wf, default_cluster())
-        on = dag_het_part(wf, cluster, DagHetPartConfig(
-            k_prime_strategy="doubling", use_evaluator=True))
-        off = dag_het_part(wf, cluster, DagHetPartConfig(
-            k_prime_strategy="doubling", use_evaluator=False))
+        on = dag_het_part_sweep(wf, cluster, DagHetPartConfig(
+            k_prime_strategy="doubling", use_evaluator=True)).mapping
+        off = dag_het_part_sweep(wf, cluster, DagHetPartConfig(
+            k_prime_strategy="doubling", use_evaluator=False)).mapping
         assert on.makespan() == off.makespan()
         assert on.n_blocks == off.n_blocks

@@ -6,8 +6,7 @@ from repro.core.baseline import dag_het_mem
 from repro.core.heuristic import (
     DagHetPartConfig,
     _k_prime_candidates,
-    dag_het_part,
-    schedule,
+    dag_het_part_sweep,
 )
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
@@ -81,8 +80,8 @@ class TestEndToEnd:
     def test_valid_mapping_per_family(self, family):
         wf = generate_workflow(family, 60, seed=1)
         cluster = scaled_cluster_for(wf, default_cluster())
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="doubling"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
         mapping.validate()
         assert mapping.algorithm == "DagHetPart"
 
@@ -94,8 +93,8 @@ class TestEndToEnd:
             wf = generate_workflow(family, 120, seed=5)
             cluster = scaled_cluster_for(wf, default_cluster())
             base = dag_het_mem(wf, cluster)
-            part = dag_het_part(wf, cluster,
-                                DagHetPartConfig(k_prime_strategy="doubling"))
+            part = dag_het_part_sweep(
+                wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
             ratios.append(part.makespan() / base.makespan())
         geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         assert geomean < 0.8  # must clearly exploit heterogeneity
@@ -103,13 +102,13 @@ class TestEndToEnd:
     def test_single_processor_cluster(self):
         wf = generate_workflow("blast", 30, seed=0)
         proc = Processor("only", 4.0, 1e9)
-        mapping = dag_het_part(wf, Cluster([proc]))
+        mapping = dag_het_part_sweep(wf, Cluster([proc])).mapping
         mapping.validate()
         assert mapping.n_blocks == 1
         assert mapping.makespan() == pytest.approx(wf.total_work() / 4.0)
 
     def test_empty_workflow(self, unit_cluster):
-        mapping = dag_het_part(Workflow("empty"), unit_cluster)
+        mapping = dag_het_part_sweep(Workflow("empty"), unit_cluster).mapping
         assert mapping.n_blocks == 0
 
     def test_infeasible_platform_raises(self):
@@ -117,14 +116,14 @@ class TestEndToEnd:
         wf.add_task("huge", work=1.0, memory=1000.0)
         cluster = Cluster([Processor("small", 1.0, 10.0)])
         with pytest.raises(NoFeasibleMappingError):
-            dag_het_part(wf, cluster)
+            dag_het_part_sweep(wf, cluster)
 
     def test_deterministic(self):
         wf = generate_workflow("bwa", 50, seed=3)
         cluster = scaled_cluster_for(wf, default_cluster())
         cfg = DagHetPartConfig(k_prime_strategy="doubling")
-        m1 = dag_het_part(wf, cluster, cfg)
-        m2 = dag_het_part(wf, cluster, cfg)
+        m1 = dag_het_part_sweep(wf, cluster, cfg).mapping
+        m2 = dag_het_part_sweep(wf, cluster, cfg).mapping
         assert m1.makespan() == pytest.approx(m2.makespan())
 
     def test_ablation_toggles_run(self):
@@ -133,8 +132,8 @@ class TestEndToEnd:
         base_cfg = DagHetPartConfig(k_prime_strategy="doubling")
         no_step4 = DagHetPartConfig(k_prime_strategy="doubling",
                                     enable_swaps=False, enable_idle_moves=False)
-        full = dag_het_part(wf, cluster, base_cfg)
-        reduced = dag_het_part(wf, cluster, no_step4)
+        full = dag_het_part_sweep(wf, cluster, base_cfg).mapping
+        reduced = dag_het_part_sweep(wf, cluster, no_step4).mapping
         full.validate()
         reduced.validate()
         # Step 4 never hurts: the full pipeline is at least as good
@@ -142,29 +141,36 @@ class TestEndToEnd:
 
 
 class TestScheduleApi:
+    """Scheduling by name goes through ``repro.api.solve``."""
+
+    @staticmethod
+    def _solve(wf, cluster, algorithm, config=None):
+        from repro.api import ScheduleRequest, solve
+        return solve(ScheduleRequest(workflow=wf, cluster=cluster,
+                                     algorithm=algorithm, config=config))
+
     def test_schedule_daghetpart(self):
         wf = generate_workflow("blast", 40, seed=1)
         cluster = scaled_cluster_for(wf, default_cluster())
-        m = schedule(wf, cluster, "daghetpart",
-                     config=DagHetPartConfig(k_prime_strategy="doubling"))
-        assert m.algorithm == "DagHetPart"
+        result = self._solve(wf, cluster, "daghetpart",
+                             DagHetPartConfig(k_prime_strategy="doubling"))
+        assert result.mapping.algorithm == "DagHetPart"
 
     def test_schedule_daghetmem_aliases(self):
         wf = generate_workflow("blast", 40, seed=1)
         cluster = scaled_cluster_for(wf, default_cluster())
         for name in ("daghetmem", "DagHetMem", "dag-het-mem", "dag_het_mem"):
-            m = schedule(wf, cluster, name)
-            assert m.algorithm == "DagHetMem"
+            result = self._solve(wf, cluster, name)
+            assert result.mapping.algorithm == "DagHetMem"
 
     def test_unknown_algorithm(self, unit_cluster):
         wf = generate_workflow("blast", 10, seed=0)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            schedule(wf, unit_cluster, "hexagonal")
+            self._solve(wf, unit_cluster, "hexagonal")
 
 
 class TestSweepOutcome:
     def test_sweep_reports_winning_k_prime(self):
-        from repro.core.heuristic import dag_het_part_sweep
         wf = generate_workflow("blast", 40, seed=1)
         cluster = scaled_cluster_for(wf, default_cluster())
         config = DagHetPartConfig(k_prime_values=(1, 4, 12))
@@ -182,7 +188,7 @@ class TestSweepOutcome:
         from repro.core.heuristic import dag_het_part_sweep
         config = DagHetPartConfig(k_prime_strategy="doubling")
         outcome = dag_het_part_sweep(wf, cluster, config=config)
-        mapping = dag_het_part(wf, cluster, config=config)
+        mapping = dag_het_part_sweep(wf, cluster, config=config).mapping
         assert outcome.mapping.makespan() == pytest.approx(mapping.makespan())
 
     def test_empty_workflow_has_no_sweep(self):

@@ -4,7 +4,7 @@ overestimation claim of Section 3.3."""
 import pytest
 
 from repro.core.baseline import dag_het_mem
-from repro.core.heuristic import DagHetPartConfig, dag_het_part
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.mapping import BlockAssignment, Mapping
 from repro.core.simulate import (
     gantt_text,
@@ -75,8 +75,8 @@ class TestSimulation:
     def test_overestimation_on_heuristic_output(self):
         wf = generate_workflow("bwa", 100, seed=23)
         cluster = scaled_cluster_for(wf, default_cluster())
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="doubling"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
         assert overestimation_factor(mapping) >= 1.0 - 1e-9
 
 
@@ -110,8 +110,8 @@ class TestExports:
     def test_gantt_elides_rows(self):
         wf = generate_workflow("blast", 60, seed=2)
         cluster = scaled_cluster_for(wf, default_cluster())
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="doubling"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
         text = gantt_text(mapping, max_rows=2)
         if mapping.n_blocks > 2:
             assert "elided" in text

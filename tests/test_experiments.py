@@ -1,16 +1,22 @@
 """Tests of the experiment harness: instances, runner, metrics, report."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.api import (
+    AlgorithmSpec,
+    FamilyGridSource,
+    PlatformAxis,
+    RealWorkflowSource,
+    resolve_parallel,
+)
 from repro.core.heuristic import DagHetPartConfig
+from repro.experiments.figures import corpus_scenario
 from repro.experiments.instances import (
     PAPER_SIZES,
-    build_corpus,
-    real_instances,
     scaled_cluster_for,
-    synthetic_instances,
     synthetic_sizes,
 )
 from repro.experiments.metrics import (
@@ -21,12 +27,25 @@ from repro.experiments.metrics import (
     success_counts,
 )
 from repro.experiments.report import format_table
-from repro.experiments.runner import RunRecord, run_corpus, run_instance
+from repro.experiments.runner import RunRecord, scenario_records
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster
 
 TINY_SIZES = {"small": (24,), "mid": (40,), "big": (60,)}
 FAST_CFG = DagHetPartConfig(k_prime_values=(1, 4, 12))
+
+
+def _instances(families, sizes, seed=0):
+    return list(FamilyGridSource(families=families, sizes=sizes,
+                                 seed=seed).instances())
+
+
+def _spec(families=("blast",), sizes=(24,), **overrides):
+    """DagHetMem + DagHetPart on a tiny family grid, default cluster."""
+    spec = corpus_scenario("tiny", families=families,
+                           sizes={"small": sizes}, include_real=False,
+                           config=FAST_CFG)
+    return dataclasses.replace(spec, **overrides)
 
 
 class TestInstances:
@@ -45,19 +64,21 @@ class TestInstances:
         sizes = synthetic_sizes()
         assert sizes["big"][-1] == 300
 
-    def test_synthetic_instances_grouping(self):
-        instances = synthetic_instances(sizes=TINY_SIZES, families=("blast", "bwa"))
+    def test_family_grid_grouping(self):
+        instances = _instances(("blast", "bwa"), TINY_SIZES)
         assert len(instances) == 6
         assert {i.category for i in instances} == {"small", "mid", "big"}
 
-    def test_real_instances(self):
-        instances = real_instances()
+    def test_real_workflow_source(self):
+        instances = list(RealWorkflowSource().instances())
         assert len(instances) == 5
         assert all(i.category == "real" for i in instances)
 
     def test_corpus_is_deterministic(self):
-        a = build_corpus(seed=0, sizes=TINY_SIZES, families=("blast",))
-        b = build_corpus(seed=0, sizes=TINY_SIZES, families=("blast",))
+        def corpus():
+            return (list(RealWorkflowSource(seed=0).instances())
+                    + _instances(("blast",), TINY_SIZES, seed=0))
+        a, b = corpus(), corpus()
         assert [i.name for i in a] == [i.name for i in b]
         wa, wb = a[-1].workflow, b[-1].workflow
         assert [wa.work(u) for u in wa.tasks()] == [wb.work(u) for u in wb.tasks()]
@@ -110,7 +131,7 @@ class TestInstances:
 
 
 class TestSeedBase:
-    """synthetic_instances must not collapse Generator seeds to 0."""
+    """Corpus sources must not collapse Generator seeds to 0."""
 
     def test_generator_seed_is_not_collapsed_to_zero(self):
         import numpy as np
@@ -131,12 +152,10 @@ class TestSeedBase:
 
     def test_generator_seeded_corpora_differ_by_seed(self):
         import numpy as np
-        instances_a = synthetic_instances(seed=np.random.default_rng(1),
-                                          sizes={"small": (24,)},
-                                          families=("blast",))
-        instances_b = synthetic_instances(seed=np.random.default_rng(2),
-                                          sizes={"small": (24,)},
-                                          families=("blast",))
+        instances_a = _instances(("blast",), {"small": (24,)},
+                                 seed=np.random.default_rng(1))
+        instances_b = _instances(("blast",), {"small": (24,)},
+                                 seed=np.random.default_rng(2))
         wa, wb = instances_a[0].workflow, instances_b[0].workflow
         assert [wa.work(u) for u in wa.tasks()] != \
             [wb.work(u) for u in wb.tasks()]
@@ -154,9 +173,8 @@ class TestSeedBase:
 
 
 class TestRunner:
-    def test_run_instance_records(self):
-        inst = synthetic_instances(sizes={"small": (24,)}, families=("blast",))[0]
-        records = run_instance(inst, default_cluster(), config=FAST_CFG)
+    def test_records_per_algorithm(self):
+        records = scenario_records(_spec())
         assert {r.algorithm for r in records} == {"DagHetMem", "DagHetPart"}
         for r in records:
             assert r.success
@@ -165,49 +183,45 @@ class TestRunner:
             assert r.n_blocks >= 1
 
     def test_failed_run_recorded_not_raised(self):
-        from repro.platform.cluster import Cluster
-        from repro.platform.processor import Processor
-        inst = synthetic_instances(sizes={"small": (24,)}, families=("blast",))[0]
-        tiny = Cluster([Processor("p", 1.0, 0.001)])
-        records = run_instance(inst, tiny, config=FAST_CFG, scale_memory=False)
+        starved = PlatformAxis(preset="default", memory_factors=(1e-9,))
+        records = scenario_records(_spec(platforms=(starved,),
+                                         scale_memory=False))
+        assert len(records) == 2
         assert all(not r.success for r in records)
         assert all(math.isinf(r.makespan) for r in records)
 
-    def test_run_corpus_progress_callback(self):
-        instances = synthetic_instances(sizes={"small": (24,)}, families=("bwa",))
+    def test_progress_callback(self):
         messages = []
-        run_corpus(instances, default_cluster(), config=FAST_CFG,
-                   progress=messages.append)
-        assert len(messages) == 1
+        scenario_records(_spec(families=("bwa",)), progress=messages.append)
+        assert len(messages) == 2  # one per completed request
+        assert messages[-1].startswith("finished bwa-24 / DagHetPart on ")
+        assert messages[-1].endswith("(2/2)")
 
 
 class TestParallelRunner:
-    def _corpus(self):
-        return synthetic_instances(sizes={"small": (24, 32)},
-                                   families=("blast", "bwa"))
+    def _spec(self):
+        return _spec(families=("blast", "bwa"), sizes=(24, 32))
 
     @staticmethod
     def _strip_runtime(records):
-        from dataclasses import asdict
-        return [{k: v for k, v in asdict(r).items() if k != "runtime"}
-                for r in records]
+        return [{k: v for k, v in dataclasses.asdict(r).items()
+                 if k != "runtime"} for r in records]
 
     def test_parallel_records_match_serial(self):
-        corpus = self._corpus()
-        serial = run_corpus(corpus, default_cluster(), config=FAST_CFG)
-        par = run_corpus(corpus, default_cluster(), config=FAST_CFG, parallel=2)
+        spec = self._spec()
+        serial = scenario_records(spec)
+        par = scenario_records(spec, parallel=2)
         assert self._strip_runtime(par) == self._strip_runtime(serial)
 
     def test_parallel_progress_and_all_cpus(self):
-        corpus = self._corpus()
+        spec = self._spec()
         messages = []
-        records = run_corpus(corpus, default_cluster(), config=FAST_CFG,
-                             parallel=-1, progress=messages.append)
-        assert len(records) == 2 * len(corpus)
-        assert len(messages) == len(corpus)
+        records = scenario_records(spec, parallel=-1,
+                                   progress=messages.append)
+        assert len(records) == spec.size() == 8
+        assert len(messages) == len(records)
 
     def test_parallel_env_default(self, monkeypatch):
-        from repro.experiments.runner import resolve_parallel
         monkeypatch.setenv("REPRO_PARALLEL", "3")
         assert resolve_parallel(None) == 3
         assert resolve_parallel(2) == 2
@@ -219,9 +233,8 @@ class TestParallelRunner:
         assert resolve_parallel(-1) >= 1
 
     def test_parallel_one_is_serial(self):
-        corpus = self._corpus()[:1]
-        records = run_corpus(corpus, default_cluster(), config=FAST_CFG,
-                             parallel=8)  # single instance: stays in-process
+        # a single instance: two requests, fewer than the workers asked for
+        records = scenario_records(_spec(), parallel=8)
         assert len(records) == 2
 
 
@@ -290,26 +303,23 @@ class TestReport:
 
 class TestInstanceDataclass:
     def test_n_tasks_reflects_workflow(self):
-        inst = synthetic_instances(sizes={"small": (30,)}, families=("blast",))[0]
+        inst = _instances(("blast",), {"small": (30,)})[0]
         assert inst.n_tasks == inst.workflow.n_tasks
         assert inst.category == "small"
         assert inst.family == "blast"
 
     def test_instances_are_frozen(self):
-        import dataclasses
-        inst = real_instances()[0]
+        inst = next(RealWorkflowSource().instances())
         with pytest.raises(dataclasses.FrozenInstanceError):
             inst.name = "other"
 
 
 class TestRunnerValidateFlag:
     def test_validate_flag_runs_full_checks(self):
-        inst = synthetic_instances(sizes={"small": (24,)}, families=("bwa",))[0]
-        records = run_instance(inst, default_cluster(), config=FAST_CFG,
-                               validate=True)
+        records = scenario_records(_spec(families=("bwa",), validate=True))
+        assert len(records) == 2
         assert all(r.success for r in records)
 
     def test_unknown_algorithm_rejected(self):
-        inst = synthetic_instances(sizes={"small": (24,)}, families=("bwa",))[0]
-        with pytest.raises(ValueError):
-            run_instance(inst, default_cluster(), algorithms=("Mystery",))
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            scenario_records(_spec(algorithms=(AlgorithmSpec("Mystery"),)))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core.baseline import dag_het_mem
-from repro.core.heuristic import DagHetPartConfig, dag_het_part, schedule
+from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.mapping import simulate_mapping
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
@@ -31,7 +31,7 @@ class TestFullPipelinePerFamily:
         cluster = scaled_cluster_for(wf, default_cluster())
         base = dag_het_mem(wf, cluster)
         base.validate()
-        part = dag_het_part(wf, cluster, FAST)
+        part = dag_het_part_sweep(wf, cluster, FAST).mapping
         part.validate()
         # simulation agrees with the analytic makespan for both
         assert simulate_mapping(base) == pytest.approx(base.makespan())
@@ -43,7 +43,7 @@ class TestRealWorkflows:
         cluster = default_cluster()
         for wf in all_real_workflows():
             base = dag_het_mem(wf, cluster)
-            part = dag_het_part(wf, cluster, FAST)
+            part = dag_het_part_sweep(wf, cluster, FAST).mapping
             base.validate()
             part.validate()
 
@@ -54,8 +54,8 @@ class TestRealWorkflows:
         ratios = []
         for wf in all_real_workflows():
             base = dag_het_mem(wf, cluster)
-            part = dag_het_part(wf, cluster,
-                                DagHetPartConfig(k_prime_strategy="all"))
+            part = dag_het_part_sweep(
+                wf, cluster, DagHetPartConfig(k_prime_strategy="all")).mapping
             ratios.append(part.makespan() / base.makespan())
         geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         assert geomean < 0.9
@@ -68,7 +68,7 @@ class TestClusterPresets:
     def test_heterogeneity_variants(self, preset):
         wf = generate_workflow("bwa", 70, seed=3)
         cluster = scaled_cluster_for(wf, preset())
-        mapping = dag_het_part(wf, cluster, FAST)
+        mapping = dag_het_part_sweep(wf, cluster, FAST).mapping
         mapping.validate()
 
     def test_bandwidth_sweep_runs(self):
@@ -76,7 +76,7 @@ class TestClusterPresets:
         makespans = []
         for beta in (0.1, 1.0, 5.0):
             cluster = scaled_cluster_for(wf, default_cluster(bandwidth=beta))
-            mapping = dag_het_part(wf, cluster, FAST)
+            mapping = dag_het_part_sweep(wf, cluster, FAST).mapping
             mapping.validate()
             makespans.append(mapping.makespan())
         # more bandwidth never hurts on this fan-heavy family
@@ -90,7 +90,7 @@ class TestFailureInjection:
         with pytest.raises(NoFeasibleMappingError):
             dag_het_mem(wf, tiny)
         with pytest.raises(NoFeasibleMappingError):
-            dag_het_part(wf, tiny, FAST)
+            dag_het_part_sweep(wf, tiny, FAST)
 
     def test_borderline_platform_baseline_fails_heuristic_succeeds(self):
         """DagHetPart can succeed where the greedy packing baseline fails:
@@ -106,7 +106,8 @@ class TestFailureInjection:
         procs = [Processor("big", 1.0, 16.0)] + [
             Processor(f"p{j}", 1.0, 8.0) for j in range(8)]
         cluster = Cluster(procs)
-        part = dag_het_part(wf, cluster, DagHetPartConfig(k_prime_strategy="all"))
+        part = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="all")).mapping
         part.validate()
 
 
@@ -116,7 +117,19 @@ class TestScaleSmoke:
         wf = generate_workflow("genome", 600, seed=21)
         cluster = scaled_cluster_for(wf, default_cluster())
         start = time.perf_counter()
-        mapping = dag_het_part(wf, cluster, FAST)
+        mapping = dag_het_part_sweep(wf, cluster, FAST).mapping
         elapsed = time.perf_counter() - start
         mapping.validate()
         assert elapsed < 60.0
+
+
+class TestPackageQuickstart:
+    def test_package_docstring_examples_run(self):
+        """The quickstart in ``repro.__doc__`` runs as written."""
+        import doctest
+
+        import repro
+
+        outcome = doctest.testmod(repro)
+        assert outcome.attempted > 0
+        assert outcome.failed == 0

@@ -17,7 +17,7 @@ from repro.core.kernels import (
     set_kernel,
     use_kernel,
 )
-from repro.core.kernels.array import ArrayKernel
+from repro.core.kernels.array import DEFAULT_CUTOFF, ArrayKernel
 from repro.core.kernels.reference import ReferenceKernel
 from repro.core.quotient import QuotientGraph
 from repro.generators.families import generate_workflow
@@ -81,12 +81,12 @@ class TestSelection:
     def test_names_are_stable(self):
         assert KERNEL_NAMES == ("reference", "array", "auto")
 
-    def test_auto_cutoff_delegates_small_instances(self, monkeypatch):
+    def test_auto_cutoff_delegates_small_instances(self):
         """Below the cutoff ``auto`` prices on the reference loops (the
         outputs are identical either way; this pins the economics)."""
-        monkeypatch.setenv("REPRO_ARRAY_CUTOFF", "1000000")
         auto = ArrayKernel(forced=False)
         wf = random_workflow(50, seed=0)
+        assert wf.n_tasks < DEFAULT_CUTOFF
         assert wf._compiled is None
         auto.task_requirements(wf)
         assert wf._compiled is None  # never compiled: delegated

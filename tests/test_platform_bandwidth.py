@@ -148,7 +148,7 @@ class TestMakespanWithHeterogeneousLinks:
 
     def test_heuristic_end_to_end_with_sites(self):
         """DagHetPart runs unchanged on a grouped-bandwidth cluster."""
-        from repro.core.heuristic import DagHetPartConfig, dag_het_part
+        from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
         from repro.experiments.instances import scaled_cluster_for
         from repro.generators.families import generate_workflow
         from repro.platform.presets import default_cluster
@@ -158,7 +158,7 @@ class TestMakespanWithHeterogeneousLinks:
                   for i, p in enumerate(base.processors)}
         cluster = base.with_bandwidth_model(
             GroupedBandwidth(groups, intra_beta=2.0, inter_beta=0.25))
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="doubling"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
         mapping.validate()
         assert simulate_mapping(mapping) == pytest.approx(mapping.makespan())

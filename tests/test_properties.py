@@ -167,7 +167,7 @@ def test_swaps_preserve_validity_and_never_worsen(wf, data):
 def test_end_to_end_heuristic_on_random_dags(wf, k):
     """DagHetPart either returns a fully valid mapping or raises the
     documented infeasibility error — never a corrupt result."""
-    from repro.core.heuristic import DagHetPartConfig, dag_het_part
+    from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
     from repro.utils.errors import NoFeasibleMappingError
 
     total_req = sum(wf.task_requirement(u) for u in wf.tasks()) + 1.0
@@ -175,8 +175,8 @@ def test_end_to_end_heuristic_on_random_dags(wf, k):
              for i in range(k)]
     cluster = Cluster(procs)
     try:
-        mapping = dag_het_part(
-            wf, cluster, DagHetPartConfig(k_prime_strategy="all"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="all")).mapping
     except NoFeasibleMappingError:
         return
     mapping.validate()

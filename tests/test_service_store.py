@@ -9,6 +9,7 @@ than it was, and (c) self-repair on the next append.
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestLifecycle:
             _finish_done(store, "a")
             path = store.path
         types = [json.loads(line)["type"]
-                 for line in open(path, encoding="utf-8")]
+                 for line in Path(path).read_text(encoding="utf-8").splitlines()]
         assert types.index("result") < len(types) - 1
         assert types[-1] == "status"  # terminal status is the last line
 
@@ -99,12 +100,12 @@ class TestTornLines:
 
     def test_truncation_at_every_offset_in_the_last_line(self, tmp_path):
         path = self._store_with_history(tmp_path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         last_line_start = data[:-1].rfind(b"\n") + 1
         # stop short of len(data) - 1: a line missing only its newline is
         # complete JSON and rightly replays as the state it records
         for cut in range(last_line_start + 1, len(data) - 1):
-            open(path, "wb").write(data[:cut])
+            Path(path).write_bytes(data[:cut])
             with JobStore(str(tmp_path)) as store:
                 # the torn line was job a's terminal "done" status; the
                 # replay shows the result already on disk but the status
@@ -116,13 +117,13 @@ class TestTornLines:
 
     def test_next_append_repairs_the_torn_tail(self, tmp_path):
         path = self._store_with_history(tmp_path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-7])  # tear into the final line
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:-7])  # tear into the final line
         with JobStore(str(tmp_path)) as store:
             store.submit(_spec("c"))
         # the torn fragment stays (newline-terminated, skipped on load);
         # everything appended after it must parse cleanly
-        lines = open(path, "rb").read().split(b"\n")
+        lines = Path(path).read_bytes().split(b"\n")
         assert lines[-1] == b""  # file ends with a newline
         parsed = []
         for line in lines[:-1]:
@@ -170,8 +171,8 @@ class TestRecovery:
             store.submit(_spec("a"))
             path = store.path
         # tear off the trailing queued-status line entirely
-        lines = open(path, "rb").read().splitlines(keepends=True)
-        open(path, "wb").write(b"".join(lines[:-1]))
+        lines = Path(path).read_bytes().splitlines(keepends=True)
+        Path(path).write_bytes(b"".join(lines[:-1]))
         with JobStore(str(tmp_path)) as store:
             assert store.status("a") is None
             requeued, crashed = store.recover()

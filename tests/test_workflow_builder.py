@@ -85,7 +85,7 @@ class TestBuildValidation:
         assert wf.work("a") == -5
 
     def test_docstring_example_schedulable(self):
-        from repro.core.heuristic import DagHetPartConfig, dag_het_part
+        from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
         from repro.platform.cluster import Cluster
         from repro.platform.processor import Processor
         wf = (WorkflowBuilder("pipeline")
@@ -98,6 +98,6 @@ class TestBuildValidation:
               .link("filter", "split", cost=16)
               .build())
         cluster = Cluster([Processor(f"p{i}", 4.0, 200.0) for i in range(4)])
-        mapping = dag_het_part(wf, cluster,
-                               DagHetPartConfig(k_prime_strategy="all"))
+        mapping = dag_het_part_sweep(
+            wf, cluster, DagHetPartConfig(k_prime_strategy="all")).mapping
         mapping.validate()

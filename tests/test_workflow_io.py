@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.ingest.dot import import_dot
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 from repro.workflow.io import (
     load_workflow_json,
     save_workflow_json,
     workflow_from_dict,
-    workflow_from_dot,
     workflow_to_dict,
     workflow_to_dot,
 )
@@ -56,7 +56,7 @@ class TestJson:
 class TestDot:
     def test_roundtrip(self, diamond_workflow):
         text = workflow_to_dot(diamond_workflow)
-        back = workflow_from_dot(text, name="diamond")
+        back = import_dot(text, name="diamond")
         assert back.n_tasks == 4
         assert back.n_edges == 4
         assert back.work("y") == 3.0
@@ -71,7 +71,7 @@ class TestDot:
           fastqc -> multiqc;
         }
         """
-        wf = workflow_from_dot(text)
+        wf = import_dot(text)
         assert wf.n_tasks == 4
         assert wf.n_edges == 4
         # unweighted elements get the missing-historical-data defaults
@@ -87,23 +87,25 @@ class TestDot:
           "a" -> "b" [cost=7];
         }
         """
-        wf = workflow_from_dot(text)
+        wf = import_dot(text)
         assert wf.work("a") == 5.0
         assert wf.memory("a") == 2.0
         assert wf.edge_cost("a", "b") == 7.0
 
     def test_weight_attribute_alias(self):
-        wf = workflow_from_dot('digraph g {\n a -> b [weight=3];\n}')
+        wf = import_dot('digraph g {\n a -> b [weight=3];\n}')
         assert wf.edge_cost("a", "b") == 3.0
 
     def test_quoted_identifiers_with_spaces(self):
-        wf = workflow_from_dot('digraph g { "fastqc raw" -> "trim"; }')
+        wf = import_dot('digraph g { "fastqc raw" -> "trim"; }')
         assert "fastqc raw" in wf
 
     def test_unparsable_line_raises_not_silent_empty(self):
         with pytest.raises(IngestError):
-            workflow_from_dot("digraph g {\n a -> b;\n !garbage!;\n}")
+            import_dot("digraph g {\n a -> b;\n !garbage!;\n}")
 
-    def test_shim_keeps_legacy_default_name(self):
-        wf = workflow_from_dot('digraph "internal name" { a -> b; }')
-        assert wf.name == "workflow"
+    def test_explicit_name_overrides_graph_name(self):
+        text = 'digraph "internal name" { a -> b; }'
+        assert import_dot(text).name == "internal name"
+        assert import_dot(text, name="workflow").name == "workflow"
+        assert import_dot("digraph { a -> b; }").name == "workflow"
