@@ -31,6 +31,7 @@ serial one — and identical *across backends*.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import warnings
@@ -74,6 +75,12 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
     except ReproError as exc:
         failure = FailureInfo.from_exception(exc)
         sweep = tuple(getattr(exc, "sweep", ()))
+        if (isinstance(exc, NoFeasibleMappingError) and not request.scale_memory
+                and oversized_tasks(request.workflow, cluster)):
+            failure = dataclasses.replace(failure, message=(
+                f"{failure.message}; scale_memory=True scales processor "
+                f"memories until the largest task fits (the paper's rule "
+                f"for synthetic workflows)"))
     runtime = time.perf_counter() - start
 
     mapping = output.mapping if output is not None else None

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import (
     Any,
     Dict,
@@ -106,6 +107,17 @@ class FamilyGridSource:
             object.__setattr__(self, "sizes", sizes)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        seed = self.seed
+        if hasattr(seed, "bit_generator"):
+            # a numpy Generator stands for the int it derives the corpus
+            # from, so the source stays JSON-round-trippable
+            from repro.experiments.instances import seed_base
+            object.__setattr__(self, "seed", seed_base(seed))
+        elif isinstance(seed, bool) or not isinstance(seed, Integral):
+            raise TypeError(f"FamilyGridSource seed must be an int or a numpy "
+                            f"Generator, got {type(seed).__name__} {seed!r}")
+        else:
+            object.__setattr__(self, "seed", int(seed))
 
     def resolved_sizes(self) -> Dict[str, Tuple[int, ...]]:
         if self.sizes is not None:

@@ -33,7 +33,7 @@ from repro.core.merging import merge_unassigned_to_assigned
 from repro.core.quotient import QuotientGraph
 from repro.core.swaps import improve_by_swaps, move_critical_to_idle
 from repro.memdag.requirement import RequirementCache
-from repro.partition.api import acyclic_partition
+from repro.partition.api import PartitionContext, acyclic_partition
 from repro.platform.cluster import Cluster
 from repro.utils.errors import (
     InvalidPartitionError,
@@ -135,9 +135,11 @@ class SweepOutcome:
 
 def _run_pipeline(wf: Workflow, cluster: Cluster, k_prime: int,
                   config: DagHetPartConfig, cache: RequirementCache,
+                  context: PartitionContext,
                   ) -> Optional[Tuple[float, QuotientGraph]]:
     """One full Step-1..4 pipeline for a fixed ``k'``; None if infeasible."""
-    partition = acyclic_partition(wf, k_prime, weight=config.weight, eps=config.eps)
+    partition = acyclic_partition(wf, k_prime, weight=config.weight, eps=config.eps,
+                                  context=context)
 
     state = biggest_assign(wf, cluster, partition, cache=cache, weight=config.weight)
     blocks = [state.blocks[bid] for bid in state.blocks]
@@ -196,12 +198,15 @@ def dag_het_part_sweep(wf: Workflow, cluster: Cluster,
     # a task that fits no processor makes every k' infeasible: say so
     # without partitioning
     oversized = oversized_tasks(wf, cluster)
+    # the partitioner's k'-independent work (graph, coarsening, seed
+    # orders) is done once for the whole sweep
+    context = PartitionContext(wf, weight=config.weight)
     for k_prime in _k_prime_candidates(cluster.k, config):
         if oversized:
             trace.append(SweepPoint(k_prime, None, "infeasible"))
             continue
         try:
-            result = _run_pipeline(wf, cluster, k_prime, config, cache)
+            result = _run_pipeline(wf, cluster, k_prime, config, cache, context)
         except (InvalidPartitionError, ReproError):
             trace.append(SweepPoint(k_prime, None, "error"))
             continue

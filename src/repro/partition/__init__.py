@@ -17,7 +17,10 @@ multilevel scheme specialized to DAGs:
    preserving acyclicity and balance, applied at every uncoarsening level.
 
 The public entry points are :func:`repro.partition.api.acyclic_partition`
-and :func:`repro.partition.api.bisect_block` (used by ``FitBlock``).
+and :func:`repro.partition.api.bisect_block` (used by ``FitBlock``). A
+:class:`~repro.partition.api.PartitionContext` passed to several
+``acyclic_partition`` calls (DagHetPart's ``k'`` sweep) builds the graph,
+its coarsening and its seed orders once for all of them.
 
 Like dagP, the partitioner may return *fewer* blocks than requested on
 small or chain-like graphs ("the partitioner is unable to decompose these
@@ -30,7 +33,12 @@ from repro.partition.contraction import CGraph
 from repro.partition.coarsen import coarsen, CoarseningLevel
 from repro.partition.initial import initial_partition, dfs_topological_order
 from repro.partition.refine import refine, edge_cut
-from repro.partition.api import acyclic_partition, bisect_block, partition_quality
+from repro.partition.api import (
+    PartitionContext,
+    acyclic_partition,
+    bisect_block,
+    partition_quality,
+)
 
 __all__ = [
     "CGraph",
@@ -40,6 +48,7 @@ __all__ = [
     "dfs_topological_order",
     "refine",
     "edge_cut",
+    "PartitionContext",
     "acyclic_partition",
     "bisect_block",
     "partition_quality",

@@ -7,11 +7,15 @@ DagHetPart; :func:`bisect_block` plays its role inside ``FitBlock``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.partition.coarsen import coarsen
+from repro.partition.coarsen import (
+    CoarseningHierarchy,
+    CoarseningLevel,
+    default_balance_cap,
+)
 from repro.partition.contraction import CGraph
-from repro.partition.initial import initial_partition
+from repro.partition.initial import initial_partition, topological_order
 from repro.partition.refine import edge_cut, refine
 from repro.utils.errors import InvalidPartitionError, PartitionSplitError
 from repro.workflow.graph import Workflow
@@ -43,6 +47,59 @@ def _node_weight_fn(wf: Workflow, weight: str,
     if weight == "unit":
         return lambda u: 1.0
     raise ValueError(f"unknown weight function {weight!r}; valid: {WEIGHT_FUNCTIONS}")
+
+
+class PartitionContext:
+    """The ``k``-independent state of partitioning one node set of ``wf``.
+
+    A ``k'`` sweep partitions the same graph once per ``k'``. The finest
+    :class:`CGraph`, its coarsening hierarchy (one per balance cap, see
+    :class:`~repro.partition.coarsen.CoarseningHierarchy`) and the
+    DFS/BFS orders of each coarsest graph do not depend on ``k``, so a
+    context built once and passed to every :func:`acyclic_partition` call
+    computes each of them once, lazily, inside the first call that needs
+    it. Every call's blocks are exactly those of a fresh call.
+    """
+
+    __slots__ = ("wf", "weight", "nodes", "_graph", "_hierarchies", "_orders")
+
+    def __init__(self, wf: Workflow, weight: str = "requirement",
+                 nodes: Optional[Iterable[Node]] = None) -> None:
+        self.wf = wf
+        self.weight = weight
+        self.nodes = nodes
+        self._graph: Optional[CGraph] = None
+        self._hierarchies: Dict[float, CoarseningHierarchy] = {}
+        self._orders: Dict[Tuple[CGraph, str], List[Node]] = {}
+
+    @property
+    def graph(self) -> CGraph:
+        """The finest graph: every task (or the node subset), weighted."""
+        if self._graph is None:
+            wf, nodes = self.wf, self.nodes
+            node_weight = _node_weight_fn(wf, self.weight, subset=nodes is not None)
+            if nodes is None:
+                self._graph = CGraph.from_workflow(wf, node_weight)
+            else:
+                self._graph = CGraph.from_subset(wf, nodes, node_weight)
+        return self._graph
+
+    def levels(self, target: int) -> List[CoarseningLevel]:
+        """``coarsen(self.graph, target)``, from the hierarchy of its cap."""
+        g = self.graph
+        cap = default_balance_cap(g, target)
+        hierarchy = self._hierarchies.get(cap)
+        if hierarchy is None:
+            hierarchy = self._hierarchies[cap] = CoarseningHierarchy(g, cap)
+        return hierarchy.levels_for(target)
+
+    def order(self, g: CGraph, strategy: str) -> List[Node]:
+        """The ``strategy`` topological order of ``g`` (a level graph)."""
+        key = (g, strategy)
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = topological_order(g, strategy)
+        return order
 
 
 def _finalize(g_top: CGraph, part: Dict[Node, int]) -> List[Set[Node]]:
@@ -86,7 +143,8 @@ def _check_acyclic_quotient(wf: Workflow, blocks: List[Set[Node]],
 def acyclic_partition(wf: Workflow, k: int, *, weight: str = "requirement",
                       eps: float = 0.10, coarsen_target: Optional[int] = None,
                       refine_passes: int = 4, strategy: str = "best",
-                      nodes: Optional[Iterable[Node]] = None) -> List[Set[Node]]:
+                      nodes: Optional[Iterable[Node]] = None,
+                      context: Optional[PartitionContext] = None) -> List[Set[Node]]:
     """Partition (a subset of) ``wf`` into at most ``k`` acyclic blocks.
 
     Multilevel: coarsen, initial topological chunking, refine at every
@@ -110,14 +168,19 @@ def acyclic_partition(wf: Workflow, k: int, *, weight: str = "requirement",
         multilevel pipeline amortizes the extra seed to a few percent).
     nodes:
         Restrict partitioning to this subset (used for block bisection).
+    context:
+        A :class:`PartitionContext` of ``wf`` and ``weight`` shared by
+        several calls (a ``k'`` sweep); it carries its own node subset, so
+        ``nodes`` must then be ``None``. Without one, a fresh context is
+        built for this call.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    node_weight = _node_weight_fn(wf, weight, subset=nodes is not None)
-    if nodes is None:
-        g = CGraph.from_workflow(wf, node_weight)
-    else:
-        g = CGraph.from_subset(wf, nodes, node_weight)
+    if context is None:
+        context = PartitionContext(wf, weight, nodes)
+    elif context.wf is not wf or context.weight != weight or nodes is not None:
+        raise ValueError("context belongs to another workflow, weight or node set")
+    g = context.graph
     n = len(g)
     if n == 0:
         return []
@@ -127,19 +190,16 @@ def acyclic_partition(wf: Workflow, k: int, *, weight: str = "requirement",
         return blocks
 
     target = coarsen_target if coarsen_target is not None else max(4 * k, 64)
-    levels = coarsen(g, target)
+    levels = context.levels(target)
     coarsest = levels[-1].graph if levels else g
 
-    if strategy == "best":
-        candidates = []
-        for seed_strategy in ("dfs", "bfs"):
-            candidate = initial_partition(coarsest, k, strategy=seed_strategy)
-            refine(coarsest, candidate, k, eps=eps, max_passes=refine_passes)
-            candidates.append((edge_cut(coarsest, candidate), candidate))
-        part = min(candidates, key=lambda t: t[0])[1]
-    else:
-        part = initial_partition(coarsest, k, strategy=strategy)
-        refine(coarsest, part, k, eps=eps, max_passes=refine_passes)
+    candidates = []
+    for seed_strategy in (("dfs", "bfs") if strategy == "best" else (strategy,)):
+        candidate = initial_partition(coarsest, k, strategy=seed_strategy,
+                                      order=context.order(coarsest, seed_strategy))
+        refine(coarsest, candidate, k, eps=eps, max_passes=refine_passes)
+        candidates.append((edge_cut(coarsest, candidate), candidate))
+    part = min(candidates, key=lambda t: t[0])[1]
 
     # project back through the hierarchy, refining at each level;
     # levels[i].assignment maps nodes of the level's *input* graph

@@ -113,6 +113,54 @@ def _swap_node_identity(g: CGraph, old: Node, new: Node) -> None:
         g.succ[x][new] = g.succ[x].pop(old)
 
 
+def default_balance_cap(g: CGraph, target_size: int) -> float:
+    """Cluster weight cap of :func:`coarsen` when none is given: one ideal
+    block (total weight / ``target_size``), or the heaviest node if larger."""
+    return max(g.total_weight() / max(target_size, 1),
+               max(g.weight.values(), default=1.0))
+
+
+class CoarseningHierarchy:
+    """The coarsening levels of one graph under one cluster weight cap,
+    built lazily and shared by every target size.
+
+    A pass depends only on its input graph and the cap, never on the
+    target: the target only decides where :func:`coarsen` stops (the
+    first level with at most ``target_size`` nodes). So the hierarchy for
+    a larger target is a prefix of the one for a smaller target, and one
+    hierarchy per cap serves them all. Levels are extended on demand and
+    never mutated once built.
+    """
+
+    __slots__ = ("graph", "cap", "max_levels", "_levels", "_stalled")
+
+    def __init__(self, g: CGraph, cap: float, max_levels: int = 30) -> None:
+        self.graph = g
+        self.cap = cap
+        self.max_levels = max_levels
+        self._levels: List[CoarseningLevel] = []
+        #: a pass stagnated, so no deeper level exists
+        self._stalled = False
+
+    def levels_for(self, target_size: int) -> List[CoarseningLevel]:
+        """The levels :func:`coarsen` returns for ``target_size``."""
+        levels = self._levels
+        depth = 0
+        current = self.graph
+        while len(current) > target_size:
+            if depth == len(levels):
+                if self._stalled or depth >= self.max_levels:
+                    break
+                coarse, assignment, contractions = coarsen_pass(current, self.cap)
+                if contractions == 0 or len(coarse) >= len(current) * 0.98:
+                    self._stalled = True
+                    break
+                levels.append(CoarseningLevel(graph=coarse, assignment=assignment))
+            current = levels[depth].graph
+            depth += 1
+        return levels[:depth]
+
+
 def coarsen(g: CGraph, target_size: int, balance_cap: Optional[float] = None,
             max_levels: int = 30) -> List[CoarseningLevel]:
     """Full coarsening: repeat passes until ``target_size`` or stagnation.
@@ -123,15 +171,5 @@ def coarsen(g: CGraph, target_size: int, balance_cap: Optional[float] = None,
     ``levels[-1].graph`` is the coarsest.
     """
     if balance_cap is None:
-        balance_cap = max(g.total_weight() / max(target_size, 1), max(g.weight.values(), default=1.0))
-    levels: List[CoarseningLevel] = []
-    current = g
-    for _ in range(max_levels):
-        if len(current) <= target_size:
-            break
-        coarse, assignment, contractions = coarsen_pass(current, balance_cap)
-        if contractions == 0 or len(coarse) >= len(current) * 0.98:
-            break
-        levels.append(CoarseningLevel(graph=coarse, assignment=assignment))
-        current = coarse
-    return levels
+        balance_cap = default_balance_cap(g, target_size)
+    return CoarseningHierarchy(g, balance_cap, max_levels).levels_for(target_size)

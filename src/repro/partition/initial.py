@@ -10,7 +10,7 @@ cut it into ``k`` chunks of nearly equal weight.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Optional
 
 from repro.partition.contraction import CGraph
 
@@ -76,7 +76,18 @@ ORDER_STRATEGIES = {
 }
 
 
-def initial_partition(g: CGraph, k: int, strategy: str = "dfs") -> Dict[Node, int]:
+def topological_order(g: CGraph, strategy: str) -> List[Node]:
+    """The ``strategy`` order of ``g`` (see :data:`ORDER_STRATEGIES`)."""
+    try:
+        order_fn = ORDER_STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(f"unknown order strategy {strategy!r}; "
+                         f"valid: {sorted(ORDER_STRATEGIES)}") from None
+    return order_fn(g)
+
+
+def initial_partition(g: CGraph, k: int, strategy: str = "dfs",
+                      order: Optional[List[Node]] = None) -> Dict[Node, int]:
     """Cut a DFS topological order into ``k`` weight-balanced chunks.
 
     Greedy prefix cutting against the ideal cumulative boundary; blocks are
@@ -85,14 +96,11 @@ def initial_partition(g: CGraph, k: int, strategy: str = "dfs") -> Dict[Node, in
     Returns a dense node -> block-index map with block indices respecting
     the topological order (needed by the refinement's adjacency rule).
     ``strategy`` picks the underlying topological order (``"dfs"`` keeps
-    chains contiguous; ``"bfs"`` keeps levels contiguous).
+    chains contiguous; ``"bfs"`` keeps levels contiguous); ``order``, when
+    given, is that order already computed for ``g``.
     """
-    try:
-        order_fn = ORDER_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown order strategy {strategy!r}; "
-                         f"valid: {sorted(ORDER_STRATEGIES)}") from None
-    order = order_fn(g)
+    if order is None:
+        order = topological_order(g, strategy)
     n = len(order)
     k_eff = min(k, n)
     if k_eff <= 1:

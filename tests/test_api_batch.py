@@ -88,6 +88,18 @@ class TestOversizedTasks:
         assert result.failure.kind == "NoFeasibleMappingError"
         assert partition_calls == []
 
+    @pytest.mark.parametrize("algorithm", ["daghetpart", "daghetmem"])
+    def test_unscaled_failure_names_scale_memory(self, algorithm):
+        from repro.generators.families import generate_workflow
+        wf = generate_workflow("blast", 200, seed=1)
+        result = solve(ScheduleRequest(workflow=wf, cluster=default_cluster(),
+                                       algorithm=algorithm))
+        assert "need more memory" in result.failure.message
+        assert "scale_memory=True" in result.failure.message
+        scaled = solve(ScheduleRequest(workflow=wf, cluster=default_cluster(),
+                                       algorithm=algorithm, scale_memory=True))
+        assert scaled.success
+
     def test_sweep_lists_every_k_prime_as_infeasible(self, partition_calls):
         from repro.generators.families import generate_workflow
         result = solve(ScheduleRequest(

@@ -42,6 +42,30 @@ class TestSpecConstruction:
         src = FamilyGridSource(families=("blast",), sizes=(24, 32))
         assert src.sizes == {"custom": (24, 32)}
 
+    def test_generator_seed_becomes_its_corpus_int(self):
+        import numpy as np
+        from repro.experiments.instances import seed_base
+        src = FamilyGridSource(families=("blast",), sizes=(24,),
+                               seed=np.random.default_rng(1))
+        assert src.seed == seed_base(np.random.default_rng(1))
+        spec = tiny_spec(workflows=(src,))
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        rebuilt = FamilyGridSource(families=("blast",), sizes=(24,), seed=src.seed)
+        works = [[inst.workflow.work(u) for u in inst.workflow.tasks()]
+                 for source in (src, rebuilt) for inst in source.instances()]
+        assert works[0] == works[1]
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True, object()])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="FamilyGridSource seed must be an int"):
+            FamilyGridSource(families=("blast",), seed=seed)
+
+    def test_numpy_int_seed_stored_as_int(self):
+        import numpy as np
+        src = FamilyGridSource(families=("blast",), seed=np.int64(7))
+        assert type(src.seed) is int and src.seed == 7
+        assert json.loads(tiny_spec(workflows=(src,)).to_json())
+
     def test_config_dataclass_normalised_to_dict(self):
         alg = AlgorithmSpec("daghetpart",
                             config=DagHetPartConfig(k_prime_values=(1, 4)))
