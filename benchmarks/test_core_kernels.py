@@ -10,7 +10,10 @@ the PR's perf-trajectory contract:
   passes on the fan and wide shapes) clear :data:`SPEEDUP_FLOOR` (5x);
 * **no regression** — when the committed ``BENCH_core.json`` baseline is
   present at the repo root, every case keeps at least half its committed
-  speedup (the same gate CI runs via ``repro profile --check``).
+  speedup (the same gate CI's perf-gates leg runs via ``repro profile
+  --check``). It compares measured speedups against committed ones, so it
+  is marked ``wallclock`` and deselected by default (``-m wallclock``
+  runs it).
 
 Environment knobs:
 
@@ -71,6 +74,7 @@ def test_gated_cases_clear_absolute_floor(report):
                 f"{SPEEDUP_FLOOR:g}x floor")
 
 
+@pytest.mark.wallclock
 def test_no_regression_vs_committed_baseline(report):
     """Same gate as ``repro profile --check BENCH_core.json`` in CI."""
     if not os.path.exists(BASELINE):

@@ -23,6 +23,9 @@ pass. The maximum is maintained incrementally; it degrades to one
 touched. Results are bit-for-bit identical to the full recompute: every
 vertex weight is produced by the same arithmetic over the same adjacency
 iteration order as :func:`repro.core.makespan.bottom_weights`.
+:meth:`MakespanEvaluator.eval_merge` prices a merge of two vertices
+without performing it, at the same cost, by recomputing the merged vertex
+and its ancestors in an overlay that is then discarded.
 
 Full recomputes run on the active kernel
 (:mod:`repro.core.kernels` — the vectorized array sweep when selected),
@@ -146,6 +149,102 @@ class MakespanEvaluator:
         finally:
             q.set_proc(a, pa)
             q.set_proc(b, pb)
+
+    def eval_merge(self, a: BlockId, b: BlockId,
+                   proc: Optional[Processor]) -> float:
+        """Makespan with ``a`` and ``b`` merged onto ``proc``; graph untouched.
+
+        Bit-equal to ``q.merge(a, b)``, ``set_proc`` of the merged vertex
+        and :meth:`makespan`. The merged vertex's work and edge costs are
+        summed as :meth:`QuotientGraph.merge` sums them (two addends, so
+        their order cannot matter); its weight and then its ancestors'
+        weights are recomputed with :meth:`_sync`'s float operations in an
+        overlay over the synced table, and the result is the maximum of
+        the overlay and of the untouched vertices. The merge must close no
+        cycle: no child of ``a`` or ``b`` other than the two may reach
+        either of them.
+        """
+        self._sync()
+        q = self.q
+        blocks, succ, pred = q.blocks, q.succ, q.pred
+        l = self._l
+        link_of = self._link_of
+        default_speed = self.default_speed
+
+        merged_succ: Dict[BlockId, float] = {}
+        for old, other in ((a, b), (b, a)):
+            for x, c in succ[old].items():
+                if x != other:
+                    merged_succ[x] = merged_succ.get(x, 0.0) + c
+        best_child = 0.0
+        for child, c in merged_succ.items():
+            cand = c / link_of(proc, blocks[child].proc) + l[child]
+            if cand > best_child:
+                best_child = cand
+        work = blocks[a].work + blocks[b].work
+        top = work / (proc.speed if proc is not None
+                      else default_speed) + best_child
+
+        # ancestors of a or b, children first (local Kahn); none of them
+        # is a or b, since the merge closes no cycle
+        region = set()
+        stack = [p for p in pred[a] if p != b] + [p for p in pred[b] if p != a]
+        while stack:
+            v = stack.pop()
+            if v not in region:
+                region.add(v)
+                stack.extend(pred[v])
+        indeg: Dict[BlockId, int] = {}
+        for v in region:
+            d = 0
+            for c in succ[v]:
+                if c in region:
+                    d += 1
+            indeg[v] = d
+        ready = [v for v, d in indeg.items() if d == 0]
+        overlay: Dict[BlockId, float] = {}
+        head = 0
+        while head < len(ready):
+            v = ready[head]
+            head += 1
+            blk = blocks[v]
+            own = blk.work / (blk.proc.speed if blk.proc is not None
+                              else default_speed)
+            best_child = 0.0
+            to_merged = None
+            for child, c in succ[v].items():
+                if child == a or child == b:
+                    to_merged = (0.0 if to_merged is None else to_merged) + c
+                    continue
+                lc = overlay[child] if child in overlay else l[child]
+                cand = c / link_of(blk.proc, blocks[child].proc) + lc
+                if cand > best_child:
+                    best_child = cand
+            if to_merged is not None:
+                cand = to_merged / link_of(blk.proc, proc) + top
+                if cand > best_child:
+                    best_child = cand
+            overlay[v] = own + best_child
+            for p in pred[v]:
+                if p in indeg:
+                    indeg[p] -= 1
+                    if indeg[p] == 0:
+                        ready.append(p)
+
+        best = top
+        for lv in overlay.values():
+            if lv > best:
+                best = lv
+        argmax = self._argmax
+        if argmax != a and argmax != b and argmax not in overlay:
+            # the cached maximum sits on an untouched vertex
+            if self._max > best:
+                best = self._max
+        else:
+            for v, lv in l.items():
+                if lv > best and v != a and v != b and v not in overlay:
+                    best = lv
+        return best
 
     def apply_move(self, bid: BlockId, proc: Optional[Processor]) -> float:
         """Commit a reassignment; returns the new makespan."""

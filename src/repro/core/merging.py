@@ -24,29 +24,35 @@ from repro.platform.cluster import Cluster
 
 Node = Hashable
 
-#: maximum number of times a vertex is re-queued (the paper's counter: at
-#: most two re-inserts, ``nu.c <= 1`` checked before incrementing)
-MAX_RETRIES = 2
-
 
 def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
                       cluster: Cluster, cache: RequirementCache,
                       pool: Optional[List[BlockId]] = None,
                       evaluator: Optional[MakespanEvaluator] = None,
-                      ) -> Tuple[float, Optional[BlockId], Optional[BlockId]]:
+                      ) -> Tuple[Optional[BlockId], Optional[BlockId]]:
     """Algorithm 3: best feasible merge of ``nu`` into one of ``candidates``.
 
-    Returns ``(best_makespan, best_partner, optional_third_vertex)``;
-    partner is ``None`` when no feasible merge exists. The graph is left
-    exactly as it was (every tentative merge is undone). ``pool`` overrides
-    the set of partners examined (default: ``nu``'s quotient neighbours,
-    as in the paper). ``q`` must be acyclic, as every quotient Step 3 sees
-    is: a merge can then only close cycles through the merged vertex.
-    """
-    best_mu = float("inf")
-    best_partner: Optional[BlockId] = None
-    best_third: Optional[BlockId] = None
+    Returns ``(best_partner, optional_third_vertex)``; partner is ``None``
+    when no feasible merge exists. ``pool`` overrides the set of partners
+    examined (default: ``nu``'s quotient neighbours, as in the paper).
+    ``q`` must be acyclic, as every quotient Step 3 sees is: a merge can
+    then only close cycles through the merged vertex.
 
+    Blocks, edges and processors are left as they were, but dict order is
+    not: every examined partner leaves ``nu`` and itself re-appended, as a
+    tentative merge followed by an unmerge leaves them
+    (:meth:`QuotientGraph.unmerge`), and consumes the block ids those
+    merges take. Later tie-breaks read that order.
+
+    Among the feasible candidates the last one of least estimated
+    makespan wins (``mu <= best``), so a lone feasible candidate needs no
+    price. With an evaluator, a candidate whose merge closes no cycle
+    is checked and priced without merging (:meth:`QuotientGraph.reappend`,
+    :meth:`MakespanEvaluator.eval_merge`); one that closes a cycle is
+    merged, repaired and priced while merged. Without one, every
+    candidate is merged and priced by a full recompute.
+    """
+    feasible: List[Tuple[BlockId, Optional[BlockId], Optional[float]]] = []
     for partner in (pool if pool is not None else q.neighbors(nu)):
         if partner not in candidates or partner == nu:
             continue
@@ -54,26 +60,18 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
         if proc is None:
             continue
 
-        merged_id, token1 = q.merge(nu, partner)
-        token2 = None
-        third: Optional[BlockId] = None
-        # the whole-graph search runs only when a cycle exists; its choice
-        # of cycle decides which third vertex is absorbed
-        cycle = q.find_cycle() if _on_cycle(q, merged_id) else None
-        if cycle is not None:
-            if len(cycle) == 2:
-                other = cycle[0] if cycle[0] != merged_id else cycle[1]
-                merged2_id, token2 = q.merge(merged_id, other)
-                if _on_cycle(q, merged2_id):
-                    q.unmerge(token2)
-                    q.unmerge(token1)
-                    continue
-                third = other
-                merged_id = merged2_id
-            else:
-                q.unmerge(token1)
-                continue
+        if evaluator is not None and not _merge_closes_cycle(q, nu, partner):
+            fits = cache.fits(q.blocks[nu].tasks | q.blocks[partner].tasks,
+                              proc.memory)
+            q.reappend(nu, partner)
+            if fits:
+                feasible.append((partner, None, None))
+            continue
 
+        merged = _tentative_merge(q, nu, partner)
+        if merged is None:
+            continue
+        merged_id, third, tokens = merged
         if cache.fits(q.blocks[merged_id].tasks, proc.memory):
             # estimated makespan with the merged vertex on partner's proc
             q.set_proc(merged_id, proc)
@@ -82,26 +80,68 @@ def find_ms_opt_merge(q: QuotientGraph, nu: BlockId, candidates: Set[BlockId],
             else:
                 mu = makespan(q, cluster)
             q.set_proc(merged_id, None)
-            if mu <= best_mu:
-                best_mu = mu
-                best_partner = partner
-                best_third = third
+            feasible.append((partner, third, mu))
+        for token in tokens:
+            q.unmerge(token)
 
-        if token2 is not None:
-            q.unmerge(token2)
-        q.unmerge(token1)
+    if len(feasible) == 1:
+        return feasible[0][0], feasible[0][1]
+    best_mu = float("inf")
+    best_partner: Optional[BlockId] = None
+    best_third: Optional[BlockId] = None
+    for partner, third, mu in feasible:
+        if mu is None:
+            mu = evaluator.eval_merge(nu, partner, q.blocks[partner].proc)
+        if mu <= best_mu:
+            best_mu = mu
+            best_partner = partner
+            best_third = third
+    return best_partner, best_third
 
-    return best_mu, best_partner, best_third
+
+def _tentative_merge(q: QuotientGraph, nu: BlockId, partner: BlockId):
+    """Merge ``nu`` and ``partner``, absorbing the third vertex of a 2-cycle.
+
+    Returns ``(merged_id, third, undo_tokens)`` with the tokens in undo
+    order, or ``None`` (graph restored) when the merge closes a longer
+    cycle or the repair closes another one.
+    """
+    merged_id, token1 = q.merge(nu, partner)
+    if not _on_cycle(q, merged_id):
+        return merged_id, None, (token1,)
+    # the whole-graph search decides which third vertex is absorbed
+    cycle = q.find_cycle()
+    if len(cycle) == 2:
+        other = cycle[0] if cycle[0] != merged_id else cycle[1]
+        merged2_id, token2 = q.merge(merged_id, other)
+        if not _on_cycle(q, merged2_id):
+            return merged2_id, other, (token2, token1)
+        q.unmerge(token2)
+    q.unmerge(token1)
+    return None
+
+
+def _merge_closes_cycle(q: QuotientGraph, a: BlockId, b: BlockId) -> bool:
+    """Whether merging ``a`` and ``b`` of an acyclic ``q`` closes a cycle:
+    some child of either, other than the two, reaches one of them."""
+    succ = q.succ
+    return _reaches(q, [x for x in succ[a] if x != b]
+                    + [x for x in succ[b] if x != a], (a, b))
 
 
 def _on_cycle(q: QuotientGraph, v: BlockId) -> bool:
     """Whether ``v`` lies on a directed cycle: a search of its descendants."""
+    return _reaches(q, q.succ[v], (v,))
+
+
+def _reaches(q: QuotientGraph, starts, targets) -> bool:
+    """Whether a path of ``q`` leads from one of ``starts`` into ``targets``."""
     succ = q.succ
     seen: Set[BlockId] = set()
-    stack = list(succ[v])
+    stack = list(starts)
     while stack:
         x = stack.pop()
-        if x == v:
+        if x in targets:
             return True
         if x not in seen:
             seen.add(x)
@@ -159,11 +199,11 @@ def merge_unassigned_to_assigned(q: QuotientGraph, cluster: Cluster,
             partner = None
             third = None
             if prefer_off_critical_path:
-                _, partner, third = find_ms_opt_merge(
+                partner, third = find_ms_opt_merge(
                     q, nu, assigned - path, cluster, cache,
                     evaluator=evaluator)
             if partner is None:
-                _, partner, third = find_ms_opt_merge(
+                partner, third = find_ms_opt_merge(
                     q, nu, assigned, cluster, cache, evaluator=evaluator)
 
             if partner is not None:
@@ -171,7 +211,6 @@ def merge_unassigned_to_assigned(q: QuotientGraph, cluster: Cluster,
                 path = _path()
                 progress = True
             else:
-                q.blocks[nu].retry_count += 1
                 next_round.append(nu)
         if next_round and not progress:
             # Last resorts beyond the paper's pseudocode:
@@ -186,7 +225,7 @@ def merge_unassigned_to_assigned(q: QuotientGraph, cluster: Cluster,
             else:
                 assigned = q.assigned_ids()
                 slack_pool = _by_memory_slack(q, assigned, cache)
-                _, partner, third = find_ms_opt_merge(
+                partner, third = find_ms_opt_merge(
                     q, nu, assigned, cluster, cache, pool=slack_pool,
                     evaluator=evaluator)
                 if partner is None:

@@ -4,7 +4,9 @@ Each quotient vertex is a block of workflow tasks; its weight is the sum of
 task works, and the weight of a quotient edge is the sum of all workflow
 edge costs between the two blocks. Step 3 of DagHetPart performs many
 *tentative* merges, so :meth:`QuotientGraph.merge` returns an undo token
-and :meth:`QuotientGraph.unmerge` restores the previous state exactly.
+and :meth:`QuotientGraph.unmerge` restores the previous blocks, weights
+and edges exactly (the dict order of the two restored vertices is the one
+thing that changes; see :meth:`QuotientGraph.unmerge`).
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ class QBlock:
     tasks: Set[Node]
     work: float
     proc: Optional[Processor] = None
-    #: re-insertion counter of Step 3 (the paper's ``nu.c``)
-    retry_count: int = 0
 
 
 class _UndoToken:
@@ -75,8 +75,8 @@ class QuotientGraph:
         #: for incremental consumers such as the makespan evaluator)
         self.version = 0
         #: bumped only on *structural* mutations (merge / unmerge /
-        #: block additions / edge rebuilds) — processor reassignment
-        #: leaves it untouched. Keys the compiled CSR view
+        #: reappend / block additions / edge rebuilds) — processor
+        #: reassignment leaves it untouched. Keys the compiled CSR view
         #: (:class:`repro.core.compiled.CompiledQuotient`), which depends
         #: on adjacency and block works but not on the mapping.
         self.structure_version = 0
@@ -350,7 +350,19 @@ class QuotientGraph:
         return new_id, token
 
     def unmerge(self, token: _UndoToken) -> None:
-        """Exactly reverse the merge that produced ``token``."""
+        """Reverse the merge that produced ``token``.
+
+        Blocks, works, processors and edge weights come back exactly, and
+        each restored vertex keeps its own adjacency order. Dict order does
+        not: ``a`` then ``b`` are re-inserted at the end of ``blocks``,
+        ``succ`` and ``pred``, and at the end of every neighbour's
+        adjacency dict (each child's ``pred`` gets ``a`` for ``a``'s
+        children, then ``b`` for ``b``'s; each parent's ``succ`` likewise).
+        :meth:`reappend` leaves exactly this order without merging. The
+        order feeds tie-breaks downstream (candidate order, the cycle
+        :meth:`find_cycle` returns, the first maximal child of a critical
+        path), so a merge followed by an unmerge is not a no-op.
+        """
         new_id = token.new_id
         for x in self.succ[new_id]:
             del self.pred[x][new_id]
@@ -380,6 +392,30 @@ class QuotientGraph:
         for u in token.block_b.tasks:
             self._task_block[u] = b
         self._log(("unmerge", new_id, a, b))
+
+    def reappend(self, a: BlockId, b: BlockId) -> None:
+        """Leave the graph as ``unmerge(merge(a, b)[1])`` would, without merging.
+
+        Consumes the block id the merge would have taken and re-appends
+        ``a`` and ``b`` in the order :meth:`unmerge` restores them.
+        Weights, works and edges are untouched, so the op log and
+        :attr:`version` are too (incremental consumers have nothing to
+        reprice); only the compiled CSR view, which freezes iteration
+        order, is dropped.
+        """
+        next(self._ids)
+        for table in (self.blocks, self.succ, self.pred):
+            table[a] = table.pop(a)
+            table[b] = table.pop(b)
+        succ, pred = self.succ, self.pred
+        for old, adj, reverse in ((a, succ[a], pred), (b, succ[b], pred),
+                                  (a, pred[a], succ), (b, pred[b], succ)):
+            for x in adj:
+                if x != a and x != b:
+                    rev = reverse[x]
+                    rev[old] = rev.pop(old)
+        self.structure_version += 1
+        self._compiled = None
 
     # ------------------------------------------------------------------
     def topological_order(self) -> Optional[List[BlockId]]:

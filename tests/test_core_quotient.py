@@ -74,6 +74,34 @@ class TestMergeUnmerge:
             for x, c in nbrs.items():
                 assert q.pred[x][bid] == c
 
+    def test_merge_unmerge_leaves_the_reappend_order(self, fig1_workflow,
+                                                     fig1_partition):
+        """A merge and its unmerge re-append both vertices everywhere, in
+        the order reappend leaves, and consume one block id."""
+        def order(q):
+            return (list(q.blocks), list(q.succ), list(q.pred),
+                    [(v, list(adj)) for v, adj in q.succ.items()],
+                    [(v, list(adj)) for v, adj in q.pred.items()])
+
+        for a in range(4):
+            for b in range(4):
+                if a == b:
+                    continue
+                undone = QuotientGraph.from_partition(fig1_workflow, fig1_partition)
+                _, token = undone.merge(a, b)
+                undone.unmerge(token)
+                reappended = QuotientGraph.from_partition(fig1_workflow,
+                                                          fig1_partition)
+                reappended.reappend(a, b)
+                assert order(undone) == order(reappended)
+                assert next(undone._ids) == next(reappended._ids) == 5
+        q = QuotientGraph.from_partition(fig1_workflow, fig1_partition)
+        v1, v2, v3, v4 = (q.block_of(u) for u in (1, 5, 6, 9))
+        assert list(q.pred[v4]) == [v2, v3]
+        q.reappend(v1, v2)
+        assert list(q.blocks) == [v3, v4, v1, v2]
+        assert list(q.pred[v4]) == [v3, v2]
+
     def test_nested_merge_unmerge(self, fig1_workflow, fig1_partition):
         q = QuotientGraph.from_partition(fig1_workflow, fig1_partition)
         snapshot = {bid: set(b.tasks) for bid, b in q.blocks.items()}
