@@ -10,10 +10,13 @@ the PR's perf-trajectory contract:
   passes on the fan and wide shapes) clear :data:`SPEEDUP_FLOOR` (5x);
 * **no regression** — when the committed ``BENCH_core.json`` baseline is
   present at the repo root, every case keeps at least half its committed
-  speedup (the same gate CI's perf-gates leg runs via ``repro profile
-  --check``). It compares measured speedups against committed ones, so it
-  is marked ``wallclock`` and deselected by default (``-m wallclock``
-  runs it).
+  speedup.
+
+The last two compare measured speedups, so a loaded machine can fail them
+with no code change: both are marked ``wallclock`` and deselected by
+default (``-m wallclock`` runs them). CI's perf-gates leg enforces both
+through ``repro profile --check BENCH_core.json``; the default run keeps
+the equivalence check.
 
 Environment knobs:
 
@@ -65,6 +68,7 @@ def test_kernels_bit_for_bit_equal(report):
     assert not unequal, f"kernels disagree on: {unequal}"
 
 
+@pytest.mark.wallclock
 def test_gated_cases_clear_absolute_floor(report):
     """The headline full-pass cases are >= 5x over the reference kernel."""
     for name, case in report["cases"].items():

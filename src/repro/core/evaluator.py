@@ -59,7 +59,6 @@ from typing import Dict, List, Optional
 
 from repro.core.makespan import bottom_weights, follow_critical_path, link_rule
 from repro.core.quotient import BlockId, QuotientGraph
-from repro.platform.bandwidth import UniformBandwidth
 from repro.platform.cluster import Cluster
 from repro.platform.processor import Processor
 from repro.utils.errors import CyclicWorkflowError
@@ -81,7 +80,6 @@ class MakespanEvaluator:
         self.q = q
         self.cluster = cluster
         self.default_speed = default_speed
-        self._uniform = isinstance(cluster.bandwidth_model, UniformBandwidth)
         self._link_of = link_rule(cluster)
         self._l: Dict[BlockId, float] = {}
         self._max = 0.0

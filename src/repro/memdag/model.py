@@ -90,7 +90,8 @@ class TraversalState:
 class BlockStatics:
     """Per-task quantities of one block that no traversal changes.
 
-    One pass over the block's in-edges computes, for every task ``u``:
+    One pass over each task's parent dict, memory and child dict, read
+    through :meth:`Workflow.adjacency`, computes for every task ``u``:
 
     * ``terms[u] = (ext_in, m, out, delta)`` — the three addends of the
       usage while ``u`` executes and the net change of the resident set
@@ -115,24 +116,33 @@ class BlockStatics:
         self.delta: Dict[Node, float] = {}
         self.n_pred: Dict[Node, int] = {}
         self.kids: Dict[Node, List[Node]] = {}
+        terms, a, deltas, n_preds, kids = (
+            self.terms, self.a, self.delta, self.n_pred, self.kids)
+        # ``out`` is the sum out_cost() computes
+        parents, memory, children = wf.adjacency()
         for u in block:
             ext_in = 0.0
             freed = 0.0
             n_pred = 0
-            for p, c in wf.in_edges(u):
+            for p, c in parents[u].items():
                 if p in block:
                     freed += c
                     n_pred += 1
                 else:
                     ext_in += c
-            m = wf.memory(u)
-            out = wf.out_cost(u)
+            m = memory[u]
+            outs = children[u]
+            out = sum(outs.values())
             delta = out - freed
-            self.terms[u] = (ext_in, m, out, delta)
-            self.a[u] = ext_in + m + out
-            self.delta[u] = delta
-            self.n_pred[u] = n_pred
-            self.kids[u] = [v for v in wf.children(u) if v in block]
+            terms[u] = (ext_in, m, out, delta)
+            a[u] = ext_in + m + out
+            deltas[u] = delta
+            n_preds[u] = n_pred
+            # a plain loop: cheaper than a comprehension on these short lists
+            kids[u] = in_block = []
+            for v in outs:
+                if v in block:
+                    in_block.append(v)
 
 
 def traversal_peak(statics: BlockStatics, order: Sequence[Node]) -> float:

@@ -25,17 +25,30 @@ The merge implemented here is the standard two-class rule:
 Within one sequence the order is fixed, so sequences are first *normalized*
 (adjacent segments whose keys are out of order are fused into one atomic
 segment with ``h = max(h1, v1 + h2)``, ``v = v1 + v2``), after which keys
-are monotone and a greedy k-way head merge realizes the rule exactly.
+are monotone and a greedy k-way head merge realizes the rule exactly. That
+merge is one stable sort of the normalized sequences' concatenation by key
+(:func:`merged_segments`); tasks that are pairwise independent are
+one-segment sequences, ordered by :func:`merge_key` directly.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Hashable, List, NamedTuple, Sequence, Tuple
+from typing import Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 Node = Hashable
 
 _EPS = 1e-12
+
+
+def merge_key(h: float, v: float) -> Tuple[int, float]:
+    """Sort key of the two-class merge rule for hill ``h`` and valley ``v``.
+
+    Releasers (``v <= 0``, up to ``_EPS``) come first by increasing hill,
+    then producers by decreasing ``h - v``; lower keys run earlier.
+    """
+    if v <= _EPS:
+        return (0, h)
+    return (1, -(h - v))
 
 
 class Segment(NamedTuple):
@@ -52,9 +65,7 @@ class Segment(NamedTuple):
 
     def key(self) -> Tuple[int, float]:
         """Sort key of the two-class merge rule (lower runs earlier)."""
-        if self.v <= _EPS:
-            return (0, self.h)
-        return (1, -(self.h - self.v))
+        return merge_key(self.h, self.v)
 
     def fuse(self, other: "Segment") -> "Segment":
         """Concatenate ``self`` directly followed by ``other``."""
@@ -113,7 +124,7 @@ def decompose_profile(order: Sequence[Node], a, delta) -> List[Segment]:
     return segments
 
 
-def normalize_segments(segments: List[Segment]) -> List[Segment]:
+def normalize_segments(segments: Sequence[Segment]) -> List[Segment]:
     """Fuse adjacent segments until merge keys are non-decreasing.
 
     The greedy k-way merge is only optimal when each sequence presents its
@@ -122,42 +133,51 @@ def normalize_segments(segments: List[Segment]) -> List[Segment]:
     monotonicity (stack-based, O(n) amortized).
     """
     stack: List[Segment] = []
-    for seg in segments:
-        stack.append(seg)
-        while len(stack) >= 2 and stack[-1].key() < stack[-2].key():
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(left.fuse(right))
+    _normalize_onto(segments, stack, [])
     return stack
+
+
+def _normalize_onto(segments: Sequence[Segment], stack: List[Segment],
+                    keys: List[Tuple[int, float]]) -> None:
+    """Push ``segments``, normalized, onto ``stack`` (and their keys onto
+    ``keys``) without touching what the stacks already held."""
+    base = len(stack)
+    for seg in segments:
+        key = merge_key(seg.h, seg.v)
+        while len(stack) > base and key < keys[-1]:
+            seg = stack.pop().fuse(seg)
+            keys.pop()
+            key = merge_key(seg.h, seg.v)
+        stack.append(seg)
+        keys.append(key)
+
+
+def merged_segments(sequences: Iterable[Sequence[Segment]]) -> List[Segment]:
+    """The segments of independent sequences in their peak-minimizing order.
+
+    Each sequence is normalized, so its keys are non-decreasing; the greedy
+    head merge (consume the smallest head key, the earlier sequence on a
+    tie) then yields the segments sorted by ``(key, sequence, position)``,
+    which is one stable sort of their concatenation by key.
+    """
+    segments: List[Segment] = []
+    keys: List[Tuple[int, float]] = []
+    for seq in sequences:
+        _normalize_onto(seq, segments, keys)
+    ranks = sorted(range(len(segments)), key=keys.__getitem__)
+    return [segments[i] for i in ranks]
 
 
 def merge_segment_sequences(sequences: List[List[Segment]]) -> Tuple[List[Node], float]:
     """Interleave independent segment sequences minimizing the joint peak.
 
-    Returns the merged task order and its peak (relative to a zero start).
-    Sequences are normalized first; then heads are consumed greedily in key
-    order, which realizes the two-class rule subject to sequence order.
+    Returns the merged task order and its peak (relative to a zero start):
+    the two-class rule subject to sequence order, see
+    :func:`merged_segments`.
     """
-    # a one-segment sequence is normalized already
-    normalized = [seq if len(seq) == 1 else normalize_segments(seq)
-                  for seq in sequences if seq]
-    # entries are distinct (by sequence index), so they pop in one order
-    # however the heap was built
-    heap = [(seq[0].key(), si, 0) for si, seq in enumerate(normalized)]
-    heapq.heapify(heap)
-
-    order: List[Node] = []
-    live = 0.0
-    peak = 0.0
-    while heap:
-        _, si, idx = heapq.heappop(heap)
-        seg = normalized[si][idx]
-        order.extend(seg.tasks)
-        peak = max(peak, live + seg.h)
-        live += seg.v
-        if idx + 1 < len(normalized[si]):
-            heapq.heappush(heap, (normalized[si][idx + 1].key(), si, idx + 1))
-    return order, peak
+    merged = merged_segments(sequences)
+    order = [u for seg in merged for u in seg.tasks]
+    return order, peak_of_segments(merged)
 
 
 def peak_of_segments(segments: Sequence[Segment]) -> float:

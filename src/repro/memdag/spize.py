@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Set
 
 from repro.memdag.model import BlockStatics
-from repro.memdag.segments import Segment, merge_segment_sequences
+from repro.memdag.segments import merge_key
 from repro.workflow.graph import Workflow
 
 Node = Hashable
@@ -58,10 +58,10 @@ def layered_order(st: BlockStatics) -> List[Node]:
     for u in ready:
         by_level.setdefault(levels[u], []).append(u)
 
+    # a level's tasks are one-segment sequences, so the hill-valley merge
+    # of the level is a stable sort by merge key
     a, delta = st.a, st.delta
     order: List[Node] = []
     for lvl in sorted(by_level):
-        sequences = [[Segment((u,), a[u], delta[u])] for u in by_level[lvl]]
-        merged, _ = merge_segment_sequences(sequences)
-        order.extend(merged)
+        order += sorted(by_level[lvl], key=lambda u: merge_key(a[u], delta[u]))
     return order

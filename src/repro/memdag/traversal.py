@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.memdag.model import BlockStatics, traversal_peak
-from repro.memdag.segments import Segment, decompose_profile, merge_segment_sequences
+from repro.memdag.segments import Segment, decompose_profile, merged_segments
 from repro.memdag.sp_tree import SERIES, LightTree, parallel_branches, sp_reduce
 from repro.memdag.spize import layered_order
 from repro.workflow.graph import Workflow
@@ -66,24 +66,28 @@ def best_first_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Lis
 
 
 def _best_first_order(wf: Workflow, st: BlockStatics) -> List[Node]:
+    # heap entries are (releaser class, a, delta, insertion rank, task);
+    # ranks are unique, so tasks are never compared
     a, delta, kids = st.a, st.delta, st.kids
     seq = wf.positions()
-
-    def prio(u: Node) -> Tuple[int, float, float, int]:
-        d = delta[u]
-        return (0 if d <= 0 else 1, a[u], d, seq[u])
-
     pending = dict(st.n_pred)
-    heap = [prio(u) + (u,) for u in st.block if pending[u] == 0]
+    heap = []
+    for u in st.block:
+        if pending[u] == 0:
+            d = delta[u]
+            heap.append((0 if d <= 0 else 1, a[u], d, seq[u], u))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: List[Node] = []
     while heap:
-        *_, u = heapq.heappop(heap)
+        u = heappop(heap)[4]
         order.append(u)
         for v in kids[u]:
-            pending[v] -= 1
-            if pending[v] == 0:
-                heapq.heappush(heap, prio(v) + (v,))
+            left = pending[v] - 1
+            pending[v] = left
+            if left == 0:
+                d = delta[v]
+                heappush(heap, (0 if d <= 0 else 1, a[v], d, seq[v], v))
     if len(order) != len(st.block):
         raise ValueError("block graph contains a cycle")
     return order
@@ -122,8 +126,8 @@ def _sp_order(tree: LightTree, nodes: Sequence[Node], a: Dict[Node, float],
                 groups[-1].append(decompose_profile(out, a, delta))
                 out = enclosing.pop()
             else:
-                merged, _ = merge_segment_sequences(groups.pop())
-                out.extend(merged)
+                for seg in merged_segments(groups.pop()):
+                    out += seg.tasks
         elif type(item) is list:
             groups[-1].append(item)
         elif not item:

@@ -193,6 +193,19 @@ class Workflow:
     def in_edges(self, u: Node) -> Iterator[Tuple[Node, float]]:
         return iter(self._pred[u].items())
 
+    def adjacency(self) -> Tuple[Dict[Node, Dict[Node, float]], Dict[Node, float],
+                                 Dict[Node, Dict[Node, float]]]:
+        """``(parents, memory, children)`` of every task, for bulk readers.
+
+        ``parents[u]`` maps each parent ``p`` to ``c_{p,u}`` and
+        ``children[u]`` each child ``v`` to ``c_{u,v}``, in the order
+        :meth:`in_edges` and :meth:`out_edges` yield them; ``memory[u]`` is
+        ``m_u``. These are the workflow's own dicts, not copies: callers
+        must not mutate them, and must not hold them across a mutation.
+        ``sum(children[u].values())`` is exactly :meth:`out_cost`.
+        """
+        return self._pred, self._memory, self._succ
+
     def out_degree(self, u: Node) -> int:
         return len(self._succ[u])
 

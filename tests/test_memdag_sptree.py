@@ -82,31 +82,69 @@ class TestWorkflowFamiliesAreSP:
 #: Python run in a subprocess with a fixed hash seed: task ids are strings,
 #: so a block's iteration order -- and with it the engines' tie-breaks --
 #: depends on the seed
-_GOLDEN_ORDERS_SCRIPT = r"""
+#: every Step 1 block (k = 2..16) and its bisection halves, over all seven
+#: families at 200 tasks and blast and genome at 1000; the golden scripts
+#: below append the loop body that hashes ``b``
+_GOLDEN_BLOCKS = r"""
 import hashlib
 from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
-from repro.memdag.traversal import sp_traversal
 from repro.partition.api import acyclic_partition, bisect_block
 from repro.utils.errors import PartitionSplitError
 
+def golden_blocks():
+    inputs = [(f, 200) for f in WORKFLOW_FAMILIES] + [("blast", 1000), ("genome", 1000)]
+    for family, n in inputs:
+        wf = generate_workflow(family, n, seed=0)
+        for k in (2, 4, 8, 16):
+            for block in acyclic_partition(wf, k):
+                blocks = [block]
+                try:
+                    blocks.extend(bisect_block(wf, block))
+                except PartitionSplitError:
+                    pass
+                for b in blocks:
+                    yield wf, b
+
 digest = hashlib.sha256()
+"""
+
+_GOLDEN_ORDERS_SCRIPT = _GOLDEN_BLOCKS + r"""
+from repro.memdag.traversal import sp_traversal
+
 kinds = set()
-inputs = [(f, 200) for f in WORKFLOW_FAMILIES] + [("blast", 1000), ("genome", 1000)]
-for family, n in inputs:
-    wf = generate_workflow(family, n, seed=0)
-    for k in (2, 4, 8, 16):
-        for block in acyclic_partition(wf, k):
-            blocks = [block]
-            try:
-                blocks.extend(bisect_block(wf, block))
-            except PartitionSplitError:
-                pass
-            for b in blocks:
-                order = sp_traversal(wf, b)
-                kinds.add(order is not None)
-                digest.update(repr((sorted(b), order)).encode())
+for wf, b in golden_blocks():
+    order = sp_traversal(wf, b)
+    kinds.add(order is not None)
+    digest.update(repr((sorted(b), order)).encode())
 print(digest.hexdigest(), sorted(kinds))
 """
+
+_GOLDEN_RESULTS_SCRIPT = _GOLDEN_BLOCKS + r"""
+from repro.memdag.spize import layered_traversal
+from repro.memdag.traversal import best_first_traversal, memdag_traversal
+
+methods = set()
+for wf, b in golden_blocks():
+    result = memdag_traversal(wf, b)
+    methods.add(result.method)
+    digest.update(repr((sorted(b), result.order, result.peak.hex(), result.method,
+                        best_first_traversal(wf, b),
+                        layered_traversal(wf, b))).encode())
+print(digest.hexdigest(), sorted(methods))
+"""
+
+
+def _run_golden(script):
+    """``script``'s stdout words, run with a fixed hash seed: node ids are
+    strings, and the engines' tie-breaks follow set iteration order."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout.split()
 
 
 class TestGoldenOrders:
@@ -115,16 +153,17 @@ class TestGoldenOrders:
         bisection halves, over all seven families at 200 tasks and blast
         and genome at 1000, hashes to a recorded digest: a rewrite of the
         SP engine must reproduce every order (or ``None``) exactly."""
-        import os
-        import subprocess
-        import sys
-
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONHASHSEED="0",
-                   PYTHONPATH=os.path.abspath(src))
-        out = subprocess.run([sys.executable, "-c", _GOLDEN_ORDERS_SCRIPT],
-                             env=env, capture_output=True, text=True,
-                             check=True).stdout.split()
+        out = _run_golden(_GOLDEN_ORDERS_SCRIPT)
         assert out[1:] == ["[False,", "True]"]  # SP and non-SP blocks occur
         assert out[0] == (
             "2165b7164ec98075577248d0c667ca0af7f306955bb5e979b792719d2a7bef2e")
+
+    def test_memdag_results_of_partition_blocks_are_pinned(self):
+        """On the same blocks, ``memdag_traversal``'s order, peak (bit for
+        bit, as ``float.hex``) and winning method, plus the ``best_first``
+        and ``layered`` orders, hash to a digest recorded before the engines'
+        statics, level sort and segment merge were last rewritten."""
+        out = _run_golden(_GOLDEN_RESULTS_SCRIPT)
+        assert out[1:] == ["['best_first',", "'layered',", "'sp']"]  # each engine wins
+        assert out[0] == (
+            "cb22d3a971634f563825df35fb9e56a700a98670d9fd48471d77c2eb83ec5f43")

@@ -175,6 +175,20 @@ class TestRequirementCache:
         # second call served from the memo, same value
         assert wf.task_requirement("x") == 13.0
 
+    def test_adjacency_matches_the_accessors_after_mutations(self):
+        wf = self._diamond()
+        wf.out_cost("s")  # memoized, then invalidated below
+        wf.add_edge("s", "x", 0.1)
+        wf.remove_edge("y", "t")
+        wf.set_memory("t", 3.0)
+        parents, memory, children = wf.adjacency()
+        assert list(parents) == list(children) == list(wf.tasks())
+        for u in wf.tasks():
+            assert list(parents[u].items()) == list(wf.in_edges(u))
+            assert list(children[u].items()) == list(wf.out_edges(u))
+            assert memory[u] == wf.memory(u)
+            assert sum(children[u].values()) == wf.out_cost(u)
+
     def test_add_edge_invalidates_both_endpoints(self):
         wf = self._diamond()
         before_x = wf.task_requirement("x")
