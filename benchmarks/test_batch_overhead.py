@@ -10,9 +10,18 @@ Two claims are enforced:
   machinery (routing, window bookkeeping, progress hooks) adds no more
   than a small constant factor on top of raw ``solve`` calls for tiny
   instances, where overhead would dominate if it existed.
+
+The second claim compares wall-clock times, so it is marked
+``wallclock``: the default run deselects it (and keeps only the check
+that the façade returns the raw makespans), and CI's perf-gates leg runs
+it with ``pytest -m wallclock``.
 """
 
 from __future__ import annotations
+
+import time
+
+import pytest
 
 import repro.api.cache as cache_module
 from repro.api import ResultCache, ScheduleRequest, iter_solve_batch, solve
@@ -55,17 +64,28 @@ def test_cached_batch_fingerprints_once_per_request(monkeypatch, tmp_path):
     assert len(calls) == 8
 
 
-def test_facade_overhead_bounded(benchmark):
+def test_facade_matches_raw_solves(benchmark):
+    """Streaming 32 tiny solves through the façade gives the makespans of
+    raw ``solve`` calls (the timed bound is
+    :func:`test_facade_overhead_within_3x_raw`)."""
+    requests = _requests(32)
+    baseline = [solve(r) for r in requests]
+    streamed = list(iter_solve_batch(requests))
+    assert [r.makespan for r in streamed] == [r.makespan for r in baseline]
+
+    results = benchmark(lambda: list(iter_solve_batch(requests)))
+    assert [r.makespan for r in results] == [r.makespan for r in baseline]
+
+
+@pytest.mark.wallclock
+def test_facade_overhead_within_3x_raw():
     """Streaming 32 tiny solves through the façade vs raw solve calls.
 
-    The timed assertion is the actual guard (it runs even under
-    ``--benchmark-disable``): on instances small enough that envelope
-    machinery would dominate, the serial façade must stay within a small
-    multiple of bare ``solve`` calls — an accidental re-fingerprinting
-    or per-request pool spin-up shows up here as an order of magnitude.
+    On instances small enough that envelope machinery would dominate, the
+    serial façade must stay within a small multiple of bare ``solve``
+    calls — an accidental re-fingerprinting or per-request pool spin-up
+    shows up here as an order of magnitude.
     """
-    import time
-
     requests = _requests(32)
     start = time.perf_counter()
     baseline = [solve(r) for r in requests]
@@ -80,6 +100,3 @@ def test_facade_overhead_bounded(benchmark):
     # while catching any real per-request regression
     assert facade_elapsed <= 3.0 * raw_elapsed + 0.25, (
         f"façade took {facade_elapsed:.3f}s vs {raw_elapsed:.3f}s raw")
-
-    results = benchmark(lambda: list(iter_solve_batch(requests)))
-    assert [r.makespan for r in results] == [r.makespan for r in baseline]

@@ -18,10 +18,12 @@ a valid traversal):
   optimal merge of independent segment sequences (Liu-style);
 * :mod:`repro.memdag.sp_tree` — recognition + decomposition of two-terminal
   series-parallel DAGs;
-* :mod:`repro.memdag.spize` — level-based SP-ization used as a fallback
-  traversal for non-SP blocks;
+* :mod:`repro.memdag.spize` — level-based SP-ization: the layered
+  traversal of any block, with a certificate that the SP engine would
+  return the same order;
 * :mod:`repro.memdag.traversal` — the candidate traversal generators and the
-  ``memdag_traversal`` front-end that returns the best of them;
+  ``memdag_traversal`` front-end that returns the best of them, skipping
+  the SP engine where the layered certificate holds;
 * :mod:`repro.memdag.requirement` — ``r_{V_i}`` for arbitrary blocks of a
   workflow, with caching keyed by the block's task set, and capacity
   queries (``RequirementCache.fits``) that run only the engines needed.

@@ -6,7 +6,7 @@ Three candidate engines, cheapest first:
   priorities (memory releasers before producers, smaller activations
   first); works on any DAG, O((n + e) log n).
 * :func:`repro.memdag.spize.layered_traversal` — level-synchronized order
-  with optimal intra-level interleaving.
+  with optimal intra-level interleaving, on every block;
 * :func:`sp_traversal` — exact series-parallel engine: SP-tree
   decomposition with hill-valley merging of parallel branches; only
   applicable when the (source/sink augmented) block is TTSP.
@@ -18,6 +18,9 @@ share one :class:`~repro.memdag.model.BlockStatics` pass and are scored by
 the fused :func:`~repro.memdag.model.traversal_peak`; a
 :class:`MemdagSearch` runs them one at a time, so a capacity query can stop
 at the first candidate that fits and a later exact query resume it.
+When ``layered`` certifies that ``sp`` would return its own order
+(:func:`repro.memdag.spize.certified_layered_order`), the search skips
+``sp``: its candidate could only tie ``layered``'s and lose the tie.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.memdag.model import BlockStatics, traversal_peak
 from repro.memdag.segments import Segment, decompose_profile, merged_segments
 from repro.memdag.sp_tree import SERIES, LightTree, parallel_branches, sp_reduce
-from repro.memdag.spize import layered_order
+from repro.memdag.spize import certified_layered_order
 from repro.workflow.graph import Workflow
 
 Node = Hashable
@@ -193,12 +196,15 @@ def _series_parallel_order(st: BlockStatics) -> Optional[List[Node]]:
 
 
 def _engine_order(wf: Workflow, st: BlockStatics,
-                  method: str) -> Optional[Tuple[float, Tuple[Node, ...]]]:
-    """``(peak, order)`` of one engine on the block, ``None`` if it does not apply."""
+                  method: str) -> Optional[Tuple[float, Tuple[Node, ...], bool]]:
+    """``(peak, order, sp_agrees)`` of one engine on the block, ``None`` if
+    it does not apply; ``sp_agrees`` is ``layered``'s certificate that
+    ``sp`` returns the same order, ``False`` for every other engine."""
+    sp_agrees = False
     if method == "best_first":
         order = _best_first_order(wf, st)
     elif method == "layered":
-        order = layered_order(st)
+        order, sp_agrees = certified_layered_order(st)
     elif method == "sp":
         if len(st.block) > SP_SIZE_LIMIT:
             return None
@@ -209,8 +215,8 @@ def _engine_order(wf: Workflow, st: BlockStatics,
         if len(st.block) > EXACT_SIZE_LIMIT:
             return None
         result = _brute_force(st)
-        return result.peak, result.order
-    return traversal_peak(st, order), tuple(order)
+        return result.peak, result.order, False
+    return traversal_peak(st, order), tuple(order), sp_agrees
 
 
 class MemdagSearch:
@@ -221,15 +227,19 @@ class MemdagSearch:
     :data:`ENGINES` order. The block's requirement is the smallest peak
     over all candidates, the earliest engine winning ties, so a search
     stopped early (:meth:`run` with a capacity) and resumed later ends with
-    exactly the result of an uninterrupted one.
+    exactly the result of an uninterrupted one. When ``layered``
+    certifies that ``sp`` returns its order (``sp_settled``), ``sp``
+    stays pending but is not run: its peak would be the same bits, and
+    the earlier engine wins the tie.
     """
 
-    __slots__ = ("methods", "pending", "candidates")
+    __slots__ = ("methods", "pending", "candidates", "sp_settled")
 
     def __init__(self, methods: Sequence[str]):
         self.methods = tuple(methods)
         self.pending: List[str] = [m for m in ENGINES if m in methods]
         self.candidates: List[Tuple[float, str, Tuple[Node, ...]]] = []
+        self.sp_settled = False
 
     def fitting(self, capacity: float) -> Optional[TraversalResult]:
         """The first candidate found so far whose peak is ``<= capacity``."""
@@ -251,13 +261,18 @@ class MemdagSearch:
         if not block:
             self.pending.clear()
             return TraversalResult(order=(), peak=0.0, method="empty")
-        st = BlockStatics(wf, block) if self.pending else None
+        st = None
         while self.pending:
             method = self.pending.pop(0)
+            if method == "sp" and self.sp_settled:
+                continue
+            if st is None:
+                st = BlockStatics(wf, block)
             found = _engine_order(wf, st, method)
             if found is None:
                 continue
-            peak, order = found
+            peak, order, sp_agrees = found
+            self.sp_settled |= sp_agrees
             self.candidates.append((peak, method, order))
             if capacity is not None and peak <= capacity and self.pending:
                 return TraversalResult(order=order, peak=peak, method=method)

@@ -4,7 +4,7 @@ Each fast path is checked bit for bit against the plain code it replaces:
 
 * :class:`BlockStatics` against values recomputed through the public
   ``Workflow`` accessors, one task at a time;
-* ``layered_order``'s per-level sort by :func:`merge_key` against the
+* ``certified_layered_order``'s per-level sort by :func:`merge_key` against the
   hill-valley merge of one-segment sequences, level by level;
 * :func:`merge_segment_sequences` (one stable sort of the normalized
   sequences) against a copy of the greedy heap merge it replaced;
@@ -31,7 +31,7 @@ from repro.memdag.segments import (
     merge_key,
     merge_segment_sequences,
 )
-from repro.memdag.spize import layered_order
+from repro.memdag.spize import certified_layered_order
 from repro.memdag.traversal import best_first_traversal
 from repro.workflow.graph import Workflow
 
@@ -126,7 +126,7 @@ class TestLayeredSort:
     def test_level_sort_is_the_one_segment_merge(self, drawn):
         wf, block = drawn
         statics = BlockStatics(wf, block)
-        assert layered_order(statics) == _levels_merged(statics)
+        assert certified_layered_order(statics)[0] == _levels_merged(statics)
 
     @settings(deadline=None, max_examples=150)
     @given(st.lists(segment_values, max_size=16))
