@@ -7,8 +7,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # numpy backs the array kernels and the compiled CSR views; the
-    # pure-python reference kernels (REPRO_KERNEL=reference) cover every
-    # feature without it, but the default `auto` selection expects it
+    # numpy backs the seeded random streams (utils/rng) that the
+    # workflow generators draw from
     install_requires=["numpy"],
 )

@@ -27,12 +27,6 @@ Commands
                 degradation, migrations, and reaction latency per
                 policy; ``--bench`` runs the warm-start vs cold-re-solve
                 benchmark and gates against ``BENCH_sim.json``;
-``profile``     benchmark the reference vs array kernels on large
-                synthetic instances, write/compare the ``BENCH_core.json``
-                perf-trajectory report (``--check`` is the CI regression
-                gate: it fails when a case's speedup falls below the
-                committed baseline x tolerance, or a gated case drops
-                under the absolute 5x floor);
 ``serve``       run the asyncio HTTP scheduling service (durable job
                 store, live stats, graceful drain); ``--loadtest`` runs
                 the burst benchmark and gates against
@@ -462,8 +456,6 @@ def _simulate_bench(args) -> int:
 
     n = args.n if args.n is not None else DEFAULT_N
     repeats = args.repeats if args.repeats is not None else DEFAULT_REPEATS
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
     report = run_sim_bench(
         n=n, seed=args.seed, repeats=repeats,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr))
@@ -481,68 +473,14 @@ def _simulate_bench(args) -> int:
         write_sim_report(report, args.out)
         print(f"report written to {args.out}")
     if args.check:
-        problems = compare_sim_to_baseline(report, load_sim_report(args.check),
-                                           tolerance=tolerance)
-        if problems:
-            print(f"REGRESSION vs {args.check}:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} (tolerance {tolerance:g})")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """``repro profile``: kernel benchmarks + perf-trajectory gate.
-
-    Exit code 0 on success, 1 when ``--check`` finds a regression (a
-    case below baseline-speedup x tolerance, a gated case below the
-    absolute floor, or any kernel disagreement).
-    """
-    from repro.core.profile import (
-        DEFAULT_N,
-        DEFAULT_REPEATS,
-        DEFAULT_TOLERANCE,
-        compare_to_baseline,
-        load_report,
-        run_profile,
-        write_report,
-    )
-
-    if args.n is None:
-        args.n = DEFAULT_N
-    if args.repeats is None:
-        args.repeats = DEFAULT_REPEATS
-    if args.tolerance is None:
-        args.tolerance = DEFAULT_TOLERANCE
-    cases = args.cases.split(",") if args.cases else None
-    report = run_profile(
-        n=args.n, repeats=args.repeats, seed=args.seed, cases=cases,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    print(f"profile   : n={report['n']} repeats={report['repeats']} "
-          f"numpy={report['numpy']}")
-    for name, case in report["cases"].items():
-        flag = " [gated]" if case["gated"] else ""
-        print(f"  {name:<22} reference {case['reference_s']*1e3:9.2f}ms  "
-              f"array {case['array_s']*1e3:8.2f}ms  "
-              f"speedup {case['speedup']:6.1f}x  "
-              f"equal={case['equal']}{flag}")
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.check:
-        problems = compare_to_baseline(report, load_report(args.check),
-                                       tolerance=args.tolerance)
+        problems = compare_sim_to_baseline(report, load_sim_report(args.check))
         if problems:
             print(f"REGRESSION vs {args.check}:", file=sys.stderr)
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
             return 1
         print(f"no regressions vs {args.check} "
-              f"(tolerance {args.tolerance:g})")
-    elif not all(c["equal"] for c in report["cases"].values()):
-        print("kernels disagree (bit-for-bit check failed)", file=sys.stderr)
-        return 1
+              f"(tolerance {DEFAULT_TOLERANCE:g})")
     return 0
 
 
@@ -587,8 +525,6 @@ def _serve_loadtest(args) -> int:
     )
 
     n_jobs = args.jobs if args.jobs is not None else DEFAULT_JOBS
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
     report = run_service_loadtest(
         n_jobs=n_jobs, workers=args.workers,
         connections=args.connections or DEFAULT_CONNECTIONS,
@@ -614,13 +550,14 @@ def _serve_loadtest(args) -> int:
         print(f"report written to {args.out}")
     if args.check:
         problems = compare_service_to_baseline(
-            report, load_service_report(args.check), tolerance=tolerance)
+            report, load_service_report(args.check))
         if problems:
             print(f"REGRESSION vs {args.check}:", file=sys.stderr)
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
             return 1
-        print(f"no regressions vs {args.check} (tolerance {tolerance:g})")
+        print(f"no regressions vs {args.check} "
+              f"(tolerance {DEFAULT_TOLERANCE:g})")
     return 0
 
 
@@ -853,30 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", metavar="BASELINE",
                    help="compare the bench against a committed report; "
                         "exit 1 on regression (the CI warm-start gate)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed fraction of the baseline speedup "
-                        "(default 0.4)")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "profile", help="benchmark the kernels / gate the perf trajectory")
-    p.add_argument("--n", type=int, default=None,
-                   help="instance size for the scaled cases "
-                        "(default 100000, the acceptance scale)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="min-of-k repetitions per kernel (default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", metavar="A,B,...",
-                   help="comma-separated case subset (default: all)")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the JSON report (e.g. BENCH_core.json)")
-    p.add_argument("--check", metavar="BASELINE",
-                   help="compare against a committed report; exit 1 on "
-                        "regression (the CI bench gate)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed fraction of the baseline speedup "
-                        "(default 0.5)")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "serve", help="run the HTTP scheduling service / the load test")
@@ -918,9 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", metavar="BASELINE",
                    help="compare the load test against a committed report; "
                         "exit 1 on regression (the CI service gate)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed fraction of the baseline efficiency "
-                        "(default 0.5)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

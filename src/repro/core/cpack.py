@@ -33,9 +33,6 @@ default membership. On instances where no contiguous cut of any
 traversal fits the cluster (co-scheduling structurally required), it
 raises :class:`NoFeasibleMappingError`; the portfolio simply drops the
 contender for that instance.
-
-Everything here is kernel-independent plain python: the packer makes
-identical decisions under ``REPRO_KERNEL=reference`` and ``array``.
 """
 
 from __future__ import annotations

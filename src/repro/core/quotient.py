@@ -74,18 +74,6 @@ class QuotientGraph:
         #: bumped on every structural or mapping mutation (dirty marker
         #: for incremental consumers such as the makespan evaluator)
         self.version = 0
-        #: bumped only on *structural* mutations (merge / unmerge /
-        #: reappend / block additions / edge rebuilds) — processor
-        #: reassignment leaves it untouched. Keys the compiled CSR view
-        #: (:class:`repro.core.compiled.CompiledQuotient`), which depends
-        #: on adjacency and block works but not on the mapping.
-        self.structure_version = 0
-        #: cache slot owned by :meth:`CompiledQuotient.of`
-        self._compiled = None
-        #: block ids whose proc changed since the compiled view last
-        #: refreshed its speed vector; ``None`` = unknown, rebuild fully.
-        #: Owned (consumed and cleared) by the compiled view.
-        self._proc_dirty: Optional[Set[BlockId]] = set()
         self._oplog: Optional[List[Tuple]] = None
         self._oplog_overflow = False
 
@@ -114,22 +102,8 @@ class QuotientGraph:
         self._oplog_overflow = False
         return ops, overflow
 
-    #: _proc_dirty collapses to "rebuild fully" beyond this size
-    PROC_DIRTY_CAP = 4096
-
     def _log(self, op: Tuple) -> None:
         self.version += 1
-        if op[0] != "proc":  # everything else rewires blocks or adjacency
-            self.structure_version += 1
-            self._compiled = None
-        else:
-            dirty = self._proc_dirty
-            if dirty is not None:
-                bid = op[1]
-                if bid is None or len(dirty) >= self.PROC_DIRTY_CAP:
-                    self._proc_dirty = None
-                else:
-                    dirty.add(bid)
         log = self._oplog
         if log is None:
             return
@@ -153,8 +127,7 @@ class QuotientGraph:
 
         Call this after writing ``blk.proc`` directly instead of through
         :meth:`set_proc` — it bumps the version so incremental consumers
-        (the evaluator's caches, the compiled view's speed vectors) know
-        to refresh.
+        (the evaluator's caches) know to refresh.
         """
         self._log(("proc", None))
 
@@ -247,8 +220,7 @@ class QuotientGraph:
         """Replace the work of ``bid`` (runtime-inflation events).
 
         Logged as ``("work", bid)``; incremental consumers reprice the
-        block and its ancestors only. The compiled CSR view refreshes too
-        (work is part of its structure snapshot).
+        block and its ancestors only.
         """
         self.blocks[bid].work = float(work)
         self._log(("work", bid))
@@ -400,8 +372,7 @@ class QuotientGraph:
         ``a`` and ``b`` in the order :meth:`unmerge` restores them.
         Weights, works and edges are untouched, so the op log and
         :attr:`version` are too (incremental consumers have nothing to
-        reprice); only the compiled CSR view, which freezes iteration
-        order, is dropped.
+        reprice).
         """
         next(self._ids)
         for table in (self.blocks, self.succ, self.pred):
@@ -414,8 +385,6 @@ class QuotientGraph:
                 if x != a and x != b:
                     rev = reverse[x]
                     rev[old] = rev.pop(old)
-        self.structure_version += 1
-        self._compiled = None
 
     # ------------------------------------------------------------------
     def topological_order(self) -> Optional[List[BlockId]]:

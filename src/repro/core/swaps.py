@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import get_kernel
 from repro.core.makespan import critical_path, link_rule, makespan
 from repro.core.quotient import BlockId, QuotientGraph
 from repro.memdag.requirement import RequirementCache
@@ -79,11 +78,7 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
         best_pair: Optional[Tuple[BlockId, BlockId]] = None
         path = ev.critical_path() if ev is not None else critical_path(q, cluster)
         chain = _PathChain(q, path, link_of, default_speed)
-        # candidate enumeration (proc-identity + memory feasibility) is a
-        # kernel: the pair order is part of the contract, since ties in
-        # makespan go to the first-seen pair
-        pairs = get_kernel().feasible_swap_pairs(ids, requirement, q.blocks)
-        for a, b in pairs:
+        for a, b in _feasible_pairs(ids, requirement, q.blocks):
             if chain.swapped(a, b) >= best_mu - 1e-12:
                 continue  # cannot pass the acceptance test below
             if ev is not None:
@@ -110,6 +105,26 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
         current = best_mu
         applied += 1
     return applied
+
+
+def _feasible_pairs(ids: List[BlockId], requirement: Dict[BlockId, float],
+                    blocks) -> List[Tuple[BlockId, BlockId]]:
+    """Swap candidates ``(a, b)`` in nested ``i < j`` order.
+
+    A pair is feasible when the two blocks sit on different processor
+    objects and each fits the other's memory. The order matters: ties in
+    makespan go to the first-seen pair.
+    """
+    pairs: List[Tuple[BlockId, BlockId]] = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            pa, pb = blocks[a].proc, blocks[b].proc
+            if pa is pb:
+                continue
+            if requirement[a] > pb.memory or requirement[b] > pa.memory:
+                continue
+            pairs.append((a, b))
+    return pairs
 
 
 class _PathChain:

@@ -9,11 +9,7 @@
   tasks) with simulated Lotaru historical traces (heavy-tailed weights for
   a subset of tasks, weight 1 elsewhere, min-normalized);
 * :mod:`repro.generators.random_dag` — layered random DAGs for tests and
-  property-based checks;
-* :mod:`repro.generators.synthetic_arrays` — array-native synthetic DAGs
-  (fan/chain/wide/layered) emitted directly as
-  :class:`~repro.workflow.compiled.CompiledWorkflow` instances, sized for
-  the kernel benchmarks (requires numpy).
+  property-based checks.
 """
 
 from repro.generators.families import (
@@ -34,7 +30,6 @@ from repro.generators.realworld import (
     all_real_workflows,
 )
 from repro.generators.random_dag import random_layered_dag, random_workflow
-from repro.generators.synthetic_arrays import SYNTHETIC_SHAPES, synthetic_compiled
 
 __all__ = [
     "WORKFLOW_FAMILIES",
@@ -50,6 +45,4 @@ __all__ = [
     "all_real_workflows",
     "random_layered_dag",
     "random_workflow",
-    "SYNTHETIC_SHAPES",
-    "synthetic_compiled",
 ]

@@ -228,18 +228,17 @@ class MemdagSearch:
     over all candidates, the earliest engine winning ties, so a search
     stopped early (:meth:`run` with a capacity) and resumed later ends with
     exactly the result of an uninterrupted one. When ``layered``
-    certifies that ``sp`` returns its order (``sp_settled``), ``sp``
-    stays pending but is not run: its peak would be the same bits, and
-    the earlier engine wins the tie.
+    certifies that ``sp`` returns its order, ``sp`` leaves ``pending``
+    unrun: its peak would be the same bits, and the earlier engine wins
+    the tie.
     """
 
-    __slots__ = ("methods", "pending", "candidates", "sp_settled")
+    __slots__ = ("methods", "pending", "candidates")
 
     def __init__(self, methods: Sequence[str]):
         self.methods = tuple(methods)
         self.pending: List[str] = [m for m in ENGINES if m in methods]
         self.candidates: List[Tuple[float, str, Tuple[Node, ...]]] = []
-        self.sp_settled = False
 
     def fitting(self, capacity: float) -> Optional[TraversalResult]:
         """The first candidate found so far whose peak is ``<= capacity``."""
@@ -264,15 +263,14 @@ class MemdagSearch:
         st = None
         while self.pending:
             method = self.pending.pop(0)
-            if method == "sp" and self.sp_settled:
-                continue
             if st is None:
                 st = BlockStatics(wf, block)
             found = _engine_order(wf, st, method)
             if found is None:
                 continue
             peak, order, sp_agrees = found
-            self.sp_settled |= sp_agrees
+            if sp_agrees and "sp" in self.pending:
+                self.pending.remove("sp")
             self.candidates.append((peak, method, order))
             if capacity is not None and peak <= capacity and self.pending:
                 return TraversalResult(order=order, peak=peak, method=method)

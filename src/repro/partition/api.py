@@ -26,19 +26,8 @@ Node = Hashable
 WEIGHT_FUNCTIONS = ("requirement", "work", "memory", "unit")
 
 
-def _node_weight_fn(wf: Workflow, weight: str,
-                    subset: bool = False) -> Callable[[Node], float]:
+def _node_weight_fn(wf: Workflow, weight: str) -> Callable[[Node], float]:
     if weight == "requirement":
-        if not subset:
-            # whole-graph partition: bulk-compute every requirement on the
-            # active kernel (one vectorized pass on the array kernel);
-            # values are bit-identical to wf.task_requirement(u) either way
-            from repro.core.kernels import get_kernel
-
-            reqs = get_kernel().task_requirements(wf)
-            return lambda u: max(reqs[u], 1e-9)
-        # subset partitions (block bisection) touch few tasks; the
-        # per-node memoized path is cheaper than a full bulk pass
         return lambda u: max(wf.task_requirement(u), 1e-9)
     if weight == "work":
         return lambda u: max(wf.work(u), 1e-9)
@@ -77,7 +66,7 @@ class PartitionContext:
         """The finest graph: every task (or the node subset), weighted."""
         if self._graph is None:
             wf, nodes = self.wf, self.nodes
-            node_weight = _node_weight_fn(wf, self.weight, subset=nodes is not None)
+            node_weight = _node_weight_fn(wf, self.weight)
             if nodes is None:
                 self._graph = CGraph.from_workflow(wf, node_weight)
             else:

@@ -41,7 +41,7 @@ class Workflow:
     """
 
     __slots__ = ("name", "_work", "_memory", "_succ", "_pred", "_n_edges",
-                 "_in_total", "_out_total", "_version", "_compiled", "_positions")
+                 "_in_total", "_out_total", "_positions")
 
     def __init__(self, name: str = "workflow"):
         self.name = name
@@ -55,17 +55,12 @@ class Workflow:
         # task_requirement for every node on every k' of the sweep)
         self._in_total: Dict[Node, float] = {}
         self._out_total: Dict[Node, float] = {}
-        #: bumped on every mutation; keys the compiled-view cache
-        self._version = 0
-        self._compiled = None
         self._positions: Optional[Dict[Node, int]] = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        self._version += 1
-        self._compiled = None
         self._positions = None
 
     def add_task(self, u: Node, work: float = 1.0, memory: float = 0.0) -> None:
@@ -261,27 +256,6 @@ class Workflow:
         return max(self.task_requirement(u) for u in self._work)
 
     # ------------------------------------------------------------------
-    # compiled view
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Mutation counter; two equal versions imply an unchanged graph."""
-        return self._version
-
-    def compiled(self):
-        """The immutable :class:`~repro.workflow.compiled.CompiledWorkflow`.
-
-        Compiled once per mutation epoch and cached; any mutation drops
-        the cache, so the view can never go stale. Requires numpy — use
-        :meth:`repro.workflow.compiled.CompiledWorkflow.compile` directly
-        to control caching.
-        """
-        if self._compiled is None:
-            from repro.workflow.compiled import CompiledWorkflow
-            self._compiled = CompiledWorkflow.compile(self)
-        return self._compiled
-
-    # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
     def topological_order(self) -> List[Node]:
@@ -411,6 +385,4 @@ class Workflow:
             setattr(self, key, value)
         self._in_total = {}
         self._out_total = {}
-        self._version = 0
-        self._compiled = None
         self._positions = None

@@ -384,45 +384,3 @@ class TestScheduleTimeout:
             unregister_algorithm("schedslow")
         assert rc == 3
         assert "timed out" in capsys.readouterr().err
-
-
-class TestProfile:
-    def test_profile_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        rc = main(["profile", "--n", "600", "--repeats", "1",
-                   "--cases", "bottom_fan,slack_order", "--out", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert set(report["cases"]) == {"bottom_fan", "slack_order"}
-        for case in report["cases"].values():
-            assert case["equal"] is True
-            assert case["reference_s"] > 0
-        assert "speedup" in capsys.readouterr().out
-
-    def test_profile_check_passes_against_itself(self, tmp_path, capsys):
-        out = tmp_path / "base.json"
-        assert main(["profile", "--n", "600", "--repeats", "1",
-                     "--cases", "slack_order", "--out", str(out)]) == 0
-        # generous tolerance: the same machine re-measures within 1000x
-        rc = main(["profile", "--n", "600", "--repeats", "1",
-                   "--cases", "slack_order", "--check", str(out),
-                   "--tolerance", "0.001"])
-        assert rc == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_profile_check_fails_on_regression(self, tmp_path, capsys):
-        out = tmp_path / "base.json"
-        assert main(["profile", "--n", "600", "--repeats", "1",
-                     "--cases", "slack_order", "--out", str(out)]) == 0
-        # an impossible baseline: demand 1e6x the measured speedup
-        base = json.loads(out.read_text())
-        base["cases"]["slack_order"]["speedup"] *= 1e6
-        out.write_text(json.dumps(base))
-        rc = main(["profile", "--n", "600", "--repeats", "1",
-                   "--cases", "slack_order", "--check", str(out)])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_profile_unknown_case_rejected(self):
-        with pytest.raises(ValueError):
-            main(["profile", "--n", "100", "--cases", "nonsense"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cpack import critical_path_pack, rank_order, upward_ranks
-from repro.core.kernels import use_kernel
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster
@@ -67,17 +66,6 @@ class TestCriticalPathPack:
             [x.tasks for x in b.assignments]
         assert [x.processor.name for x in a.assignments] == \
             [x.processor.name for x in b.assignments]
-
-    def test_kernel_independent(self):
-        """Identical mapping whichever kernel prices the build."""
-        wf, cluster = _instance("bwa", 120)
-        with use_kernel("reference"):
-            ref = critical_path_pack(wf, cluster)
-        with use_kernel("array"):
-            arr = critical_path_pack(wf, cluster)
-        assert ref.makespan() == arr.makespan()
-        assert [x.tasks for x in ref.assignments] == \
-            [x.tasks for x in arr.assignments]
 
     def test_infeasible_instance_raises(self):
         """epigenomics-60 cannot be packed; the contract is a clean raise

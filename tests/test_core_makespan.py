@@ -1,5 +1,7 @@
 """Makespan engine tests, anchored on the paper's worked example (Fig. 1)."""
 
+import importlib
+
 import pytest
 
 from repro.core.makespan import bottom_weights, critical_path, link_rule, makespan
@@ -103,6 +105,46 @@ class TestMakespanProperties:
         q = QuotientGraph.from_partition(fork_workflow, blocks)
         # l(root) = 1 + max_i (1 + w_leaf_i) = 1 + 1 + 6
         assert makespan(q, unit_cluster) == pytest.approx(8.0)
+
+
+class TestBottomWeightSemantics:
+    """The reference loop of Eq. (1): errors, fallbacks, corner cases."""
+
+    def test_cyclic_quotient_raises(self, unit_cluster):
+        wf = Workflow()
+        wf.add_edge("a", "b", 1.0)
+        wf.add_edge("c", "d", 1.0)
+        q = QuotientGraph.from_partition(wf, [{"a", "d"}, {"b", "c"}])
+        with pytest.raises(CyclicWorkflowError):
+            bottom_weights(q, unit_cluster)
+
+    def test_unassigned_block_gets_the_default_speed(self, chain_workflow,
+                                                      unit_cluster):
+        fast = Processor("fast", speed=4.0, memory=1e9)
+        q = QuotientGraph.from_partition(
+            chain_workflow, [{"a", "b"}, {"c", "d"}], [fast, None])
+        first, second = list(q.blocks)
+        l = bottom_weights(q, unit_cluster, default_speed=2.5)
+        # exact: the same float operations in the same order as Eq. (1)
+        assert l[second] == 7.0 / 2.5
+        assert l[first] == 3.0 / 4.0 + (1.0 / 1.0 + 7.0 / 2.5)
+
+    def test_empty_and_single_block(self, chain_workflow, unit_cluster):
+        assert bottom_weights(QuotientGraph(Workflow("empty")),
+                              unit_cluster) == {}
+        slow = Processor("slow", speed=3.0, memory=1e9)
+        q = QuotientGraph.from_partition(chain_workflow, [set("abcd")], [slow])
+        (bid,) = q.blocks
+        assert bottom_weights(q, unit_cluster) == {bid: 10.0 / 3.0}
+
+    def test_each_pass_is_counted(self, fig1_workflow, fig1_partition,
+                                  unit_cluster):
+        module = importlib.import_module("repro.core.makespan")
+        q = QuotientGraph.from_partition(fig1_workflow, fig1_partition)
+        before = module.FULL_PASSES
+        bottom_weights(q, unit_cluster)
+        makespan(q, unit_cluster)
+        assert module.FULL_PASSES == before + 2
 
 
 class TestCriticalPathReconstruction:

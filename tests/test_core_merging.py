@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.core.evaluator import MakespanEvaluator
 from repro.core.makespan import makespan
 from repro.core.merging import (
+    FALLBACK_POOL_SIZE,
+    _by_memory_slack,
     _execute_merge,
     _merge_closes_cycle,
     _on_cycle,
@@ -130,6 +132,27 @@ class TestFindMsOptMerge:
         partner, _ = find_ms_opt_merge(q, nu, q.assigned_ids(), cluster, cache)
         # merging s into the fast block is better than the slow one
         assert partner == q.block_of("y")
+
+
+class TestMemorySlackPool:
+    def test_ranked_by_slack_then_block_id_and_capped(self):
+        wf = Workflow()
+        for i in range(30):
+            wf.add_task(i, work=1.0, memory=float(i % 4))
+        procs = [Processor(f"p{j}", 1.0, 10.0 + j % 3) for j in range(5)]
+        q = QuotientGraph.from_partition(
+            wf, [{i} for i in range(30)],
+            [procs[(i * 7) % 5] for i in range(30)])
+        cache = RequirementCache(wf)
+        slack = {bid: blk.proc.memory - cache.peak(blk.tasks)
+                 for bid, blk in q.blocks.items()}
+        assigned = set(q.blocks)
+        assert len(set(slack.values())) < len(slack)  # ties occur
+        ranked = sorted(assigned, key=lambda bid: (-slack[bid], bid))
+        assert _by_memory_slack(q, assigned, cache) == \
+            ranked[:FALLBACK_POOL_SIZE]
+        few = set(ranked[-5:])
+        assert _by_memory_slack(q, few, cache) == ranked[-5:]
 
 
 class TestMergeUnassignedToAssigned:

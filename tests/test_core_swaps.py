@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import get_kernel
 from repro.core.makespan import link_rule, makespan
 from repro.core.quotient import QuotientGraph
-from repro.core.swaps import _PathChain, improve_by_swaps, move_critical_to_idle
+from repro.core.swaps import (
+    _feasible_pairs,
+    _PathChain,
+    improve_by_swaps,
+    move_critical_to_idle,
+)
 from repro.memdag.requirement import RequirementCache
 from repro.platform.bandwidth import GroupedBandwidth, LinkBandwidth
 from repro.platform.cluster import Cluster
@@ -82,6 +86,25 @@ class TestSwaps:
         before = makespan(q, cluster)
         improve_by_swaps(q, cluster, cache)
         assert makespan(q, cluster) <= before + 1e-9
+
+
+class TestFeasiblePairs:
+    def test_nested_order_without_shared_or_unfitting_processors(self):
+        wf = Workflow()
+        for u in "abcde":
+            wf.add_task(u, work=1.0, memory=1.0)
+        big = Processor("big", 1.0, 10.0)
+        small = Processor("small", 1.0, 4.0)
+        other = Processor("other", 2.0, 10.0)
+        q = QuotientGraph.from_partition(
+            wf, [{u} for u in "abcde"], [big, small, other, big, small])
+        a, b, c, d, e = ids = list(q.blocks)
+        # a cannot move to small; d fills small exactly, which still fits
+        requirement = dict(zip(ids, (5.0, 3.0, 2.0, 4.0, 1.0)))
+        assert _feasible_pairs(ids, requirement, q.blocks) == [
+            (a, c), (b, c), (b, d), (c, d), (c, e), (d, e)]
+        assert _feasible_pairs(ids[::-1], requirement, q.blocks) == [
+            (e, d), (e, c), (d, c), (d, b), (c, b), (c, a)]
 
 
 class TestIdleMoves:
@@ -358,7 +381,7 @@ class TestPrune:
         assert chain.suffix[0] == ev.makespan()
         ids = list(q.blocks)
         requirement = {b: cache.peak(q.blocks[b].tasks) for b in ids}
-        pairs = get_kernel().feasible_swap_pairs(ids, requirement, q.blocks)
+        pairs = _feasible_pairs(ids, requirement, q.blocks)
         assert len(pairs) == len(ids) * (len(ids) - 1) // 2
         on_path = 0
         for a, b in pairs:

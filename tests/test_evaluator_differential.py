@@ -9,11 +9,10 @@ bit-for-bit, as the evaluator's contract promises. A second replay mixes
 in tentative ``eval_move`` / ``eval_swap`` probes to verify they leave no
 residue behind.
 
-The property-based half (:class:`TestKernelDifferential`) turns the same
-idea on the kernel seam: hypothesis draws arbitrary DAGs — including
-empty, single-node, and disconnected ones, with unassigned (``None``)
-processors mixed in — and the array kernel must reproduce the reference
-kernel bit for bit on every one of them.
+The property-based half (:class:`TestArbitraryDags`) draws arbitrary
+DAGs with hypothesis — including empty, single-node, and disconnected
+ones, with unassigned (``None``) processors mixed in — and holds the
+evaluator's delta syncs to a from-scratch pass on every one of them.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import use_kernel
-from repro.core.kernels.array import ArrayKernel
-from repro.core.kernels.reference import ReferenceKernel
 from repro.core.makespan import bottom_weights, critical_path, makespan
 from repro.core.quotient import QuotientGraph
 from repro.generators.families import generate_workflow
@@ -224,8 +220,7 @@ def test_incremental_growth_ops_match_full_recompute():
 
 
 # ----------------------------------------------------------------------
-# property-based: the array kernel vs the reference kernel on arbitrary
-# DAGs (satellite of the flat-array-core PR)
+# property-based: delta syncs vs full passes on arbitrary DAGs
 # ----------------------------------------------------------------------
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                     width=64).map(lambda x: x + 0.001)
@@ -258,54 +253,20 @@ def random_dags(draw):
     return wf, pattern
 
 
-def _quotient_of(wf: Workflow, pattern, cluster) -> QuotientGraph:
-    q = QuotientGraph.from_partition(wf, [{u} for u in wf.tasks()])
-    procs = cluster.processors
-    for bid, choice in zip(sorted(q.blocks), pattern):
-        q.set_proc(bid, None if choice is None else procs[choice % len(procs)])
-    return q
-
-
-class TestKernelDifferential:
+class TestArbitraryDags:
     @settings(max_examples=120, deadline=None)
-    @given(random_dags())
-    def test_bottom_weights_bit_for_bit(self, case):
-        wf, pattern = case
-        cluster = default_cluster()
-        q = _quotient_of(wf, pattern, cluster)
-        ref = ReferenceKernel().bottom_weights(q, cluster, 1.0)
-        arr = ArrayKernel(forced=True).bottom_weights(q, cluster, 1.0)
-        assert ref == arr
-
-    @settings(max_examples=120, deadline=None)
-    @given(random_dags())
-    def test_task_requirements_bit_for_bit(self, case):
-        wf, _ = case
-        ref = ReferenceKernel().task_requirements(wf)
-        arr = ArrayKernel(forced=True).task_requirements(wf)
-        assert ref == arr
-        assert list(ref) == list(arr)
-
-    @settings(max_examples=80, deadline=None)
-    @given(random_dags())
-    def test_makespan_identical_under_either_selection(self, case):
-        wf, pattern = case
-        cluster = default_cluster()
-        q = _quotient_of(wf, pattern, cluster)
-        with use_kernel("reference"):
-            mu_ref = makespan(q, cluster)
-        with use_kernel("array"):
-            mu_arr = makespan(q, cluster)
-        assert mu_ref == mu_arr
-
-    @settings(max_examples=80, deadline=None)
     @given(random_dags(),
            st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-    def test_default_speed_fallback_bit_for_bit(self, case, default_speed):
-        """None-proc blocks price at the drawn default speed in both."""
+    def test_assignment_replay_matches_full_pass(self, case, default_speed):
+        """Every block of an unassigned quotient is moved as drawn (``None``
+        keeps the default speed), then priced both ways."""
         wf, pattern = case
         cluster = default_cluster()
-        q = _quotient_of(wf, [None] * len(pattern), cluster)
-        ref = ReferenceKernel().bottom_weights(q, cluster, default_speed)
-        arr = ArrayKernel(forced=True).bottom_weights(q, cluster, default_speed)
-        assert ref == arr
+        q = QuotientGraph.from_partition(wf, [{u} for u in wf.tasks()])
+        ev = MakespanEvaluator(q, cluster, default_speed)
+        procs = cluster.processors
+        for bid, choice in zip(sorted(q.blocks), pattern):
+            ev.apply_move(bid, None if choice is None
+                          else procs[choice % len(procs)])
+        assert ev.bottom_weights() == bottom_weights(q, cluster, default_speed)
+        assert ev.makespan() == makespan(q, cluster, default_speed)

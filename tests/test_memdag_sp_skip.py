@@ -12,7 +12,9 @@ then leaves ``sp`` unrun. Checked here:
   edge or a bundle task without children voids it;
 * ``MemdagSearch`` returns what a search that always runs ``sp`` returns,
   uninterrupted, stopped by a capacity and resumed the way
-  ``RequirementCache`` resumes it;
+  ``RequirementCache`` resumes it, and drops ``sp`` from ``pending`` as
+  soon as ``layered`` has certified it, so a capacity query that such a
+  block answers leaves no search open in the cache;
 * one doubling sweep of blast-1000 and of genome-1000 runs the ``sp``
   engine a pinned number of times (a count, not a time).
 
@@ -32,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memdag.model import BlockStatics
+from repro.memdag.requirement import RequirementCache
 from repro.memdag.segments import _EPS, merge_key
 from repro.memdag.spize import certified_layered_order
 from repro.memdag.traversal import (
@@ -180,6 +183,15 @@ class AlwaysSpSearch:
         return TraversalResult(order=order, peak=peak, method=method)
 
 
+def _expected_pending(reference, wf, block):
+    """``reference.pending``, less ``sp`` once ``layered`` has run and
+    certified it."""
+    if "layered" in (method for _, method, _ in reference.candidates) and \
+            certified_layered_order(BlockStatics(wf, block))[1]:
+        return [m for m in reference.pending if m != "sp"]
+    return reference.pending
+
+
 def _bits(result):
     return None if result is None else (
         result.order, result.peak.hex(), result.method)
@@ -220,7 +232,7 @@ class TestSearchMatchesAlwaysSp:
         search, reference = MemdagSearch(methods), AlwaysSpSearch(methods)
         assert _bits(search.run(wf, block, cap)) == \
             _bits(reference.run(wf, block, cap))
-        assert search.pending == reference.pending
+        assert search.pending == _expected_pending(reference, wf, block)
 
     @settings(deadline=None, max_examples=200)
     @given(blocks_st, methods_st, st.data())
@@ -240,8 +252,32 @@ class TestSearchMatchesAlwaysSp:
             if kept is None:
                 assert _bits(search.run(wf, block, cap)) == \
                     _bits(reference.run(wf, block, cap))
-            assert search.pending == reference.pending
+            assert search.pending == _expected_pending(reference, wf, block)
         assert _bits(search.run(wf, block)) == _bits(reference.run(wf, block))
+
+
+class TestCacheClosesCertifiedBlocks:
+    def test_fits_leaves_no_open_search(self, monkeypatch):
+        """A capacity query that ``layered`` answers and certifies stores
+        the requirement: the later lookup runs no engine."""
+        wf = Workflow("chain")
+        for u, memory in enumerate((1.0, 3.0, 0.5)):
+            wf.add_task(u, work=1.0, memory=memory)
+        wf.add_edge(0, 1, 0.7)
+        wf.add_edge(1, 2, 0.1)
+        block = {0, 1, 2}
+        assert certified_layered_order(BlockStatics(wf, block))[1]
+        cache = RequirementCache(wf, methods=("layered", "sp"))
+        assert cache.fits(block, math.inf)
+        assert cache._open == {}
+
+        def no_engine(*args):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(importlib.import_module("repro.memdag.traversal"),
+                            "_engine_order", no_engine)
+        assert cache.requirement(block).method == "layered"
+        assert (cache.misses, cache.hits) == (1, 1)
 
 
 class TestSweepCounts:
