@@ -43,12 +43,13 @@ the recorded ``runtime``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.api.envelopes import ScheduleRequest, ScheduleResult
 from repro.api.registry import canonical_name, get_algorithm
@@ -345,6 +346,22 @@ def open_cache(uri: "str | CacheBackend") -> CacheBackend:
             "empty cache URI; expected sqlite:///PATH.db, jsonl://DIR, "
             "or a plain directory path")
     return ResultCache(uri)
+
+
+@contextlib.contextmanager
+def opened_cache(cache: "None | str | CacheBackend"
+                 ) -> Iterator[Optional[CacheBackend]]:
+    """``with opened_cache(cache) as store``: a URI is opened and closed on
+    exit; an open backend (or ``None``) passes through and stays open —
+    only what this opened is closed."""
+    if not isinstance(cache, str):
+        yield cache
+        return
+    store = open_cache(cache)
+    try:
+        yield store
+    finally:
+        store.close()
 
 
 def describe_cache(backend: CacheBackend) -> Dict[str, Any]:

@@ -24,18 +24,8 @@ from repro.core.heuristic import SweepPoint
 from repro.core.mapping import Mapping
 from repro.platform.cluster import Cluster
 from repro.utils import errors as _errors
+from repro.utils.records import Record, tupled
 from repro.workflow.graph import Workflow
-
-def _tupled(value: Any) -> Any:
-    """Recursively turn JSON lists back into the tuples frozen configs use.
-
-    Shared by every config-rehydration path (request ``from_dict`` here,
-    ``AlgorithmSpec.build_config`` in :mod:`repro.api.scenario`).
-    """
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
 
 #: exception classes a FailureInfo can be rehydrated into
 _FAILURE_KINDS = {
@@ -55,7 +45,7 @@ _FAILURE_KINDS["timeout"] = _errors.ExecutionTimeoutError
 
 
 @dataclass(frozen=True)
-class FailureInfo:
+class FailureInfo(Record):
     """Why a run failed: exception kind, message, and unplaced work."""
 
     kind: str  # exception class name, e.g. "NoFeasibleMappingError"
@@ -180,12 +170,8 @@ class ScheduleRequest:
                 raise ValueError(
                     f"algorithm {algorithm!r} takes {expected}, but the "
                     f"stored request carries a {stored['type']!r}")
-            config = config_cls(**{k: _tupled(v)
+            config = config_cls(**{k: tupled(v)
                                    for k, v in stored["fields"].items()})
-        policy = data.get("policy")
-        if policy is not None:
-            from repro.api.exec.policy import ExecutionPolicy
-            policy = ExecutionPolicy.from_dict(policy)
         return cls(
             workflow=workflow_from_dict(data["workflow"]),
             cluster=Cluster.from_dict(data["cluster"]),
@@ -195,7 +181,7 @@ class ScheduleRequest:
             validate=bool(data.get("validate", False)),
             want_mapping=bool(data.get("want_mapping", True)),
             tags=dict(data.get("tags", {})),
-            policy=policy,
+            policy=data.get("policy"),  # a dict; __post_init__ decodes it
         )
 
     def to_json(self) -> str:
@@ -296,11 +282,8 @@ class ScheduleResult:
             "k_prime": self.k_prime,
             "sweep": [{"k_prime": p.k_prime, "makespan": p.makespan,
                        "status": p.status} for p in self.sweep],
-            "failure": None if self.failure is None else {
-                "kind": self.failure.kind,
-                "message": self.failure.message,
-                "unplaced_tasks": self.failure.unplaced_tasks,
-            },
+            "failure": None if self.failure is None else
+            self.failure.to_dict(),
             "tags": dict(self.tags),
             "extra": dict(self.extra),
         }
@@ -321,9 +304,8 @@ class ScheduleResult:
             k_prime=data.get("k_prime"),
             sweep=tuple(SweepPoint(p["k_prime"], p["makespan"], p["status"])
                         for p in data.get("sweep", ())),
-            failure=None if failure is None else FailureInfo(
-                kind=failure["kind"], message=failure["message"],
-                unplaced_tasks=int(failure.get("unplaced_tasks", 0))),
+            failure=None if failure is None else
+            FailureInfo.from_dict(failure),
             tags=dict(data.get("tags", {})),
             extra=dict(data.get("extra", {})),
         )

@@ -30,17 +30,18 @@ deliberately excluded from the result-cache fingerprint
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Optional
+
+from repro.utils.records import Record
 
 #: accepted values of :attr:`ExecutionPolicy.on_timeout`
 ON_TIMEOUT_CHOICES = ("fail", "requeue")
 
 
 @dataclass(frozen=True)
-class ExecutionPolicy:
+class ExecutionPolicy(Record):
     """How a backend must execute one request.
 
     ``timeout_s``      wall-clock budget per *attempt* (None = unlimited);
@@ -88,29 +89,3 @@ class ExecutionPolicy:
         if attempt < 1 or self.retry_backoff == 0.0:
             return 0.0
         return self.retry_backoff * (2.0 ** (attempt - 1))
-
-    # ------------------------------------------------------------------
-    # JSON round trip
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"timeout_s": self.timeout_s,
-                "retries": self.retries,
-                "retry_backoff": self.retry_backoff,
-                "on_timeout": self.on_timeout}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
-        known = {"timeout_s", "retries", "retry_backoff", "on_timeout"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutionPolicy field(s) {sorted(unknown)}; "
-                f"valid: {sorted(known)}")
-        return cls(**{k: data[k] for k in known if k in data})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExecutionPolicy":
-        return cls.from_dict(json.loads(text))

@@ -50,31 +50,24 @@ from typing import (
     List,
     Mapping as TMapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
 from repro.api.batch import ProgressHook, iter_solve_batch
-from repro.api.cache import CacheBackend, open_cache
-from repro.api.envelopes import ScheduleRequest, ScheduleResult, _tupled
+from repro.api.cache import CacheBackend, opened_cache
+from repro.api.envelopes import ScheduleRequest, ScheduleResult
 from repro.api.exec.policy import ExecutionPolicy
 from repro.api.registry import get_algorithm
 from repro.sim.events import DynamicsSpec
-
-
-def _listed(value: Any) -> Any:
-    """Recursively turn tuples into JSON lists (serialization hygiene)."""
-    if isinstance(value, tuple):
-        return [_listed(v) for v in value]
-    return value
+from repro.utils.records import Record, decoded, listed, tagged_decoder, tupled
 
 
 # ----------------------------------------------------------------------
 # Workflow sources
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FamilyGridSource:
+class FamilyGridSource(Record):
     """A grid of synthetic workflows: families × sizes × replications.
 
     ``families=None`` means every generator family; ``sizes=None`` resolves
@@ -155,18 +148,9 @@ class FamilyGridSource:
                                        family=family, category=category,
                                        n_tasks_requested=n, workflow=wf)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "families": _listed(self.families),
-                "sizes": None if self.sizes is None else
-                {cat: list(counts) for cat, counts in self.sizes.items()},
-                "seed": self.seed,
-                "replications": self.replications,
-                "work_factor": self.work_factor}
-
 
 @dataclass(frozen=True)
-class RealWorkflowSource:
+class RealWorkflowSource(Record):
     """The real-world-like workflow models (``names=None`` = all five)."""
 
     kind = "real"
@@ -198,10 +182,6 @@ class RealWorkflowSource:
                 workflow=generate_real_workflow(name, seed=self.seed,
                                                 work_factor=self.work_factor))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "names": _listed(self.names),
-                "seed": self.seed, "work_factor": self.work_factor}
-
 
 def _checked(wf, checksum: Optional[str], path: str):
     """Enforce a pinned content hash on an ingested workflow."""
@@ -217,7 +197,7 @@ def _checked(wf, checksum: Optional[str], path: str):
 
 
 @dataclass(frozen=True)
-class FileWorkflowSource:
+class FileWorkflowSource(Record):
     """One workflow ingested from a file in any registered format.
 
     ``format=None`` sniffs the content (see
@@ -251,23 +231,9 @@ class FileWorkflowSource:
                        category=self.category, n_tasks_requested=wf.n_tasks,
                        workflow=wf)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "path": self.path, "format": self.format,
-                "checksum": self.checksum, "category": self.category,
-                "family": self.family}
-
-
-def _plain(value: Any) -> Any:
-    """Recursively undo ``_tupled``: template data must stay plain JSON."""
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, TMapping):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
 
 @dataclass(frozen=True)
-class TemplateWorkflowSource:
+class TemplateWorkflowSource(Record):
     """A workflow template rendered against data, then ingested.
 
     ``data`` is the inline substitution mapping; ``data_path`` loads it
@@ -292,7 +258,7 @@ class TemplateWorkflowSource:
         if self.data is not None and self.data_path is not None:
             raise ValueError("give either data or data_path, not both")
         if self.data is not None:
-            object.__setattr__(self, "data", _plain(self.data))
+            object.__setattr__(self, "data", listed(self.data))
 
     def count(self) -> int:
         return 1
@@ -319,37 +285,21 @@ class TemplateWorkflowSource:
                        category=self.category, n_tasks_requested=wf.n_tasks,
                        workflow=wf)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "path": self.path, "data": self.data,
-                "data_path": self.data_path, "name": self.name,
-                "checksum": self.checksum, "category": self.category,
-                "family": self.family}
-
 
 WorkflowSource = Union[FamilyGridSource, RealWorkflowSource,
                        FileWorkflowSource, TemplateWorkflowSource]
 
-_SOURCE_KINDS = {cls.kind: cls for cls in
-                 (FamilyGridSource, RealWorkflowSource, FileWorkflowSource,
-                  TemplateWorkflowSource)}
-
-
-def source_from_dict(data: TMapping[str, Any]) -> WorkflowSource:
-    """Rebuild a workflow source from its ``to_dict`` form."""
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = _SOURCE_KINDS.get(kind)
-    if cls is None:
-        valid = ", ".join(sorted(_SOURCE_KINDS))
-        raise ValueError(f"unknown workflow source kind {kind!r}; valid: {valid}")
-    return cls(**{k: _tupled(v) for k, v in data.items()})
+source_from_dict = tagged_decoder(
+    "workflow source",
+    {cls.kind: cls for cls in (FamilyGridSource, RealWorkflowSource,
+                               FileWorkflowSource, TemplateWorkflowSource)})
 
 
 # ----------------------------------------------------------------------
 # Platform and algorithm axes
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PlatformAxis:
+class PlatformAxis(Record):
     """One cluster preset swept over bandwidths and memory scalings.
 
     ``memory_factors`` multiply every processor memory (1.0 = the preset
@@ -383,13 +333,9 @@ class PlatformAxis:
                 cluster = base if factor == 1.0 else base.scaled_memories(factor)
                 yield cluster, beta, factor
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"preset": self.preset, "bandwidths": list(self.bandwidths),
-                "memory_factors": list(self.memory_factors)}
-
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(Record):
     """One algorithm of the grid, with its (JSON) config fields.
 
     ``config`` may be given as the algorithm's config dataclass instance —
@@ -406,7 +352,7 @@ class AlgorithmSpec:
         if config is not None:
             if dataclasses.is_dataclass(config) and not isinstance(config, type):
                 config = dataclasses.asdict(config)
-            config = {str(k): _listed(v) for k, v in dict(config).items()}
+            config = {str(k): listed(v) for k, v in dict(config).items()}
             object.__setattr__(self, "config", config)
 
     def build_config(self) -> Optional[Any]:
@@ -417,11 +363,7 @@ class AlgorithmSpec:
             raise ValueError(
                 f"algorithm {self.name!r} takes no config, but the scenario "
                 f"provides one: {dict(self.config)!r}")
-        return info.config_cls(**{k: _tupled(v) for k, v in self.config.items()})
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name,
-                "config": None if self.config is None else dict(self.config)}
+        return info.config_cls(**{k: tupled(v) for k, v in self.config.items()})
 
 
 #: the paper's algorithm pairing — the default grid
@@ -432,7 +374,7 @@ DEFAULT_ALGORITHMS = (AlgorithmSpec("daghetmem"), AlgorithmSpec("daghetpart"))
 # Execution block
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(Record):
     """How a scenario wants to be executed (all fields optional).
 
     ``backend`` names a registered execution backend (``serial`` /
@@ -446,6 +388,8 @@ class ExecutionSpec:
     still applies when ``backend`` is left unset.
     """
 
+    label = "execution"
+
     backend: Optional[str] = None
     parallel: Optional[int] = None
     policy: Optional[ExecutionPolicy] = None
@@ -457,34 +401,15 @@ class ExecutionSpec:
             object.__setattr__(self, "backend", get_backend(self.backend).name)
         if self.parallel is not None:
             object.__setattr__(self, "parallel", int(self.parallel))
-        if self.policy is not None and not isinstance(self.policy,
-                                                     ExecutionPolicy):
-            object.__setattr__(self, "policy",
-                               ExecutionPolicy.from_dict(dict(self.policy)))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"backend": self.backend,
-                "parallel": self.parallel,
-                "policy": None if self.policy is None else
-                self.policy.to_dict(),
-                "cache": self.cache}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "ExecutionSpec":
-        known = {"backend", "parallel", "policy", "cache"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown execution field(s) {sorted(unknown)}; "
-                f"valid: {sorted(known)}")
-        return cls(**{k: data[k] for k in known if k in data})
+        object.__setattr__(self, "policy",
+                           decoded(self.policy, ExecutionPolicy.from_dict))
 
 
 # ----------------------------------------------------------------------
 # The spec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """A complete, frozen description of one experiment sweep.
 
     ``tags`` are templates: every string value is ``str.format``-ted per
@@ -494,6 +419,8 @@ class ScenarioSpec:
     labels each result without a Python driver. Non-string values pass
     through untouched.
     """
+
+    label = "scenario"
 
     name: str
     workflows: Tuple[WorkflowSource, ...]
@@ -514,9 +441,16 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.workflows:
             raise ValueError("a scenario needs at least one workflow source")
-        object.__setattr__(self, "workflows", tuple(self.workflows))
-        object.__setattr__(self, "platforms", tuple(self.platforms))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        object.__setattr__(self, "workflows", tuple(
+            decoded(s, source_from_dict) for s in self.workflows))
+        object.__setattr__(self, "platforms", tuple(
+            decoded(p, PlatformAxis.from_dict) for p in self.platforms))
+        object.__setattr__(self, "algorithms", tuple(
+            decoded(a, AlgorithmSpec.from_dict) for a in self.algorithms))
+        object.__setattr__(self, "execution",
+                           decoded(self.execution, ExecutionSpec.from_dict))
+        object.__setattr__(self, "dynamics",
+                           decoded(self.dynamics, DynamicsSpec.from_dict))
         if not self.platforms:
             raise ValueError("a scenario needs at least one platform axis")
         if not self.algorithms:
@@ -534,53 +468,16 @@ class ScenarioSpec:
     # JSON round trip
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "workflows": [src.to_dict() for src in self.workflows],
-            "platforms": [axis.to_dict() for axis in self.platforms],
-            "algorithms": [alg.to_dict() for alg in self.algorithms],
-            "tags": dict(self.tags),
-            "scale_memory": self.scale_memory,
-            "validate": self.validate,
-            "execution": None if self.execution is None else
-            self.execution.to_dict(),
-            "dynamics": None if self.dynamics is None else
-            self.dynamics.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "ScenarioSpec":
-        execution = data.get("execution")
-        if execution is not None:
-            execution = ExecutionSpec.from_dict(execution)
-        dynamics = data.get("dynamics")
-        if dynamics is not None and not isinstance(dynamics, DynamicsSpec):
-            dynamics = DynamicsSpec.from_dict(dynamics)
-        return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            workflows=tuple(source_from_dict(s) for s in data["workflows"]),
-            platforms=tuple(PlatformAxis(**{k: _tupled(v) for k, v in p.items()})
-                            for p in data.get("platforms", [{}])),
-            algorithms=tuple(AlgorithmSpec(**{k: _tupled(v) if k != "config" else v
-                                              for k, v in a.items()})
-                             for a in data.get("algorithms",
-                                               [{"name": "daghetmem"},
-                                                {"name": "daghetpart"}])),
-            tags=dict(data.get("tags", {})),
-            scale_memory=bool(data.get("scale_memory", True)),
-            validate=bool(data.get("validate", False)),
-            execution=execution,
-            dynamics=dynamics,
-        )
+        # hand-written for its key order: the layout of saved spec files
+        return {name: listed(getattr(self, name)) for name in _SPEC_LAYOUT}
 
     def to_json(self, indent: Optional[int] = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
+
+_SPEC_LAYOUT = ("name", "description", "workflows", "platforms",
+                "algorithms", "tags", "scale_memory", "validate",
+                "execution", "dynamics")
 
 
 def save_scenario(spec: ScenarioSpec, path: str) -> None:
@@ -687,15 +584,10 @@ def run_scenario(spec: ScenarioSpec,
             backend = execution.backend
         if cache is None:
             cache = execution.cache
-    own_cache = isinstance(cache, str)
-    store = open_cache(cache) if own_cache else cache
-    try:
+    with opened_cache(cache) as store:
         yield from iter_solve_batch(expand(spec), parallel=parallel,
                                     progress=progress, cache=store,
                                     window=window, backend=backend)
-    finally:
-        if own_cache:
-            store.close()
 
 
 def collect_scenario(spec: ScenarioSpec,

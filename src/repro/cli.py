@@ -263,13 +263,28 @@ def _plot_rows(name: str, rows) -> None:
             title=f"{name} (relative makespan %)"))
 
 
+def _load_spec(path: str):
+    """The spec at ``path``, or None after one ``error: <path>: ...`` line.
+
+    Unreadable files, bad JSON, unknown fields or kinds and missing
+    required fields are input errors, reported without a traceback.
+    """
+    try:
+        return load_scenario(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_scenario_run(args) -> int:
     """``repro scenario run``: execute a spec JSON, streamed and cached."""
     import dataclasses
 
     from repro.api.scenario import ExecutionSpec
 
-    spec = load_scenario(args.spec)
+    spec = _load_spec(args.spec)
+    if spec is None:
+        return 2
     if args.timeout is not None or args.retries is not None:
         # CLI knobs override only the fields they name (including to 0 —
         # "--retries 0" switches a spec's retries off); the rest of the
@@ -356,7 +371,7 @@ def cmd_simulate(args) -> int:
     instead measures warm-start vs cold-re-solve reaction latency at
     scale and (with ``--check``) gates it against a committed
     ``BENCH_sim.json``. Exit code 0 on success, 1 on a bench regression,
-    2 when every simulated request failed.
+    2 when every simulated request failed or the spec does not load.
     """
     if args.bench:
         return _simulate_bench(args)
@@ -366,7 +381,9 @@ def cmd_simulate(args) -> int:
         return 2
     from repro.sim.runner import run_dynamic_scenario
 
-    spec = load_scenario(args.spec)
+    spec = _load_spec(args.spec)
+    if spec is None:
+        return 2
     if spec.dynamics is None:
         print(f"{args.spec}: scenario has no dynamics block; "
               f"use 'repro scenario run' for static sweeps", file=sys.stderr)

@@ -16,6 +16,7 @@ paper's sizes, or ``REPRO_SCALE=<divisor>`` for anything in between.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -47,13 +48,28 @@ DEFAULT_SCALE = 50.0
 MIN_TASKS = 16
 
 
+def _env_scale() -> float:
+    """``REPRO_SCALE`` as a positive finite divisor (unset: the default)."""
+    raw = os.environ.get("REPRO_SCALE", "").strip()
+    if not raw:
+        return DEFAULT_SCALE
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(
+            f"REPRO_SCALE={raw!r} is not a positive finite number")
+    return scale
+
+
 def synthetic_sizes(full: Optional[bool] = None) -> Dict[str, Tuple[int, ...]]:
     """Per-category task counts, honouring ``REPRO_FULL``/``REPRO_SCALE``."""
     if full is None:
         full = os.environ.get("REPRO_FULL", "") == "1"
     if full:
         return dict(PAPER_SIZES)
-    scale = float(os.environ.get("REPRO_SCALE", DEFAULT_SCALE))
+    scale = _env_scale()
     return {
         cat: tuple(max(MIN_TASKS, round(n / scale)) for n in sizes)
         for cat, sizes in PAPER_SIZES.items()

@@ -11,7 +11,7 @@ dicts (bit-identical to an offline ``scenario run`` of the same spec,
 modulo measured runtimes) plus the job-level tallies the stats surface
 reports.
 
-All three are JSON round-trippable exactly like the PR 2/3 envelopes
+All three are :class:`~repro.utils.records.Record` classes
 (``to_json``/``from_json``, strict RFC 8259, sorted keys), so the
 append-only job store is a plain JSONL file and a restarted server
 rehydrates every record without bespoke parsing.
@@ -31,9 +31,10 @@ individual results, exactly as offline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping as TMapping, Optional, Tuple
+from typing import Any, Mapping as TMapping, Optional, Tuple
+
+from repro.utils.records import Record
 
 #: the two payload kinds a job can carry
 JOB_KINDS = ("schedule", "scenario")
@@ -51,7 +52,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """One submitted job: an id, a payload kind, and the payload itself.
 
     ``payload`` is the submitted envelope's ``to_dict`` form —
@@ -105,30 +106,9 @@ class JobSpec:
             return 1
         return ScenarioSpec.from_dict(self.payload).size()
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.id, "kind": self.kind,
-                "payload": dict(self.payload),
-                "submitted_at": self.submitted_at,
-                "tags": dict(self.tags)}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "JobSpec":
-        return cls(id=data["id"], kind=data["kind"],
-                   payload=data["payload"],
-                   submitted_at=float(data.get("submitted_at", 0.0)),
-                   tags=dict(data.get("tags", {})))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class JobStatus:
+class JobStatus(Record):
     """Where one job is in its lifecycle, plus live progress counters.
 
     ``total`` is the request count the payload expands to; ``completed``
@@ -162,43 +142,9 @@ class JobStatus:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.id, "state": self.state, "total": self.total,
-                "completed": self.completed, "ok": self.ok,
-                "failed": self.failed, "timeouts": self.timeouts,
-                "submitted_at": self.submitted_at,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "error": self.error}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "JobStatus":
-        started = data.get("started_at")
-        finished = data.get("finished_at")
-        return cls(
-            id=data["id"], state=data.get("state", "queued"),
-            total=int(data.get("total", 0)),
-            completed=int(data.get("completed", 0)),
-            ok=int(data.get("ok", 0)),
-            failed=int(data.get("failed", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            submitted_at=float(data.get("submitted_at", 0.0)),
-            started_at=None if started is None else float(started),
-            finished_at=None if finished is None else float(finished),
-            error=data.get("error"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobStatus":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class JobResult:
+class JobResult(Record):
     """What a finished job produced.
 
     ``results`` holds one ``ScheduleResult.to_dict()`` per request, in
@@ -232,32 +178,3 @@ class JobResult:
         from repro.api.envelopes import ScheduleResult
 
         return [ScheduleResult.from_dict(r) for r in self.results]
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.id, "results": [dict(r) for r in self.results],
-                "n_ok": self.n_ok, "n_failed": self.n_failed,
-                "n_timeout": self.n_timeout,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "elapsed_s": self.elapsed_s}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "JobResult":
-        return cls(
-            id=data["id"],
-            results=tuple(data.get("results", ())),
-            n_ok=int(data.get("n_ok", 0)),
-            n_failed=int(data.get("n_failed", 0)),
-            n_timeout=int(data.get("n_timeout", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobResult":
-        return cls.from_dict(json.loads(text))

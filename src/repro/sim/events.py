@@ -24,9 +24,8 @@ plan's makespan, so one spec scales across instances of any size.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping as TMapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 from repro.generators.events import (
     event_seeds,
@@ -35,28 +34,15 @@ from repro.generators.events import (
     poisson_times,
 )
 from repro.sim.policies import get_policy
+from repro.utils.records import Record, decoded, tagged_decoder
 from repro.utils.rng import SeedLike, make_rng, spawn_rngs
 
 #: the event kinds the engine understands
 EVENT_KINDS = ("arrival", "fail", "leave", "join", "inflate")
 
 
-def _tupled(value: Any) -> Any:
-    """Recursively turn JSON lists back into tuples (frozen-field hygiene)."""
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
-
-def _listed(value: Any) -> Any:
-    """Recursively turn tuples into JSON lists."""
-    if isinstance(value, tuple):
-        return [_listed(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
-class SimEvent:
+class SimEvent(Record):
     """One resolved perturbation on the virtual timeline.
 
     A flat record (payload fields are plain JSON scalars) so the engine's
@@ -84,19 +70,12 @@ class SimEvent:
             raise ValueError(f"unknown event kind {self.kind!r}; "
                              f"valid: {', '.join(EVENT_KINDS)}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "SimEvent":
-        return cls(**dict(data))
-
 
 # ----------------------------------------------------------------------
 # Event models
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PoissonArrivals:
+class PoissonArrivals(Record):
     """``count`` job arrivals at Poisson instants (rate per time unit)."""
 
     kind = "poisson_arrivals"
@@ -123,14 +102,9 @@ class PoissonArrivals:
                          n_tasks=self.n_tasks, seed=s)
                 for t, s in zip(times, seeds)]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "rate": self.rate, "count": self.count,
-                "family": self.family, "n_tasks": self.n_tasks,
-                "start": self.start}
-
 
 @dataclass(frozen=True)
-class TraceArrivals:
+class TraceArrivals(Record):
     """Job arrivals at explicit (trace-driven) instants."""
 
     kind = "trace_arrivals"
@@ -151,13 +125,9 @@ class TraceArrivals:
                          n_tasks=self.n_tasks, seed=s)
                 for t, s in zip(self.times, seeds)]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "times": _listed(self.times),
-                "family": self.family, "n_tasks": self.n_tasks}
-
 
 @dataclass(frozen=True)
-class ProcessorChurn:
+class ProcessorChurn(Record):
     """Processors failing, leaving gracefully, or joining mid-run.
 
     ``victims`` names explicit targets, consumed in order by the fail
@@ -211,19 +181,9 @@ class ProcessorChurn:
         out.sort(key=lambda ev: ev.time)
         return out
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "fail_times": _listed(self.fail_times),
-                "leave_times": _listed(self.leave_times),
-                "join_times": _listed(self.join_times),
-                "victims": _listed(self.victims),
-                "join_speed": self.join_speed,
-                "join_memory": self.join_memory,
-                "join_kind": self.join_kind}
-
 
 @dataclass(frozen=True)
-class RuntimeInflation:
+class RuntimeInflation(Record):
     """Stochastic runtime inflation: estimates prove optimistic mid-run.
 
     At each instant a lognormal factor ``>= 1`` multiplies the work of
@@ -254,10 +214,6 @@ class RuntimeInflation:
                          fraction=self.fraction, seed=s)
                 for t, s in zip(self.times, seeds)]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "times": _listed(self.times),
-                "sigma": self.sigma, "fraction": self.fraction}
-
 
 EventModel = Union[PoissonArrivals, TraceArrivals, ProcessorChurn,
                    RuntimeInflation]
@@ -267,22 +223,14 @@ EVENT_MODEL_KINDS = {cls.kind: cls for cls in
                       RuntimeInflation)}
 
 
-def model_from_dict(data: TMapping[str, Any]) -> EventModel:
-    """Rebuild an event model from its ``to_dict`` form."""
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = EVENT_MODEL_KINDS.get(kind)
-    if cls is None:
-        valid = ", ".join(sorted(EVENT_MODEL_KINDS))
-        raise ValueError(f"unknown event model kind {kind!r}; valid: {valid}")
-    return cls(**{k: _tupled(v) for k, v in data.items()})
+model_from_dict = tagged_decoder("event model", EVENT_MODEL_KINDS)
 
 
 # ----------------------------------------------------------------------
 # The dynamics block
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class DynamicsSpec:
+class DynamicsSpec(Record):
     """Everything dynamic about a scenario: perturbations + reaction.
 
     ``policy`` names a registered reaction policy (``static`` /
@@ -293,8 +241,11 @@ class DynamicsSpec:
     virtual times are available by switching it off. ``horizon`` drops
     events beyond it (same unit as the times). ``warm_sweep`` lets the
     warm-start policy follow forced repairs with one delta-priced
-    improvement sweep over the not-yet-started blocks.
+    improvement sweep over the not-yet-started blocks. Its canonical
+    ``to_json`` is also the cache fingerprint payload.
     """
+
+    label = "dynamics"
 
     models: Tuple[EventModel, ...] = ()
     seed: int = 0
@@ -305,7 +256,8 @@ class DynamicsSpec:
     horizon: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
+        object.__setattr__(self, "models", tuple(
+            decoded(m, model_from_dict) for m in self.models))
         for model in self.models:
             if type(model).kind not in EVENT_MODEL_KINDS:
                 raise ValueError(f"not an event model: {model!r}")
@@ -330,33 +282,3 @@ class DynamicsSpec:
         if self.horizon is not None:
             merged = [ev for ev in merged if ev.time <= self.horizon]
         return merged
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"models": [m.to_dict() for m in self.models],
-                "seed": self.seed,
-                "policy": self.policy,
-                "algorithm": self.algorithm,
-                "relative_times": self.relative_times,
-                "warm_sweep": self.warm_sweep,
-                "horizon": self.horizon}
-
-    @classmethod
-    def from_dict(cls, data: TMapping[str, Any]) -> "DynamicsSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown dynamics field(s) {sorted(unknown)}; "
-                             f"valid: {sorted(known)}")
-        kwargs = {k: data[k] for k in known if k in data}
-        kwargs["models"] = tuple(model_from_dict(m)
-                                 for m in data.get("models", ()))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — also the fingerprint payload."""
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DynamicsSpec":
-        return cls.from_dict(json.loads(text))

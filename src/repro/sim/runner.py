@@ -29,7 +29,7 @@ import hashlib
 from typing import Iterator, Optional, Union
 
 from repro.api.batch import ProgressHook, solve
-from repro.api.cache import CacheBackend, open_cache, request_fingerprint
+from repro.api.cache import CacheBackend, opened_cache, request_fingerprint
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
 from repro.api.scenario import ScenarioSpec, expand
 from repro.sim.engine import SimEngine
@@ -68,9 +68,7 @@ def simulate_request(request: ScheduleRequest,
     if policy is not None and policy != dynamics.policy:
         dynamics = dataclasses.replace(dynamics, policy=policy)
 
-    own_cache = isinstance(cache, str)
-    store = open_cache(cache) if own_cache else cache
-    try:
+    with opened_cache(cache) as store:
         fingerprint = dynamic_fingerprint(request, dynamics)
         if store is not None:
             hit = store.get(fingerprint, request)
@@ -105,9 +103,6 @@ def simulate_request(request: ScheduleRequest,
         if store is not None:
             store.put(fingerprint, result)
         return result
-    finally:
-        if own_cache:
-            store.close()
 
 
 def run_dynamic_scenario(spec: ScenarioSpec,
@@ -125,15 +120,10 @@ def run_dynamic_scenario(spec: ScenarioSpec,
         raise ValueError(
             f"scenario {spec.name!r} has no dynamics block; "
             f"add one or use the static runner")
-    own_cache = isinstance(cache, str)
-    store = open_cache(cache) if own_cache else cache
-    try:
+    with opened_cache(cache) as store:
         for index, request in enumerate(expand(spec)):
             result = simulate_request(request, spec.dynamics,
                                       cache=store, policy=policy)
             if progress is not None:
                 progress(index, request, result)
             yield result
-    finally:
-        if own_cache:
-            store.close()

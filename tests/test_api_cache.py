@@ -338,6 +338,46 @@ class TestCacheBackendContract:
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
+class TestOpenedCache:
+    """``opened_cache`` closes what it opened, and only that."""
+
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        closed = []
+        original = ResultCache.close
+
+        def close(self):
+            closed.append(self)
+            original(self)
+
+        monkeypatch.setattr(ResultCache, "close", close)
+        return closed
+
+    def test_uri_is_opened_and_closed(self, tmp_path, closes):
+        from repro.api.cache import opened_cache
+        with opened_cache(str(tmp_path / "d")) as store:
+            assert isinstance(store, ResultCache)
+            assert closes == []
+        assert closes == [store]
+
+    def test_uri_is_closed_when_the_body_raises(self, tmp_path, closes):
+        from repro.api.cache import opened_cache
+        with pytest.raises(RuntimeError):
+            with opened_cache(str(tmp_path / "d")):
+                raise RuntimeError("boom")
+        assert len(closes) == 1
+
+    def test_open_backend_and_none_pass_through(self, tmp_path, closes):
+        from repro.api.cache import opened_cache
+        with ResultCache(str(tmp_path / "d")) as cache:
+            with opened_cache(cache) as store:
+                assert store is cache
+            assert closes == []
+        with opened_cache(None) as store:
+            assert store is None
+        assert closes == [cache]
+
+
 class TestOpenCacheUri:
     def test_plain_directory_is_jsonl(self, tmp_path):
         from repro.api import open_cache

@@ -169,9 +169,10 @@ class TestScenario:
         results = [ScheduleResult.from_json(l) for l in lines]
         assert {r.algorithm for r in results} == {"DagHetMem", "DagHetPart"}
 
-    def test_scenario_run_missing_spec_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["scenario", "run", str(tmp_path / "nope.json")])
+    def test_scenario_run_missing_spec_fails(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["scenario", "run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_scenario_run_backend_flag(self, tmp_path, capsys, backend):
@@ -223,6 +224,54 @@ class TestScenario:
         assert "1 timed out" in out
         record = json.loads((tmp_path / "out.jsonl").read_text())
         assert record["failure"]["kind"] == "timeout"
+
+
+_GOOD_SPEC = {"name": "bad-spec",
+              "workflows": [{"kind": "families", "families": ["blast"],
+                             "sizes": [20]}]}
+
+
+def _bad_specs():
+    typo = json.loads(json.dumps(_GOOD_SPEC))
+    typo["workflows"][0]["sead"] = 1
+    kind = json.loads(json.dumps(_GOOD_SPEC))
+    kind["workflows"][0]["kind"] = "famlies"
+    return {
+        "bad-json": '{"name": "bad-spec", "workflows": [',
+        "unknown-source-field": json.dumps(typo),
+        "unknown-source-kind": json.dumps(kind),
+        "unknown-top-level-field": json.dumps(dict(_GOOD_SPEC, dynamic={})),
+        "missing-name": json.dumps({"workflows": _GOOD_SPEC["workflows"]}),
+        "missing-workflows": json.dumps({"name": "bad-spec"}),
+    }
+
+
+class TestSpecLoadErrors:
+    """A spec that does not load is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("verb", [["scenario", "run"], ["simulate"]])
+    @pytest.mark.parametrize("case", sorted(_bad_specs()))
+    def test_bad_spec_is_one_error_line(self, tmp_path, capsys, verb, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(_bad_specs()[case])
+        assert main(verb + [str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err
+
+    def test_simulate_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_typo_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(_bad_specs()["unknown-source-field"])
+        assert main(["scenario", "run", str(path)]) == 2
+        assert "unknown FamilyGridSource field(s) ['sead']" in \
+            capsys.readouterr().err
 
 
 class TestScenarioDiff:

@@ -64,6 +64,20 @@ class TestInstances:
         sizes = synthetic_sizes()
         assert sizes["big"][-1] == 300
 
+    @pytest.mark.parametrize("raw", ["0", "-4", "abc", "nan", "inf", "1e999"])
+    def test_bad_repro_scale_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ValueError, match="REPRO_SCALE="):
+            synthetic_sizes()
+
+    def test_blank_repro_scale_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        default = synthetic_sizes()
+        monkeypatch.setenv("REPRO_SCALE", " ")
+        assert synthetic_sizes() == default
+
     def test_family_grid_grouping(self):
         instances = _instances(("blast", "bwa"), TINY_SIZES)
         assert len(instances) == 6

@@ -242,6 +242,15 @@ class TestErrorSurfaces:
         with pytest.raises(ServiceError) as err:
             service.client.submit_scenario({"name": "no-axes"})
         assert err.value.status == 400
+        # an unknown top-level key (here a typo of "algorithms") is
+        # rejected, not silently dropped
+        typo = {"name": "typo", "algorithm": [{"name": "daghetmem"}],
+                "workflows": [{"kind": "real", "names": ["airrflow"]}]}
+        with pytest.raises(ServiceError) as err:
+            service.client.submit_scenario(typo)
+        assert err.value.status == 400
+        assert "unknown scenario field(s) ['algorithm']" in \
+            err.value.payload["error"]
 
     def test_unknown_ids_and_routes_get_404(self, service):
         with pytest.raises(ServiceError) as err:

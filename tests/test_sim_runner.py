@@ -79,21 +79,21 @@ class TestSimulateRequest:
         assert result.extra["sim_policy"] == "static"
 
     def test_cache_round_trip(self, request_, dynamics, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        first = simulate_request(request_, dynamics, cache=cache)
-        again = simulate_request(request_, dynamics, cache=cache)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        with ResultCache(str(tmp_path / "cache")) as cache:
+            first = simulate_request(request_, dynamics, cache=cache)
+            again = simulate_request(request_, dynamics, cache=cache)
+            assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
         assert again.makespan == first.makespan
         # the hit still carries the metrics and the event log
         assert again.extra["sim_event_log"] == first.extra["sim_event_log"]
 
     def test_policies_cache_separately(self, request_, dynamics, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        a = simulate_request(request_, dynamics, cache=cache,
-                             policy="warmstart")
-        b = simulate_request(request_, dynamics, cache=cache,
-                             policy="resolve")
-        assert cache.stats()["entries"] == 2
+        with ResultCache(str(tmp_path / "cache")) as cache:
+            a = simulate_request(request_, dynamics, cache=cache,
+                                 policy="warmstart")
+            b = simulate_request(request_, dynamics, cache=cache,
+                                 policy="resolve")
+            assert cache.stats()["entries"] == 2
         assert a.extra["sim_policy"] != b.extra["sim_policy"]
 
 
