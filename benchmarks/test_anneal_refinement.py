@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import importlib
 
-from conftest import BENCH_SIZES, bench_families, show
+from benchutil import BENCH_SIZES, bench_families, show
 
 from repro.api import AnnealConfig, PortfolioConfig, ScheduleRequest, solve
 from repro.core.anneal import anneal_refine

@@ -4,7 +4,7 @@ Paper: scaling every w_u by 4 leaves the relative makespans "virtually
 identical" (e.g. real workflows 62.8% vs 61.73%).
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import asdict
 
-from conftest import bench_families, BENCH_SIZES
+from benchutil import bench_families, BENCH_SIZES
 
 from repro.core.assignment import biggest_assign
 from repro.core.evaluator import MakespanEvaluator

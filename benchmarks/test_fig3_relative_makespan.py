@@ -6,7 +6,7 @@ sizes 18/36/60 (paper: bigger clusters help more, up to ~5x on big
 workflows).
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

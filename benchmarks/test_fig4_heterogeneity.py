@@ -5,7 +5,7 @@ benefits from the stronger big-memory nodes), yet DagHetPart improves on
 the baseline at every level, including the homogeneous cluster.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -5,7 +5,7 @@ easy (low relative makespan); SoyKB and Epigenomics are hardest but
 improve with size as parallelism appears.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -3,7 +3,7 @@
 Paper: roughly linear growth in workflow size for most families.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

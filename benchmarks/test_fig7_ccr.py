@@ -5,7 +5,7 @@ effect is strongest for small workflows (~13 percentage points) and
 smaller for big ones (~5), with fanned-out families reacting most.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -5,7 +5,7 @@ small, ~1x on middle, 0.85x on big — the baseline's whole-graph optimal
 traversal dominates at scale while DagHetPart traverses only blocks.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -5,7 +5,7 @@ mid/big (log-scale figure). At the reduced default scale everything is
 seconds; the ordering real < small < mid < big must hold regardless.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

@@ -4,7 +4,7 @@ Paper: the large cluster schedules everything; the default misses two
 workflows; the small cluster misses several for both algorithms.
 """
 
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

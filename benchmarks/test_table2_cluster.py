@@ -1,6 +1,6 @@
 """Table 2: the default cluster configuration."""
 
-from conftest import show
+from benchutil import show
 
 from repro.experiments import figures
 

@@ -1,6 +1,6 @@
 """Table 3: the MoreHet and LessHet cluster configurations."""
 
-from conftest import show
+from benchutil import show
 
 from repro.experiments import figures
 

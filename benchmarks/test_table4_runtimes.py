@@ -7,7 +7,7 @@ default run deselects it, and CI's perf-gates leg runs it on its own with
 """
 
 import pytest
-from conftest import bench_kwargs, show
+from benchutil import bench_kwargs, show
 
 from repro.experiments import figures
 

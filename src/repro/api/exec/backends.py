@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 
 from repro.api.batch import _effective_cluster
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
@@ -181,20 +181,21 @@ class ExecutionBackend(Protocol):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BackendInfo:
-    """One registry entry: a backend factory plus its self-description."""
+    """One registry entry: a backend factory plus its one-line summary.
+
+    The router (:mod:`repro.api.exec.routing`) picks a backend by name
+    from the algorithms' capabilities; backends declare none.
+    """
 
     name: str  # canonical key, e.g. "process"
     factory: Callable[[], ExecutionBackend]
     summary: str = ""
-    #: declared traits the router matches against (e.g. "parallel")
-    capabilities: Tuple[str, ...] = ()
 
 
 _BACKENDS: Registry[BackendInfo] = Registry("execution backend")
 
 
-def register_backend(name: str, *, summary: str = "",
-                     capabilities: Tuple[str, ...] = ()):
+def register_backend(name: str, *, summary: str = ""):
     """Class decorator adding an execution backend to the registry.
 
     Names are canonicalized exactly like algorithm names (case and
@@ -203,8 +204,7 @@ def register_backend(name: str, *, summary: str = "",
     key = _BACKENDS.key(name)
 
     def decorator(cls):
-        _BACKENDS.add(BackendInfo(name=key, factory=cls, summary=summary,
-                                  capabilities=tuple(capabilities)))
+        _BACKENDS.add(BackendInfo(name=key, factory=cls, summary=summary))
         return cls
 
     return decorator
@@ -270,7 +270,7 @@ class _FutureSubmission:
         return self._future.result()
 
 
-@register_backend("thread", capabilities=("parallel",),
+@register_backend("thread",
                   summary="thread pool; right for cache-hit-dominated "
                           "re-runs and I/O-heavy algorithms (GIL-bound "
                           "for CPU-heavy solves)")
@@ -319,7 +319,7 @@ class _AsyncResultSubmission:
         return self._async.get()
 
 
-@register_backend("process", capabilities=("parallel", "isolated"),
+@register_backend("process",
                   summary="multiprocessing pool (fork where available); "
                           "the engine for CPU-bound sweeps")
 class ProcessBackend:

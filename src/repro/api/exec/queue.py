@@ -389,8 +389,7 @@ class _SpoolSubmission:
         return self._result
 
 
-@register_backend("queue", capabilities=("parallel", "isolated",
-                                         "distributed"),
+@register_backend("queue",
                   summary="filesystem work queue; independent `repro "
                           "worker` processes claim spooled requests and "
                           "land results (leases reclaim killed workers)")

@@ -25,12 +25,9 @@ Commands
                 block (job arrivals, processor churn, runtime inflation)
                 through the event-driven simulator, reporting makespan
                 degradation, migrations, and reaction latency per
-                policy; ``--bench`` runs the warm-start vs cold-re-solve
-                benchmark and gates against ``BENCH_sim.json``;
+                policy;
 ``serve``       run the asyncio HTTP scheduling service (durable job
-                store, live stats, graceful drain); ``--loadtest`` runs
-                the burst benchmark and gates against
-                ``BENCH_service.json`` (``--check``);
+                store, live stats, graceful drain);
 ``worker``      attach a work-queue worker to a spool directory: claim
                 requests spooled by the ``queue`` execution backend
                 (atomic rename), solve them under their policies, land
@@ -219,6 +216,8 @@ def cmd_experiment(args) -> int:
     driver = EXPERIMENTS[args.name]
     kwargs = {}
     if args.name not in ("table2", "table3"):
+        if _bad_corpus_scale():
+            return 2
         if args.families:
             kwargs["families"] = tuple(args.families.split(","))
         kwargs["seed"] = args.seed
@@ -235,6 +234,16 @@ def cmd_experiment(args) -> int:
             json.dump(result["rows"], fh, indent=1)
         print(f"rows written to {args.json}")
     return 0
+
+
+def _bad_corpus_scale() -> bool:
+    """True after one ``error:`` line when ``REPRO_SCALE`` is unusable."""
+    try:
+        synthetic_sizes()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _plot_rows(name: str, rows) -> None:
@@ -364,21 +373,13 @@ def cmd_scenario_diff(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """``repro simulate``: dynamic replay of a scenario, or the bench.
+    """``repro simulate``: dynamic replay of a scenario.
 
-    Spec mode streams every request of a ScenarioSpec (whose ``dynamics``
-    block must be set) through the event-driven simulator; ``--bench``
-    instead measures warm-start vs cold-re-solve reaction latency at
-    scale and (with ``--check``) gates it against a committed
-    ``BENCH_sim.json``. Exit code 0 on success, 1 on a bench regression,
-    2 when every simulated request failed or the spec does not load.
+    Streams every request of a ScenarioSpec (whose ``dynamics`` block
+    must be set) through the event-driven simulator. Exit code 0 on
+    success, 2 when every simulated request failed or the spec does not
+    load.
     """
-    if args.bench:
-        return _simulate_bench(args)
-    if not args.spec:
-        print("repro simulate: a spec path or --bench is required",
-              file=sys.stderr)
-        return 2
     from repro.sim.runner import run_dynamic_scenario
 
     spec = _load_spec(args.spec)
@@ -460,60 +461,12 @@ def cmd_simulate(args) -> int:
     return 0 if n_ok or total == 0 else 2
 
 
-def _simulate_bench(args) -> int:
-    from repro.sim.bench import (
-        DEFAULT_N,
-        DEFAULT_REPEATS,
-        DEFAULT_TOLERANCE,
-        compare_sim_to_baseline,
-        load_sim_report,
-        run_sim_bench,
-        write_sim_report,
-    )
-
-    n = args.n if args.n is not None else DEFAULT_N
-    repeats = args.repeats if args.repeats is not None else DEFAULT_REPEATS
-    report = run_sim_bench(
-        n=n, seed=args.seed, repeats=repeats,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    print(f"sim bench : n={report['n']} blocks={report['n_blocks']} "
-          f"plan makespan={report['plan_makespan']:.2f}")
-    for policy, entry in report["policies"].items():
-        print(f"  {policy:<10} react {entry['react_total_s']*1e3:9.2f}ms  "
-              f"realized {entry['realized_makespan']:12.2f}  "
-              f"degradation {entry['degradation_pct']:+6.1f}%  "
-              f"full passes {entry['full_passes']}  "
-              f"migrations {entry['task_migrations']}")
-    print(f"speedup   : {report['speedup']:.1f}x "
-          f"(warm-start vs cold re-solve)")
-    if args.out:
-        write_sim_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.check:
-        problems = compare_sim_to_baseline(report, load_sim_report(args.check))
-        if problems:
-            print(f"REGRESSION vs {args.check}:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} "
-              f"(tolerance {DEFAULT_TOLERANCE:g})")
-    return 0
-
-
 def cmd_serve(args) -> int:
-    """``repro serve``: run the HTTP scheduling service / the load test.
+    """``repro serve``: run the HTTP scheduling service.
 
-    Service mode blocks until SIGTERM/SIGINT or ``POST /v1/shutdown``
-    (graceful: in-flight jobs drain, new submissions get 503).
-    ``--loadtest`` instead benchmarks a throwaway in-process service —
-    burst-submits ``--jobs`` concurrent jobs, measures submit/drain
-    latency and throughput vs the offline batch façade — and (with
-    ``--check``) gates against a committed ``BENCH_service.json``.
-    Exit code 0 on success, 1 on a load-test regression.
+    Blocks until SIGTERM/SIGINT or ``POST /v1/shutdown`` (graceful:
+    in-flight jobs drain, new submissions get 503).
     """
-    if args.loadtest:
-        return _serve_loadtest(args)
     import asyncio
 
     from repro.service import serve
@@ -525,56 +478,6 @@ def cmd_serve(args) -> int:
             parallel=args.parallel if args.parallel is not None else 0))
     except KeyboardInterrupt:
         pass  # Ctrl-C before the signal handler installs: quiet exit
-    return 0
-
-
-def _serve_loadtest(args) -> int:
-    from repro.service.loadtest import (
-        DEFAULT_CONNECTIONS,
-        DEFAULT_JOBS,
-        DEFAULT_N_TASKS,
-        DEFAULT_SAMPLE,
-        DEFAULT_TOLERANCE,
-        compare_service_to_baseline,
-        load_service_report,
-        run_service_loadtest,
-        write_service_report,
-    )
-
-    n_jobs = args.jobs if args.jobs is not None else DEFAULT_JOBS
-    report = run_service_loadtest(
-        n_jobs=n_jobs, workers=args.workers,
-        connections=args.connections or DEFAULT_CONNECTIONS,
-        n_tasks=args.n_tasks or DEFAULT_N_TASKS,
-        seed=args.seed,
-        sample=args.sample or DEFAULT_SAMPLE,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    submit, drain, offline = (report["submit"], report["drain"],
-                              report["offline"])
-    print(f"load test : {report['n_jobs']} jobs, {report['workers']} "
-          f"worker(s), {report['connections']} connection(s)")
-    print(f"submitted : {report['accepted']}/{report['n_jobs']} "
-          f"in {submit['total_s']:.2f}s ({submit['rate_per_s']:.0f}/s, "
-          f"p50 {submit['p50_ms']:.1f}ms p99 {submit['p99_ms']:.1f}ms)")
-    print(f"peak      : {report['peak_active']} jobs in flight")
-    print(f"drained   : {drain['total_s']:.2f}s "
-          f"({drain['rate_per_s']:.1f} req/s)")
-    print(f"offline   : {offline['rate_per_s']:.1f} req/s "
-          f"(sample of {offline['sample']})")
-    print(f"efficiency: {report['efficiency']:.3f} (service/offline)")
-    if args.out:
-        write_service_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.check:
-        problems = compare_service_to_baseline(
-            report, load_service_report(args.check))
-        if problems:
-            print(f"REGRESSION vs {args.check}:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} "
-              f"(tolerance {DEFAULT_TOLERANCE:g})")
     return 0
 
 
@@ -677,6 +580,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_info(args) -> int:
     """``repro info``: print presets and corpus configuration."""
+    if _bad_corpus_scale():
+        return 2
     rows2 = figures.table2()["rows"]
     print(format_table(rows2, title="Table 2: default machine kinds"))
     print()
@@ -779,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        help="replay a dynamic scenario / run the warm-start bench")
-    p.add_argument("spec", nargs="?",
+        help="replay a dynamic scenario")
+    p.add_argument("spec",
                    help="scenario spec (.json) with a dynamics block")
     p.add_argument("--policy", choices=["static", "warmstart", "resolve"],
                    default=None,
@@ -794,23 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the resolved per-request event logs "
                         "(deterministic: byte-identical across runs)")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--bench", action="store_true",
-                   help="run the warm-start vs cold-re-solve benchmark "
-                        "instead of a spec")
-    p.add_argument("--n", type=int, default=None,
-                   help="bench instance size (default 10000)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=None,
-                   help="min-of-k repetitions for bench latencies (default 3)")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the bench JSON report (e.g. BENCH_sim.json)")
-    p.add_argument("--check", metavar="BASELINE",
-                   help="compare the bench against a committed report; "
-                        "exit 1 on regression (the CI warm-start gate)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
-        "serve", help="run the HTTP scheduling service / the load test")
+        "serve", help="run the HTTP scheduling service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="listen port (0 = ephemeral)")
@@ -831,24 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--parallel", type=int, default=None, metavar="N",
                    help="workers per job for batch fan-out "
                         "(-1 = all CPUs; default: $REPRO_PARALLEL or serial)")
-    p.add_argument("--loadtest", action="store_true",
-                   help="benchmark a throwaway in-process service instead "
-                        "of serving")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="load-test burst size (default 1024)")
-    p.add_argument("--connections", type=int, default=None,
-                   help="pooled keep-alive submit connections (default 64)")
-    p.add_argument("--n-tasks", type=int, default=None,
-                   help="tasks per load-test workflow (default 16)")
-    p.add_argument("--sample", type=int, default=None,
-                   help="offline-reference sample size (default 192)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="FILE",
-                   help="write the load-test JSON report "
-                        "(e.g. BENCH_service.json)")
-    p.add_argument("--check", metavar="BASELINE",
-                   help="compare the load test against a committed report; "
-                        "exit 1 on regression (the CI service gate)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

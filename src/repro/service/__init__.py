@@ -4,8 +4,8 @@ The wire format was frozen in PRs 2/3 (``ScheduleRequest`` /
 ``ScenarioSpec`` round-trip JSON), execution became pluggable in PR 5 —
 this package adds the missing front door: a long-running asyncio
 HTTP/JSON server (``repro serve``) with a durable job store, live
-stats, streaming progress, and a load-test regression gate
-(``BENCH_service.json``).
+stats and streaming progress. Its held-burst throughput gate lives in
+``benchmarks/test_service_burst_gate.py``.
 
 Layering, bottom up:
 
@@ -16,9 +16,7 @@ Layering, bottom up:
 * :mod:`repro.service.dispatcher` — asyncio queue + worker threads
   feeding :func:`repro.api.batch.iter_solve_batch`;
 * :mod:`repro.service.app` — the HTTP listener and graceful shutdown;
-* :mod:`repro.service.client` — a blocking urllib client;
-* :mod:`repro.service.loadtest` — the throughput/latency benchmark
-  behind ``repro serve --loadtest``.
+* :mod:`repro.service.client` — a blocking urllib client.
 """
 
 from repro.service.app import ServiceApp, serve

@@ -42,7 +42,7 @@ from repro.service.store import JobStore
 #: is a few KB; the ceiling only guards against nonsense)
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: listen backlog — must exceed the load test's connection burst
+#: listen backlog — must exceed the service burst gate's connection burst
 LISTEN_BACKLOG = 2048
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -136,13 +136,25 @@ class ServiceApp:
                     await self._respond(writer, 400, {"error": str(exc)},
                                         keep=False)
                     return
-                length = int(headers.get("content-length", "0") or "0")
+                raw_length = headers.get("content-length", "0") or "0"
+                # the head is latin-1, whose only decimals are 0-9, so
+                # this admits exactly what int() reads as a length >= 0
+                if not raw_length.isdecimal():
+                    await self._respond(
+                        writer, 400,
+                        {"error": f"bad Content-Length {raw_length!r}"},
+                        keep=False)
+                    return
+                length = int(raw_length)
                 if length > MAX_BODY_BYTES:
                     await self._respond(writer, 413,
                                         {"error": "request body too large"},
                                         keep=False)
                     return
-                body = await reader.readexactly(length) if length else b""
+                try:
+                    body = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    return  # client hung up mid-body
                 keep = headers.get("connection", "").lower() != "close"
                 streamed = await self._route(method, target, body,
                                              writer, keep)

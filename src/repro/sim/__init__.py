@@ -8,9 +8,10 @@ and task migrations. Reaction policies (``static`` / ``warmstart`` /
 ``resolve``) share the registry mechanism behind ``@register_algorithm``.
 
 Only the frozen event models (and the policy registry they validate
-against) are imported eagerly; the engine, the scenario runner, and the
-benchmark load lazily so that ``repro.api`` can depend on
-:class:`DynamicsSpec` without a cycle.
+against) are imported eagerly; the engine and the scenario runner load
+lazily so that ``repro.api`` can depend on :class:`DynamicsSpec`
+without a cycle. The warm-start vs cold re-solve gate lives in
+``benchmarks/test_sim_warmstart_gate.py``.
 """
 
 from repro.sim.events import (
@@ -45,8 +46,6 @@ __all__ = [
     "simulate_request",
     "run_dynamic_scenario",
     "dynamic_fingerprint",
-    "run_sim_bench",
-    "compare_sim_to_baseline",
 ]
 
 _LAZY = {
@@ -59,8 +58,6 @@ _LAZY = {
     "simulate_request": "repro.sim.runner",
     "run_dynamic_scenario": "repro.sim.runner",
     "dynamic_fingerprint": "repro.sim.runner",
-    "run_sim_bench": "repro.sim.bench",
-    "compare_sim_to_baseline": "repro.sim.bench",
 }
 
 

@@ -121,6 +121,17 @@ class TestExperimentAndInfo:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [["info"], ["experiment", "fig3_left"]])
+    @pytest.mark.parametrize("scale", ["0", "-3", "nan", "fast"])
+    def test_bad_corpus_scale_is_one_error_line(self, capsys, monkeypatch,
+                                                argv, scale):
+        monkeypatch.setenv("REPRO_SCALE", scale)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: REPRO_SCALE={scale!r} is not a "
+                                f"positive finite number\n")
+
 
 class TestScenario:
     def _write_spec(self, tmp_path):

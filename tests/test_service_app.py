@@ -9,6 +9,7 @@ background event-loop thread and drives it with the blocking
 import asyncio
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -89,6 +90,20 @@ def _request_dict(n=16, seed=1, algorithm="daghetpart", **tags):
     return ScheduleRequest(workflow=wf, cluster=default_cluster(),
                            algorithm=algorithm, scale_memory=True,
                            tags=tags).to_dict()
+
+
+def _raw_exchange(port, request):
+    """Send ``request`` (latin-1), half-close, and read until the server
+    closes; returns every byte it answered."""
+    with socket.create_connection(("127.0.0.1", port), timeout=20) as sock:
+        sock.sendall(request.encode("latin-1"))
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class TestScheduleJobs:
@@ -264,6 +279,27 @@ class TestErrorSurfaces:
         with pytest.raises(ServiceError) as err:
             service.client._call("GET", "/v1/schedule")
         assert err.value.status == 405
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "\xb2"])
+    def test_bad_content_length_gets_400_and_close(self, service, caplog,
+                                                   length):
+        reply = _raw_exchange(service.app.port,
+                              f"POST /v1/schedule HTTP/1.1\r\n"
+                              f"Content-Length: {length}\r\n\r\n{{}}")
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in reply
+        assert b"bad Content-Length" in reply
+        assert service.client.healthz()["status"] == "ok"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_truncated_body_closes_quietly(self, service, caplog):
+        reply = _raw_exchange(service.app.port,
+                              "POST /v1/schedule HTTP/1.1\r\n"
+                              "Content-Length: 100\r\n\r\n{\"algo")
+        assert reply == b""
+        # the round trip lets the loop finish the dropped connection
+        assert service.client.healthz()["status"] == "ok"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestGracefulShutdown:
