@@ -7,8 +7,9 @@ demonstrates the per-request ``ExecutionPolicy``: a deliberately slow
 algorithm is cut off by ``timeout_s`` and reported as a structured
 ``FailureInfo(kind="timeout")`` instead of hanging the sweep. Finally the
 batch is re-run against a ``sqlite://`` result cache to show the second
-pass doing zero solves — on the ``queue`` backend the spawned
-``repro worker`` subprocesses share that same cache file.
+pass doing zero solves — on the ``queue`` backend too, where the parent
+serves every hit itself and spools nothing to its ``repro worker``
+subprocesses.
 
 Run:  python examples/execution_backends.py
 (set REPRO_EXAMPLE_SCALE=10 for a tiny smoke-test corpus, as CI does)
@@ -58,10 +59,9 @@ def strip(result):
 def main() -> None:
     requests = build_requests()
 
-    # 1. The router: explicit override > $REPRO_BACKEND > worker count +
-    #    algorithm capabilities.
-    print(f"routing: workers=1 -> {route(('daghetpart',), workers=1)}, "
-          f"workers=4 -> {route(('daghetpart',), workers=4)}")
+    # 1. The router: explicit override > $REPRO_BACKEND > worker count.
+    print(f"routing: workers=1 -> {route(workers=1)}, "
+          f"workers=4 -> {route(workers=4)}")
 
     # 2. Same batch on every backend; identical results by contract.
     #    ("queue" spools requests to a temp directory and spawns two
@@ -114,10 +114,10 @@ def main() -> None:
               f"(zero new solves)")
         assert second["misses"] == first["misses"]
 
-    # 5. Queue workers share one sqlite cache: each spawned worker gets
-    #    the cache URI, checks it before solving and records fresh
-    #    results, so a re-run — by this parent or any other attached to
-    #    the same cache file — costs zero solves.
+    # 5. The queue backend behind the same cache: the parent looks every
+    #    request up before spooling it and records every result its
+    #    workers land, so a re-run — by this parent or any other sharing
+    #    the cache file — spools nothing and costs zero solves.
     with tempfile.TemporaryDirectory() as tmp:
         uri = f"sqlite://{tmp}/shared.db"
         with open_cache(uri) as cache:

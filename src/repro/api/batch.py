@@ -12,13 +12,15 @@ materialise all requests or results at once. *Where* the requests run is
 delegated to an :class:`~repro.api.exec.backends.ExecutionBackend`
 (``serial`` / ``thread`` / ``process``, or a registered plugin), chosen
 per batch by :func:`~repro.api.exec.routing.route` — explicit
-``backend=`` override, then ``REPRO_BACKEND``, then algorithm metadata.
+``backend=`` override, then ``REPRO_BACKEND``, then the worker count.
 Per-request :class:`~repro.api.exec.policy.ExecutionPolicy` (timeout,
 retries) is enforced by the backend, so a timed-out request yields a
 structured ``FailureInfo(kind="timeout")`` instead of hanging the sweep.
 
 The façade optionally consults a :class:`~repro.api.cache.CacheBackend`
-so repeated sweeps are served from disk instead of recomputed; when no
+so repeated sweeps are served from disk instead of recomputed. It is the
+only code that reads or writes the cache: backends, the ``queue``
+engine's worker processes included, only ever see cache misses. When no
 cache is attached, no fingerprint is ever computed (fingerprinting hashes
 the whole workflow — pure overhead on cache-less runs; see
 ``benchmarks/test_batch_overhead.py`` for the guard).
@@ -191,12 +193,11 @@ def iter_solve_batch(requests: Iterable[ScheduleRequest],
 
     ``backend`` overrides the execution backend (a registered name:
     ``serial``, ``thread``, ``process``, ...); by default
-    :func:`~repro.api.exec.routing.route` picks one from the worker count,
-    ``REPRO_BACKEND``, and the *first* request's algorithm capabilities —
-    a lazy stream cannot be scanned ahead of time (:func:`solve_batch`,
-    holding the whole list, routes on every algorithm in it). On the
-    ``serial`` backend the semantics are bit-for-bit the classic loop:
-    one request pulled, solved, cached, yielded at a time.
+    :func:`~repro.api.exec.routing.route` picks one from
+    ``REPRO_BACKEND`` and the worker count. The first request is pulled
+    before routing only so that an empty stream never opens a backend.
+    On the ``serial`` backend the semantics are bit-for-bit the classic
+    loop: one request pulled, solved, cached, yielded at a time.
 
     ``cache`` is an optional :class:`repro.api.cache.CacheBackend`:
     requests whose fingerprint is already stored are served from disk
@@ -221,18 +222,12 @@ def iter_solve_batch(requests: Iterable[ScheduleRequest],
     except StopIteration:
         return
     workers = resolve_parallel(parallel)
-    engine = create_backend(route((first.algorithm,), backend=backend,
-                                  workers=workers))
+    engine = create_backend(route(backend=backend, workers=workers))
     if engine.name == "serial":
         window = 1
     else:
         workers = max(workers, 1)
         window = max(int(window or 4 * workers), workers)
-    if cache is not None and hasattr(engine, "set_cache"):
-        # backends whose workers live in other processes (the queue
-        # engine) can share the batch's cache so workers serve repeats
-        # themselves; the parent-side lookup/put below stays authoritative
-        engine.set_cache(cache)
 
     # entries are (index, request, fingerprint, ready result | None,
     # submission | None, deferred); cached hits carry a ready result,
@@ -323,16 +318,8 @@ def solve_batch(requests: Iterable[ScheduleRequest],
     called in the parent, in request order, once per request. ``cache``
     is forwarded to :func:`iter_solve_batch`.
     """
-    from repro.api.exec.routing import route
-
     requests = list(requests)
     workers = min(resolve_parallel(parallel), len(requests))
-    if requests:
-        # unlike the lazily-streamed iterator, the whole list is in hand:
-        # route on every algorithm (a mixed batch with one io-bound
-        # request must not end up GIL-serialized on the thread backend)
-        backend = route(sorted({r.algorithm for r in requests}),
-                        backend=backend, workers=workers)
     return list(iter_solve_batch(requests, parallel=workers,
                                  progress=progress, cache=cache,
                                  backend=backend))

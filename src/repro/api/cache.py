@@ -65,7 +65,7 @@ def _num(value):
     A request that crosses a JSON boundary (the queue backend's spool,
     the HTTP service) comes back with every numeric weight as a float;
     without this coercion ``4`` and ``4.0`` would hash differently and a
-    worker could never hit the entry its parent wrote (or vice versa).
+    job could never hit the entry an offline run wrote (or vice versa).
     """
     if isinstance(value, bool):
         return value

@@ -16,9 +16,9 @@ Selected by URI through :func:`repro.api.cache.open_cache`:
 backend, every operation is serialized through the
 :class:`CacheBackend` RLock (service dispatcher threads, the thread
 execution backend). Unlike it, this store is also safe across
-*processes*: WAL plus a generous busy timeout let several queue-backend
-workers sharing one zero-solve cache file read and commit against the
-same database without "database is locked" failures.
+*processes*: WAL plus a generous busy timeout let several runs (batch
+sweeps, services) sharing one zero-solve cache file read and commit
+against the same database without "database is locked" failures.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class SqliteResultCache(CacheBackend):
         with self._lock:
             # WAL keeps readers unblocked during the per-put commits and
             # survives crashes without a repair pass; the busy timeout
-            # makes concurrent *processes* (queue workers sharing one
-            # cache file) wait out each other's commits instead of
+            # makes concurrent *processes* (runs sharing one cache
+            # file) wait out each other's commits instead of
             # raising "database is locked"
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(

@@ -7,12 +7,13 @@
 * :mod:`repro.api.exec.backends` — the :class:`ExecutionBackend`
   protocol, the ``@register_backend`` registry, and the three shipped
   engines (``serial``, ``thread``, ``process``);
-* :mod:`repro.api.exec.routing` — :func:`route`, the capabilities-aware
-  override > ``REPRO_BACKEND`` > metadata dispatcher;
+* :mod:`repro.api.exec.routing` — :func:`route`, the override >
+  ``REPRO_BACKEND`` > worker-count dispatcher;
 * :mod:`repro.api.exec.queue` / :mod:`repro.api.exec.worker` — the
   ``queue`` backend: a filesystem spool shared with independent
   ``repro worker`` processes (atomic-rename claims, heartbeat leases,
-  poison tombstones).
+  poison tombstones); the batch façade stays the only reader and writer
+  of the result cache.
 """
 
 from repro.api.exec.backends import (
@@ -32,7 +33,7 @@ from repro.api.exec.backends import (
 )
 from repro.api.exec.policy import ON_TIMEOUT_CHOICES, ExecutionPolicy
 from repro.api.exec.queue import QueueBackend, Spool  # noqa: F401  (registers)
-from repro.api.exec.routing import BACKEND_ENV, IO_BOUND_CAPABILITY, NESTED_ENV, route
+from repro.api.exec.routing import BACKEND_ENV, NESTED_ENV, route
 from repro.api.exec.worker import run_worker
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "BackendInfo",
     "ExecutionBackend",
     "ExecutionPolicy",
-    "IO_BOUND_CAPABILITY",
     "NESTED_ENV",
     "ON_TIMEOUT_CHOICES",
     "ProcessBackend",

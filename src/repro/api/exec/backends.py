@@ -184,7 +184,7 @@ class BackendInfo:
     """One registry entry: a backend factory plus its one-line summary.
 
     The router (:mod:`repro.api.exec.routing`) picks a backend by name
-    from the algorithms' capabilities; backends declare none.
+    from the override, ``REPRO_BACKEND`` and the worker count.
     """
 
     name: str  # canonical key, e.g. "process"
@@ -299,11 +299,6 @@ class ThreadBackend:
             self._pool = None
 
 
-def _process_worker(request: ScheduleRequest) -> ScheduleResult:
-    """Top-level worker (must be picklable): one request, one result."""
-    return solve_with_policy(request)
-
-
 class _AsyncResultSubmission:
     """Adapter: ``multiprocessing`` ``AsyncResult`` → :class:`Submission`."""
 
@@ -346,7 +341,7 @@ class ProcessBackend:
 
     def submit(self, request: ScheduleRequest) -> Submission:
         return _AsyncResultSubmission(
-            self._pool.apply_async(_process_worker, (request,)))
+            self._pool.apply_async(solve_with_policy, (request,)))
 
     def close(self) -> None:
         if self._pool is not None:

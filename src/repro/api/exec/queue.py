@@ -37,9 +37,9 @@ Robustness is first-class:
 ``ExecutionPolicy`` timeout/retry semantics are enforced *in the worker*
 through the same :func:`~repro.api.exec.backends.solve_with_policy` every
 other backend uses, so a timed-out request reports the identical
-structured envelope. Workers can share one ``sqlite://`` result cache
-(process-safe; see :mod:`repro.api.cache_sqlite`) so repeats across
-parents cost zero solves.
+structured envelope. The result cache stays with the parent: the batch
+façade serves hits before anything is spooled and records each result
+it reads back, so workers never open a cache.
 
 By default the backend is self-contained: ``open(workers)`` creates a
 private spool under the system temp directory and spawns ``workers``
@@ -88,24 +88,23 @@ _STOP = "stop"
 _LEASE_SUFFIX = ".lease"
 
 
-def _env_float(name: str, default: float) -> float:
+def _env_number(name: str, default, cast=float):
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a number")
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{name}={raw!r} is not {kind}")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer")
+def _check_knobs(lease_timeout_s: float, max_reclaims: int) -> None:
+    if not lease_timeout_s > 0:
+        raise ValueError(
+            f"lease_timeout_s must be positive, got {lease_timeout_s!r}")
+    if max_reclaims < 0:
+        raise ValueError(f"max_reclaims must be >= 0, got {max_reclaims!r}")
 
 
 class Spool:
@@ -122,12 +121,7 @@ class Spool:
         if not root:
             raise ValueError("Spool needs a directory; got an empty path")
         self.root = str(root)
-        if lease_timeout_s <= 0:
-            raise ValueError(
-                f"lease_timeout_s must be positive, got {lease_timeout_s!r}")
-        if max_reclaims < 0:
-            raise ValueError(
-                f"max_reclaims must be >= 0, got {max_reclaims!r}")
+        _check_knobs(lease_timeout_s, max_reclaims)
         self.lease_timeout_s = float(lease_timeout_s)
         self.max_reclaims = int(max_reclaims)
         self._seq = 0
@@ -418,9 +412,11 @@ class QueueBackend:
             spawn = os.environ.get(QUEUE_SPAWN_ENV, "1").strip().lower() \
                 not in ("0", "false", "no")
         if lease_timeout_s is None:
-            lease_timeout_s = _env_float(QUEUE_LEASE_ENV, DEFAULT_LEASE_S)
+            lease_timeout_s = _env_number(QUEUE_LEASE_ENV, DEFAULT_LEASE_S)
         if max_reclaims is None:
-            max_reclaims = _env_int(QUEUE_RECLAIMS_ENV, DEFAULT_MAX_RECLAIMS)
+            max_reclaims = _env_number(QUEUE_RECLAIMS_ENV,
+                                        DEFAULT_MAX_RECLAIMS, int)
+        _check_knobs(lease_timeout_s, max_reclaims)
         self._spool_dir = spool_dir
         self._owns_dir = False
         self._spawn = bool(spawn)
@@ -432,16 +428,7 @@ class QueueBackend:
         self._respawn_budget = 0
         self._next_worker = 0
         self._last_maintain = 0.0
-        self._cache_uri: Optional[str] = None
         self._closing = False
-
-    # -- the façade's cache hook ---------------------------------------
-    def set_cache(self, cache) -> None:
-        """Share the batch's cache with spawned workers (sqlite only —
-        the JSONL store has a single-writer contract, so its lookups and
-        puts stay in the parent)."""
-        if getattr(cache, "kind", None) == "sqlite":
-            self._cache_uri = f"sqlite://{cache.location}"
 
     # -- ExecutionBackend protocol --------------------------------------
     def open(self, workers: int) -> None:
@@ -495,8 +482,6 @@ class QueueBackend:
         cmd = [sys.executable, "-m", "repro", "worker", self._spool_dir,
                "--id", worker_id,
                "--lease", f"{self._lease_timeout_s:g}"]
-        if self._cache_uri:
-            cmd += ["--cache", self._cache_uri]
         log_path = os.path.join(self._spool_dir, _LOGS, worker_id + ".log")
         with open(log_path, "ab") as log:
             self._workers.append(subprocess.Popen(

@@ -1,4 +1,4 @@
-"""Capabilities-aware backend routing for one request batch.
+"""Backend routing for one request batch.
 
 :func:`route` picks the execution backend the batch façade will use.
 Precedence, highest first:
@@ -6,14 +6,9 @@ Precedence, highest first:
 1. an explicit ``backend=`` override (CLI ``--backend``, scenario
    ``execution.backend``, direct API argument) — always wins;
 2. the ``REPRO_BACKEND`` environment variable;
-3. worker count: ``workers <= 1`` is always ``serial`` (parallel engines
-   would only add overhead);
-4. algorithm metadata: when every algorithm in the batch declares the
-   ``"io-bound"`` capability (registered via
-   ``register_algorithm(..., capabilities=("io-bound",))``), threads are
-   the better engine — the GIL is released while the algorithm waits;
-5. otherwise ``process`` — CPU-bound Python scheduling wants real
-   parallelism.
+3. worker count: ``workers <= 1`` is ``serial`` (parallel engines would
+   only add overhead), anything more is ``process`` — CPU-bound Python
+   scheduling wants real parallelism.
 
 The router validates every name it resolves, so a typo in
 ``REPRO_BACKEND`` fails loudly instead of silently running serial.
@@ -33,13 +28,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.api.exec.backends import get_backend
-from repro.api.registry import get_algorithm
 
 #: environment override consulted between the explicit argument and the
-#: capability rules
+#: worker-count rule
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: set (to any non-empty value) in queue-backend worker processes:
@@ -47,21 +41,9 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: ``queue`` would spool into a brand-new queue and spawn grandchildren
 NESTED_ENV = "REPRO_EXEC_NESTED"
 
-#: algorithm capability that routes a parallel batch onto threads
-IO_BOUND_CAPABILITY = "io-bound"
 
-
-def route(algorithms: Iterable[str] = (), *,
-          backend: Optional[str] = None,
-          workers: int = 1) -> str:
-    """The canonical backend name a batch should run on.
-
-    ``algorithms`` is a (possibly empty) sample of the batch's algorithm
-    names — the façade passes the first request's algorithm, since a
-    lazily streamed batch cannot be scanned ahead of time. Unknown
-    algorithm names are ignored here (``solve`` reports them properly,
-    per request).
-    """
+def route(*, backend: Optional[str] = None, workers: int = 1) -> str:
+    """The canonical backend name a batch of ``workers`` should run on."""
     if backend is not None:
         return get_backend(backend).name
     nested = (multiprocessing.current_process().daemon
@@ -72,20 +54,9 @@ def route(algorithms: Iterable[str] = (), *,
         name = get_backend(env).name  # validate even when overridden below
         if not nested:
             return name
-    if nested:
-        # a nested batch inside a backend worker: forking is impossible
-        # (daemonic process) or unsafe (threaded parent), and extra pools
-        # only thrash an already-saturated machine
+    if nested or workers <= 1:
+        # one worker gains nothing from a pool; inside a backend worker
+        # forking is impossible (daemonic process) or unsafe (threaded
+        # parent), and extra pools only thrash a saturated machine
         return get_backend("serial").name
-    if workers <= 1:
-        return get_backend("serial").name
-    names = [name for name in algorithms]
-    if names:
-        try:
-            infos = [get_algorithm(name) for name in names]
-        except ValueError:
-            infos = []
-        if infos and all(IO_BOUND_CAPABILITY in info.capabilities
-                         for info in infos):
-            return get_backend("thread").name
     return get_backend("process").name

@@ -13,11 +13,9 @@ every quarter lease interval. If the worker is SIGKILLed the beats stop,
 the lease expires, and the parent re-enqueues its claims — requests are
 re-run, never lost.
 
-When a shared cache is attached (``--cache sqlite://...``), the worker
-checks it before solving and records fresh results after — so identical
-requests across *parents and machines* cost one solve total. Only the
-SQLite store is multi-process safe; the JSONL store must stay with a
-single writer.
+A worker never touches the result cache: the parent's batch façade
+looks every request up before spooling it and records every result it
+reads back, so the worker only ever sees misses.
 
 Unexpected exceptions (bugs, corrupted spool payloads) are captured into
 a structured ``FailureInfo(kind="WorkerError")`` envelope and landed like
@@ -36,60 +34,39 @@ from typing import Optional
 
 from repro.api.envelopes import ScheduleRequest
 from repro.api.exec.backends import failure_result, solve_with_policy
-from repro.api.exec.queue import Spool
+from repro.api.exec.queue import DEFAULT_LEASE_S, Spool
 
 #: failure kind of a request whose worker hit an unexpected exception
 WORKER_ERROR_KIND = "WorkerError"
 
 
-def _solve_one(payload: dict, cache) -> "ScheduleResult":
-    """One claimed payload → one result envelope (never raises)."""
+def _solve_one(payload: dict) -> "ScheduleResult":
+    """One claimed payload → one result envelope."""
     try:
         request = ScheduleRequest.from_dict(payload["request"])
     except Exception as exc:
         raise RuntimeError(
             f"unreadable request payload in job {payload.get('id')!r}: "
             f"{exc}") from exc
-    fingerprint = None
-    if cache is not None and not request.want_mapping:
-        fingerprint = cache.fingerprint(request)
-        hit = cache.get(fingerprint, request)
-        if hit is not None:
-            return hit
-    result = solve_with_policy(request)
-    if fingerprint is not None:
-        from repro.api.batch import _cacheable
-        if _cacheable(result):
-            cache.put(fingerprint, result)
-    return result
+    return solve_with_policy(request)
 
 
 def run_worker(spool_dir: str,
                worker_id: Optional[str] = None,
                poll_s: float = 0.1,
-               cache: Optional[str] = None,
-               lease_timeout_s: Optional[float] = None,
+               lease_timeout_s: float = DEFAULT_LEASE_S,
                max_idle_s: Optional[float] = None,
                once: bool = False) -> int:
     """Claim-and-solve loop over ``spool_dir``; returns jobs completed.
 
     Runs until the spool's stop marker appears, ``max_idle_s`` elapses
     without a claim (``None`` = wait forever), or — with ``once=True`` —
-    the first claim completes. ``cache`` is a cache URI
-    (``sqlite:///path.db``) shared with sibling workers; ``lease_timeout_s``
-    only sizes the heartbeat interval (expiry is judged by the parent).
+    the first claim completes. ``lease_timeout_s`` only sizes the
+    heartbeat interval (expiry is judged by the parent).
     """
-    from repro.api.exec.queue import DEFAULT_LEASE_S
-
     if worker_id is None:
         worker_id = f"w-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-    if lease_timeout_s is None:
-        lease_timeout_s = DEFAULT_LEASE_S
     spool = Spool(spool_dir, lease_timeout_s=lease_timeout_s)
-    store = None
-    if cache:
-        from repro.api.cache import open_cache
-        store = open_cache(cache)
 
     # beat at a quarter lease: three missed beats of headroom before the
     # parent declares this worker dead
@@ -126,7 +103,7 @@ def run_worker(spool_dir: str,
                 continue
             job_id, payload = claim
             try:
-                result = _solve_one(payload, store)
+                result = _solve_one(payload)
             except BaseException as exc:
                 # land *something* structured — the parent must never
                 # hang because this worker hit a bug it could catch
@@ -147,6 +124,4 @@ def run_worker(spool_dir: str,
                 break
     finally:
         stop_beating.set()
-        if store is not None:
-            store.close()
     return completed

@@ -34,7 +34,8 @@ Commands
                 results in ``done/``, heartbeat a lease so a killed
                 worker's claims are re-enqueued; run any number of these
                 — on any machine sharing the filesystem — against one
-                spool, optionally sharing one ``sqlite://`` result cache;
+                spool (the parent alone reads and writes the result
+                cache);
 ``cache``       result-cache utilities (``cache stats URI`` prints kind,
                 location, and entry count — the same accessor the
                 service's ``/v1/stats`` uses);
@@ -44,8 +45,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.api import (
@@ -53,14 +56,18 @@ from repro.api import (
     ScheduleRequest,
     available_algorithms,
     available_backends,
+    create_backend,
     diff_results,
     format_diff,
     load_result_lines,
     load_scenario,
     open_cache,
+    route,
     run_scenario,
     solve_with_policy,
 )
+from repro.api.cache import opened_cache
+from repro.api.exec.queue import DEFAULT_LEASE_S
 from repro.core.heuristic import DagHetPartConfig
 from repro.experiments import figures
 from repro.experiments.instances import synthetic_sizes
@@ -216,7 +223,8 @@ def cmd_experiment(args) -> int:
     driver = EXPERIMENTS[args.name]
     kwargs = {}
     if args.name not in ("table2", "table3"):
-        if _bad_corpus_scale():
+        if _bad_setting(synthetic_sizes) \
+                or _bad_setting(lambda: create_backend(route())):
             return 2
         if args.families:
             kwargs["families"] = tuple(args.families.split(","))
@@ -236,10 +244,11 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _bad_corpus_scale() -> bool:
-    """True after one ``error:`` line when ``REPRO_SCALE`` is unusable."""
+def _bad_setting(check) -> bool:
+    """True after one ``error:`` line when ``check()`` rejects a setting,
+    such as ``REPRO_SCALE`` or the batch's backend and its knobs."""
     try:
-        synthetic_sizes()
+        check()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return True
@@ -285,6 +294,40 @@ def _load_spec(path: str):
         return None
 
 
+@contextlib.contextmanager
+def _result_stream(args, spec, header, label):
+    """What a scenario verb's results go to: ``--cache``, ``--progress``
+    and ``--json``, after the ``scenario`` line and ``header`` lines.
+
+    Yields ``stream``: pass ``stream.cache`` and ``stream.progress`` (a
+    hook naming each result ``label(result)``) to the run and each result
+    to ``stream.write``. On exit the file and the cache are closed, and
+    ``stream.counts`` holds the cache's counters (None without a cache).
+    """
+    total = spec.size()
+    print(f"scenario  : {spec.name}" +
+          (f" — {spec.description}" if spec.description else ""))
+    print("\n".join(header))
+
+    def progress(index, request, result):
+        status = "ok" if result.success else "FAILED"
+        print(f"  [{index + 1}/{total}] {label(result)}: {status}",
+              file=sys.stderr)
+
+    with opened_cache(args.cache) as cache, \
+            (open(args.json, "w") if args.json
+             else contextlib.nullcontext()) as out_fh:
+        stream = SimpleNamespace(
+            cache=cache, progress=progress if args.progress else None,
+            counts=None,
+            write=lambda r: out_fh and out_fh.write(r.to_json() + "\n"))
+        yield stream
+        if cache is not None:
+            stats = cache.stats()
+            stream.counts = (f"hits={stats['hits']} misses={stats['misses']} "
+                             f"entries={stats['entries']}")
+
+
 def cmd_scenario_run(args) -> int:
     """``repro scenario run``: execute a spec JSON, streamed and cached."""
     import dataclasses
@@ -308,29 +351,23 @@ def cmd_scenario_run(args) -> int:
                                      **overrides)
         spec = dataclasses.replace(
             spec, execution=dataclasses.replace(base, policy=policy))
+    backend = args.backend or (spec.execution.backend
+                               if spec.execution else None)
+    if _bad_setting(lambda: create_backend(route(backend=backend))):
+        return 2
     total = spec.size()
-    print(f"scenario  : {spec.name}" +
-          (f" — {spec.description}" if spec.description else ""))
-    print(f"requests  : {total} "
-          f"({sum(src.count() for src in spec.workflows)} workflow(s) x "
-          f"{sum(a.count() for a in spec.platforms)} platform point(s) x "
-          f"{len(spec.algorithms)} algorithm(s))")
-
-    cache = open_cache(args.cache) if args.cache else None
-    progress = None
-    if args.progress:
-        def progress(index, request, result):
-            status = "ok" if result.success else "FAILED"
-            print(f"  [{index + 1}/{total}] {result.workflow} / "
-                  f"{result.algorithm} on {result.cluster}: {status}",
-                  file=sys.stderr)
-
-    out_fh = open(args.json, "w") if args.json else None
     n_ok = n_failed = n_timeout = 0
     makespans = []
-    try:
-        for result in run_scenario(spec, parallel=args.parallel, cache=cache,
-                                   progress=progress, backend=args.backend):
+    with _result_stream(
+            args, spec,
+            [f"requests  : {total} "
+             f"({sum(src.count() for src in spec.workflows)} workflow(s) x "
+             f"{sum(a.count() for a in spec.platforms)} platform point(s) x "
+             f"{len(spec.algorithms)} algorithm(s))"],
+            lambda r: f"{r.workflow} / {r.algorithm} on {r.cluster}") as out:
+        for result in run_scenario(spec, parallel=args.parallel,
+                                   cache=out.cache, progress=out.progress,
+                                   backend=backend):
             if result.success:
                 n_ok += 1
                 makespans.append(result.makespan)
@@ -338,22 +375,14 @@ def cmd_scenario_run(args) -> int:
                 n_timeout += 1
             else:
                 n_failed += 1
-            if out_fh is not None:
-                out_fh.write(result.to_json() + "\n")
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-        stats = cache.stats() if cache is not None else None
-        if cache is not None:
-            cache.close()
+            out.write(result)
 
     timeouts = f", {n_timeout} timed out" if n_timeout else ""
     print(f"scheduled : {n_ok}/{total} ({n_failed} infeasible{timeouts})")
     if makespans:
         print(f"makespan  : min={min(makespans):.2f} max={max(makespans):.2f}")
-    if stats is not None:
-        print(f"cache     : hits={stats['hits']} misses={stats['misses']} "
-              f"entries={stats['entries']} ({cache.path})")
+    if out.counts is not None:
+        print(f"cache     : {out.counts} ({out.cache.path})")
     if args.json:
         print(f"results written to {args.json} (one envelope per line)")
     return 0
@@ -391,28 +420,15 @@ def cmd_simulate(args) -> int:
         return 2
     policy = args.policy or spec.dynamics.policy
     total = spec.size()
-    print(f"scenario  : {spec.name}" +
-          (f" — {spec.description}" if spec.description else ""))
-    print(f"requests  : {total}")
-    print(f"policy    : {policy}")
-
-    uri = args.cache
-    cache = open_cache(uri) if uri else None
-    progress = None
-    if args.progress:
-        def progress(index, request, result):
-            status = "ok" if result.success else "FAILED"
-            print(f"  [{index + 1}/{total}] {result.workflow} / "
-                  f"{result.algorithm}: {status}", file=sys.stderr)
-
-    out_fh = open(args.json, "w") if args.json else None
     n_ok = n_failed = 0
     event_dump = []
     degradations, migrations, full_passes, react_total = [], 0, 0, 0.0
     events_seen = 0
-    try:
-        for result in run_dynamic_scenario(spec, cache=cache,
-                                           progress=progress,
+    with _result_stream(args, spec,
+                        [f"requests  : {total}", f"policy    : {policy}"],
+                        lambda r: f"{r.workflow} / {r.algorithm}") as out:
+        for result in run_dynamic_scenario(spec, cache=out.cache,
+                                           progress=out.progress,
                                            policy=args.policy):
             if result.success:
                 n_ok += 1
@@ -424,8 +440,7 @@ def cmd_simulate(args) -> int:
                 events_seen += extra.get("sim_events", 0)
             else:
                 n_failed += 1
-            if out_fh is not None:
-                out_fh.write(result.to_json() + "\n")
+            out.write(result)
             if args.events_json:
                 event_dump.append({
                     "workflow": result.workflow,
@@ -433,12 +448,6 @@ def cmd_simulate(args) -> int:
                     "tags": dict(result.tags),
                     "events": result.extra.get("sim_event_log", []),
                 })
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-        stats = cache.stats() if cache is not None else None
-        if cache is not None:
-            cache.close()
 
     print(f"simulated : {n_ok}/{total} ({n_failed} failed)")
     print(f"events    : {events_seen}")
@@ -448,9 +457,8 @@ def cmd_simulate(args) -> int:
     print(f"migrations: {migrations}")
     print(f"full passes: {full_passes}")
     print(f"react     : total={react_total:.3f}s")
-    if stats is not None:
-        print(f"cache     : hits={stats['hits']} misses={stats['misses']} "
-              f"entries={stats['entries']}")
+    if out.counts is not None:
+        print(f"cache     : {out.counts}")
     if args.events_json:
         with open(args.events_json, "w", encoding="utf-8") as fh:
             json.dump(event_dump, fh, indent=1, sort_keys=True)
@@ -487,13 +495,17 @@ def cmd_worker(args) -> int:
 
     from repro.api.exec import NESTED_ENV, run_worker
 
+    if not args.lease > 0:
+        print(f"error: --lease must be a positive number of seconds, "
+              f"got {args.lease:g}", file=sys.stderr)
+        return 2
     # a batch issued *inside* a worker (portfolio-style algorithms that
     # call solve_batch) must run serial, not spool into a new queue or
     # fork pools from a process that is already one worker of many
     os.environ[NESTED_ENV] = "1"
     print(f"worker    : attaching to {args.spool}", file=sys.stderr)
     completed = run_worker(
-        args.spool, worker_id=args.id, poll_s=args.poll, cache=args.cache,
+        args.spool, worker_id=args.id, poll_s=args.poll,
         lease_timeout_s=args.lease, max_idle_s=args.max_idle, once=args.once)
     print(f"worker    : done ({completed} request(s) completed)",
           file=sys.stderr)
@@ -580,7 +592,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_info(args) -> int:
     """``repro info``: print presets and corpus configuration."""
-    if _bad_corpus_scale():
+    if _bad_setting(synthetic_sizes):
         return 2
     rows2 = figures.table2()["rows"]
     print(format_table(rows2, title="Table 2: default machine kinds"))
@@ -653,8 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(-1 = all CPUs; default: $REPRO_PARALLEL or serial)")
     pr.add_argument("--backend", choices=sorted(available_backends()),
                     default=None,
-                    help="execution backend (default: routed from worker "
-                         "count, $REPRO_BACKEND, and algorithm metadata); "
+                    help="execution backend (default: $REPRO_BACKEND, "
+                         "else routed from the worker count); "
                          "'queue' spools through a shared directory served "
                          "by N spawned (or external `repro worker`) "
                          "processes")
@@ -733,11 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, metavar="NAME",
                    help="worker id (default: derived from pid); claims live "
                         "under claimed/NAME/ and the lease is NAME.lease")
-    p.add_argument("--cache", metavar="URI", default=None,
-                   help="shared result cache (sqlite:///path.db — the only "
-                        "multi-process-safe kind); checked before solving, "
-                        "fresh results recorded after")
-    p.add_argument("--lease", type=float, default=None, metavar="S",
+    p.add_argument("--lease", type=float, default=DEFAULT_LEASE_S,
+                   metavar="S",
                    help="lease interval the parent judges liveness by "
                         "(heartbeats run at a quarter of it; default 15)")
     p.add_argument("--poll", type=float, default=0.1, metavar="S",

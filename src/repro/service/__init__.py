@@ -13,8 +13,8 @@ Layering, bottom up:
   ``JobResult`` envelopes;
 * :mod:`repro.service.store` — the durable job store, event-sourced
   on the crash-tolerant :class:`~repro.utils.appendlog.AppendLog`;
-* :mod:`repro.service.dispatcher` — asyncio queue + worker threads
-  feeding :func:`repro.api.batch.iter_solve_batch`;
+* :mod:`repro.service.dispatcher` — a pool of job threads feeding
+  :func:`repro.api.batch.iter_solve_batch`;
 * :mod:`repro.service.app` — the HTTP listener and graceful shutdown;
 * :mod:`repro.service.client` — a blocking urllib client.
 """

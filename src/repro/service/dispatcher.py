@@ -1,12 +1,12 @@
-"""The service's job engine: an asyncio queue feeding worker threads.
+"""The service's job engine: one thread pool, one queue.
 
 The dispatcher owns the job lifecycle between "accepted" and "terminal".
-Accepted jobs go onto an :class:`asyncio.Queue`; ``workers`` async
-worker tasks pull ids and run each job to completion on a dedicated
-:class:`~concurrent.futures.ThreadPoolExecutor` — the solve itself is
-plain blocking Python, so the event loop stays free to answer polls and
-stream events while jobs grind. Inside the worker thread a job is
-exactly an offline run: the stored payload rehydrates to
+Each accepted job is handed straight to a dedicated
+:class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads
+(``loop.run_in_executor``); the pool's own FIFO is the job queue. The
+solve itself is plain blocking Python, so the event loop stays free to
+answer polls and stream events while jobs grind. Inside the worker
+thread a job is exactly an offline run: the stored payload rehydrates to
 :class:`~repro.api.envelopes.ScheduleRequest` envelopes and streams
 through :func:`~repro.api.batch.iter_solve_batch` with the same cache,
 backend routing, and :class:`~repro.api.exec.policy.ExecutionPolicy`
@@ -24,16 +24,13 @@ Concurrency notes: every worker thread drives the one shared
 :class:`~repro.api.cache.CacheBackend` directly — the backend's own lock
 serializes its get/put/stats/close, and the job store has its own lock —
 and all cross-thread signalling into asyncio-land goes through
-``loop.call_soon_threadsafe``. The backend is handed to
-:func:`~repro.api.batch.iter_solve_batch` unchanged, so engines that
-share a cache with worker processes (the ``queue`` backend over sqlite)
-see its real kind and location.
+``loop.call_soon_threadsafe``.
 
 The :meth:`hold`/:meth:`release` gate exists for the load test: with the
-gate held, accepted jobs pile up in the queue (workers park before
-touching a job), so "N concurrent submissions in the system" is exact
-and reproducible; releasing the gate starts the drain. The gate is open
-by default and normal service operation never touches it.
+gate held, accepted jobs pile up (workers park before touching a job),
+so "N concurrent submissions in the system" is exact and reproducible;
+releasing the gate starts the drain. The gate is open by default and
+normal service operation never touches it.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.service.jobs import JobResult, JobSpec, JobStatus
 from repro.service.store import JobStore
@@ -78,9 +75,9 @@ class Dispatcher:
         self.started_at = time.time()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._tasks: List[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
+        #: accepted jobs' pool futures, until each ends (loop thread)
+        self._futures: Set[asyncio.Future] = set()
         self._draining = False
 
         self._gate = threading.Event()
@@ -90,7 +87,7 @@ class Dispatcher:
         # written from worker threads)
         self._mutex = threading.Lock()
         self._live: Dict[str, Dict[str, int]] = {}   # running jobs' ticks
-        self._in_flight = 0        # jobs currently on a worker thread
+        self._in_flight = 0        # jobs started, not yet terminal
         self._active = 0           # accepted, not yet terminal
         self._peak_active = 0      # max of _active over the lifetime
         self._completed_jobs = 0
@@ -105,45 +102,32 @@ class Dispatcher:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[List[str], List[str]]:
-        """Recover the store, then start the worker tasks.
+        """Recover the store, then run every requeued job.
 
         Returns the store's ``(requeued, crashed)`` reconciliation so the
         server can log what a restart found.
         """
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix=WORKER_THREAD_PREFIX)
         requeued, crashed = self.store.recover()
         for job_id in requeued:
-            with self._mutex:
-                self._active += 1
-                self._peak_active = max(self._peak_active, self._active)
-            self._queue.put_nowait(job_id)
-        self._tasks = [asyncio.ensure_future(self._worker())
-                       for _ in range(self.workers)]
+            self._enqueue(job_id)
         return requeued, crashed
 
     async def drain(self) -> None:
         """Stop accepting jobs, then wait until every accepted job ends."""
         self._draining = True
         self._gate.set()  # a held gate must not deadlock shutdown
-        if self._queue is not None:
-            await self._queue.join()
+        if self._futures:
+            await asyncio.wait(self._futures)
 
     async def stop(self) -> None:
-        """Tear down workers and the thread pool (after :meth:`drain`)."""
+        """Shut the thread pool down (after :meth:`drain`); jobs that
+        never started stay ``queued`` in the store for the next start."""
         self._draining = True
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks = []
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     @property
@@ -152,7 +136,7 @@ class Dispatcher:
 
     # -- the load-test gate --------------------------------------------
     def hold(self) -> None:
-        """Park the workers: accepted jobs queue up but none runs."""
+        """Park the workers: accepted jobs queue up but none starts."""
         self._gate.clear()
 
     def release(self) -> None:
@@ -184,12 +168,18 @@ class Dispatcher:
             from repro.api.scenario import ScenarioSpec
             ScenarioSpec.from_dict(spec.payload)
         status = self.store.submit(spec)
+        self._enqueue(spec.id)
+        return status
+
+    def _enqueue(self, job_id: str) -> None:
+        """Count one accepted job and hand it to the pool (loop thread)."""
+        assert self._pool is not None, "dispatcher not started"
         with self._mutex:
             self._active += 1
             self._peak_active = max(self._peak_active, self._active)
-        assert self._queue is not None, "dispatcher not started"
-        self._queue.put_nowait(spec.id)
-        return status
+        future = self._loop.run_in_executor(self._pool, self._run_job, job_id)
+        self._futures.add(future)
+        future.add_done_callback(self._futures.discard)
 
     # ------------------------------------------------------------------
     # views (loop thread)
@@ -226,8 +216,7 @@ class Dispatcher:
                 "uptime_s": round(now - self.started_at, 3),
                 "workers": self.workers,
                 "draining": self._draining,
-                "queue_depth": (self._queue.qsize()
-                                if self._queue is not None else 0),
+                "queue_depth": self._active - self._in_flight,
                 "in_flight": self._in_flight,
                 "active": self._active,
                 "peak_active": self._peak_active,
@@ -288,25 +277,15 @@ class Dispatcher:
                 "timeouts": status.timeouts, "error": status.error}
 
     # ------------------------------------------------------------------
-    # the workers
+    # the jobs (worker threads)
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
-        assert self._queue is not None and self._loop is not None
-        while True:
-            job_id = await self._queue.get()
-            try:
-                await self._loop.run_in_executor(
-                    self._pool, self._run_job, job_id)
-            finally:
-                self._queue.task_done()
-
     def _run_job(self, job_id: str) -> None:
         """Execute one job end to end (worker thread)."""
         self._gate.wait()
         spec = self.store.spec(job_id)
         status = self.store.status(job_id)
         if spec is None or status is None or status.state != "queued":
-            return  # recovered tombstone or duplicate enqueue; nothing to do
+            return  # recovered tombstone; nothing to do
         started = time.time()
         status = dataclasses.replace(status, state="running",
                                      started_at=started)
@@ -367,11 +346,7 @@ class Dispatcher:
                     backend = execution.backend
                 if not parallel and execution.parallel is not None:
                     parallel = execution.parallel
-        # the whole request list is in hand, so route on every algorithm
-        # in it, exactly as solve_batch does
-        resolved = route(sorted({r.algorithm for r in requests}),
-                         backend=backend,
-                         workers=resolve_parallel(parallel))
+        resolved = route(backend=backend, workers=resolve_parallel(parallel))
 
         def tick(index, request, result):
             failed = result.failure is not None

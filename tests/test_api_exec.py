@@ -212,53 +212,12 @@ class TestRouting:
 
     def test_serial_for_single_worker(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert route(("daghetpart",), workers=0) == "serial"
-        assert route(("daghetpart",), workers=1) == "serial"
+        assert route(workers=0) == "serial"
+        assert route(workers=1) == "serial"
 
     def test_process_for_cpu_bound_batch(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert route(("daghetpart",), workers=4) == "process"
-
-    def test_io_bound_algorithms_route_to_threads(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-
-        @register_algorithm("iodummy", capabilities=("io-bound",))
-        def iodummy(workflow, cluster, config=None):
-            raise NotImplementedError
-
-        try:
-            assert route(("iodummy",), workers=4) == "thread"
-            # a mixed batch falls back to processes
-            assert route(("iodummy", "daghetpart"), workers=4) == "process"
-        finally:
-            unregister_algorithm("iodummy")
-
-    def test_solve_batch_routes_on_every_algorithm(self, monkeypatch):
-        """A mixed list must not be GIL-serialized because its first
-        request happened to be io-bound: solve_batch has the whole list
-        and routes on all algorithm names."""
-        import repro.api.exec.backends as backends_module
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-
-        @register_algorithm("iodummy2", capabilities=("io-bound",))
-        def iodummy2(workflow, cluster, config=None):
-            return get_algorithm("daghetmem").scheduler.run(workflow, cluster)
-
-        created = []
-        real = backends_module.create_backend
-        monkeypatch.setattr(backends_module, "create_backend",
-                            lambda name: created.append(name) or real(name))
-        try:
-            mixed = [_request(algorithm="iodummy2", config=None),
-                     _request(), _request()]
-            solve_batch(mixed, parallel=2)
-            assert created == ["process"]  # not thread: batch is mixed
-            created.clear()
-            solve_batch([_request(algorithm="iodummy2", config=None)] * 2,
-                        parallel=2)
-            assert created == ["thread"]  # all io-bound
-        finally:
-            unregister_algorithm("iodummy2")
+        assert route(workers=4) == "process"
 
     def test_nested_batch_inside_watchdog_thread_is_serial(self,
                                                            monkeypatch):
@@ -287,7 +246,7 @@ class TestRouting:
         routed = {}
 
         def target():
-            routed["name"] = route(("daghetpart",), workers=8)
+            routed["name"] = route(workers=8)
 
         worker = threading.Thread(target=target, name="repro-exec_0")
         worker.start()
@@ -511,9 +470,9 @@ class TestBackendEquivalence:
         import multiprocessing
         monkeypatch.setattr(multiprocessing, "current_process", FakeDaemon)
         monkeypatch.setenv(BACKEND_ENV, "process")
-        assert route(("daghetpart",), workers=4) == "serial"
+        assert route(workers=4) == "serial"
         monkeypatch.delenv(BACKEND_ENV)
-        assert route(("daghetpart",), workers=4) == "serial"
+        assert route(workers=4) == "serial"
         # an explicit argument is still honoured as written
         assert route(backend="thread", workers=4) == "thread"
 

@@ -277,12 +277,12 @@ class TestQueuePolicies:
 class TestQueueEquivalence:
     def test_queue_backend_is_registered_and_never_auto_routed(self):
         assert "queue" in available_backends()
-        assert route(("daghetpart",), workers=8) != "queue"
-        assert route(("daghetpart",), backend="queue", workers=8) == "queue"
+        assert route(workers=8) != "queue"
+        assert route(backend="queue", workers=8) == "queue"
 
     def test_nested_env_routes_serial(self, monkeypatch):
         monkeypatch.setenv(NESTED_ENV, "1")
-        assert route(("daghetpart",), workers=8) == "serial"
+        assert route(workers=8) == "serial"
 
     def test_serial_and_queue_sweeps_are_bit_identical(self):
         requests = _sweep_requests(6)
@@ -374,8 +374,8 @@ class TestQueueBackendObject:
     def test_worker_cli_command_parses(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(
-            ["worker", "/tmp/spool", "--id", "w9", "--cache",
-             "sqlite:///tmp/c.db", "--lease", "5", "--max-idle", "30"])
+            ["worker", "/tmp/spool", "--id", "w9", "--lease", "5",
+             "--max-idle", "30"])
         assert args.spool == "/tmp/spool"
         assert args.id == "w9"
         assert args.lease == 5.0

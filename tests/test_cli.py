@@ -285,6 +285,59 @@ class TestSpecLoadErrors:
             capsys.readouterr().err
 
 
+class TestExecutionSettingErrors:
+    """A bad backend setting or worker flag is one ``error:`` line, exit 2."""
+
+    @staticmethod
+    def _one_error_line(capsys, *fragments):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", "SPEC"],
+        ["experiment", "fig3_left", "-j", "2"],
+    ])
+    def test_bogus_backend_env(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        monkeypatch.setenv("REPRO_SCALE", "400")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_GOOD_SPEC))
+        argv = [str(path) if a == "SPEC" else a for a in argv]
+        assert main(argv) == 2
+        self._one_error_line(capsys, "bogus")
+
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_QUEUE_LEASE_S", "soon"),
+        ("REPRO_QUEUE_LEASE_S", "-1"),
+        ("REPRO_QUEUE_MAX_RECLAIMS", "x"),
+    ])
+    def test_bad_queue_knob(self, tmp_path, capsys, monkeypatch, name,
+                            value):
+        monkeypatch.setenv(name, value)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_GOOD_SPEC))
+        assert main(["scenario", "run", str(path), "--backend", "queue"]) == 2
+        self._one_error_line(capsys, value)
+
+    @pytest.mark.parametrize("lease", ["-1", "0", "nan"])
+    def test_worker_non_positive_lease(self, tmp_path, capsys, lease):
+        assert main(["worker", str(tmp_path / "spool"),
+                     "--lease", lease]) == 2
+        self._one_error_line(capsys, "--lease")
+        assert not (tmp_path / "spool").exists()
+
+    def test_worker_has_no_cache_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", str(tmp_path / "spool"), "--cache",
+                  f"sqlite://{tmp_path}/c.db"])
+        assert exc.value.code == 2
+
+
 class TestScenarioDiff:
     def _run_to_jsonl(self, tmp_path, name, mutate=None):
         from repro.api import collect_scenario

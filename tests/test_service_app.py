@@ -213,21 +213,7 @@ class TestScenarioJobs:
 
 
 class TestSharedCache:
-    """The dispatcher hands its cache backend to the engines unchanged."""
-
-    def test_queue_backend_gets_the_sqlite_cache_uri(self, tmp_path):
-        from repro.api import open_cache
-        from repro.api.exec.queue import QueueBackend
-        from repro.service.dispatcher import Dispatcher
-
-        cache = open_cache(f"sqlite://{tmp_path}/cache.db")
-        with JobStore(str(tmp_path / "store")) as store:
-            engine = QueueBackend(spawn=False)
-            # what iter_solve_batch does with the cache a service job
-            # passes it: the queue workers must open the same database
-            engine.set_cache(Dispatcher(store, cache=cache).cache)
-        assert engine._cache_uri == f"sqlite://{tmp_path}/cache.db"
-        cache.close()
+    """Every job of the service shares the dispatcher's one cache."""
 
     def test_stats_describe_the_cache_backend(self, tmp_path):
         from repro.api.cache import describe_cache
@@ -247,6 +233,40 @@ class TestSharedCache:
                              "hit_rate": 0.5}
         finally:
             svc.stop()
+
+
+class TestHeldGate:
+    """With the gate held every accepted job waits in the one pool queue."""
+
+    def test_held_jobs_all_queue_then_all_finish(self, tmp_path):
+        from repro.service.dispatcher import Dispatcher
+
+        n = 5
+
+        async def scenario(store):
+            dispatcher = Dispatcher(store, workers=2)
+            await dispatcher.start()
+            dispatcher.hold()
+            ids = [dispatcher.submit("schedule", _request_dict(seed=i)).id
+                   for i in range(n)]
+            await asyncio.sleep(0.2)  # the pool's threads reach the gate
+            held = dispatcher.stats()
+            dispatcher.release()
+            await dispatcher.drain()
+            drained = dispatcher.stats()
+            await dispatcher.stop()
+            return ids, held, drained
+
+        with JobStore(str(tmp_path / "store")) as store:
+            ids, held, drained = asyncio.run(scenario(store))
+            states = [store.status(job_id).state for job_id in ids]
+        assert held["queue_depth"] == n
+        assert held["in_flight"] == 0
+        assert held["active"] == n
+        assert states == ["done"] * n
+        assert drained["queue_depth"] == 0
+        assert drained["in_flight"] == 0
+        assert drained["completed_jobs"] == n
 
 
 class TestErrorSurfaces:
