@@ -24,7 +24,7 @@ import time
 import pytest
 
 import repro.api.cache as cache_module
-from repro.api import ResultCache, ScheduleRequest, iter_solve_batch, solve
+from repro.api import ScheduleRequest, iter_solve_batch, open_cache, solve
 from repro.core.heuristic import DagHetPartConfig
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster
@@ -59,7 +59,7 @@ def test_cached_batch_fingerprints_once_per_request(monkeypatch, tmp_path):
     real = cache_module.request_fingerprint
     monkeypatch.setattr(cache_module, "request_fingerprint",
                         lambda request: calls.append(request) or real(request))
-    with ResultCache(str(tmp_path / "c")) as cache:
+    with open_cache(str(tmp_path / "c")) as cache:
         list(iter_solve_batch(_requests(8), cache=cache))
     assert len(calls) == 8
 

@@ -101,7 +101,7 @@ def main() -> None:
     finally:
         unregister_algorithm("gridlock")
 
-    # 4. Swappable cache backends: sqlite URI, second run = zero solves.
+    # 4. The result cache by sqlite URI: second run = zero solves.
     with tempfile.TemporaryDirectory() as tmp:
         uri = f"sqlite://{tmp}/results.db"
         with open_cache(uri) as cache:

@@ -20,6 +20,7 @@ Run:  python examples/service_demo.py
 
 import asyncio
 import os
+import shutil
 import tempfile
 import threading
 
@@ -67,6 +68,14 @@ def start_service(store_dir: str, cache_uri: str):
 
 def main():
     tmp = tempfile.mkdtemp(prefix="repro-service-demo-")
+    try:
+        demo(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def demo(tmp: str):
+    """Walk the client surface against a service storing under ``tmp``."""
     store_dir = os.path.join(tmp, "store")
     cache_uri = "sqlite://" + os.path.join(tmp, "cache.db")
     app, thread = start_service(store_dir, cache_uri)

@@ -72,8 +72,8 @@ def main() -> None:
                              "default: routed per batch)")
     parser.add_argument("--cache", metavar="URI",
                         help="fingerprint-keyed result cache URI "
-                             "(sqlite:///path.db, jsonl://DIR, or a plain "
-                             "directory); makes the whole evaluation resumable")
+                             "(sqlite:///path.db or a plain directory); "
+                             "makes the whole evaluation resumable")
     args = parser.parse_args()
     sizes = synthetic_sizes()
     log(f"synthetic sizes: {sizes}")

@@ -19,8 +19,8 @@ examples, future serving layers):
   and the streaming ``iter_solve_batch`` it is built on;
 * :mod:`repro.api.scenario` — declarative ``ScenarioSpec`` (JSON-round-
   trippable experiment grids) with ``expand``/``run_scenario``;
-* :mod:`repro.api.cache` — fingerprint-keyed on-disk ``ResultCache``
-  (resume instead of recompute);
+* :mod:`repro.api.cache` — fingerprint-keyed on-disk result cache,
+  ``open_cache(URI)`` (resume instead of recompute);
 * :mod:`repro.api.schedulers` — the built-in algorithms: the paper's two
   plus the memory-oblivious HEFT-style list scheduler, the
   simulated-annealing refiner (``anneal``), and the best-of-N
@@ -53,7 +53,6 @@ from repro.api.batch import (
 )
 from repro.api.cache import (
     CacheBackend,
-    ResultCache,
     describe_cache,
     open_cache,
     request_fingerprint,
@@ -110,7 +109,6 @@ __all__ = [
     "PortfolioConfig",
     "QueueBackend",
     "RealWorkflowSource",
-    "ResultCache",
     "ScenarioSpec",
     "Scheduler",
     "SchedulerOutput",

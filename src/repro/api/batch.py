@@ -203,7 +203,7 @@ def iter_solve_batch(requests: Iterable[ScheduleRequest],
     requests whose fingerprint is already stored are served from disk
     without a ``solve`` call (their ``tags`` are taken from the incoming
     request, not the stored result), and every freshly computed result is
-    appended to the cache before being yielded — a crashed sweep resumes
+    stored in the cache before being yielded — a crashed sweep resumes
     where it stopped. Identical requests *within* a run dedupe on every
     backend: a request whose fingerprint is already in flight waits for
     the first submission's result instead of solving again (on serial the

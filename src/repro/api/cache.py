@@ -1,28 +1,13 @@
-"""On-disk result caches keyed by a stable request fingerprint.
+"""On-disk result cache keyed by a stable request fingerprint.
 
-Storage is pluggable behind the :class:`CacheBackend` interface —
-fingerprinting, hit/miss accounting, and the retag-on-hit contract are
-shared; a concrete backend only implements ``_read``/``_write``/
-``__len__``/``__contains__``. Two backends ship, selected by URI via
-:func:`open_cache`:
-
-* :class:`ResultCache` (a plain directory path, or ``jsonl://DIR``) — a
-  directory holding one :class:`~repro.utils.appendlog.AppendLog`; each
-  line is ``{"fp": <fingerprint>, "result": <ScheduleResult.to_dict()>}``.
-  The log's crash contract (flushed lines, torn tail skipped on load and
-  repaired on the next write) means a crashed sweep leaves a valid
-  prefix behind and the next run resumes where it stopped instead of
-  recomputing.
-* :class:`~repro.api.cache_sqlite.SqliteResultCache`
-  (``sqlite:///path.db``) — one SQLite file in WAL mode, committed per
-  put; the journal gives the same crash guarantee transactionally, and
-  lookups need no in-memory index at all.
-
-The JSONL backend keeps only a ``fingerprint → byte offset`` index in
-memory; result payloads stay on disk and are read back lazily on a hit,
-so a cache over a million-request sweep costs the parent process
-megabytes, not the gigabytes the payloads occupy — the streaming batch
-iterator keeps its constant-memory contract even when fully cache-served.
+:class:`CacheBackend` holds everything callers see — fingerprinting,
+hit/miss accounting, and the retag-on-hit contract — and leaves storage
+to ``_read``/``_write``/``__len__``/``__contains__``. The one shipped
+store is :class:`~repro.api.cache_sqlite.SqliteResultCache`: one SQLite
+file in WAL mode, committed per put, so a crashed sweep leaves every
+completed entry behind and the next run resumes where it stopped.
+:func:`open_cache` opens it from a URI — ``sqlite:///path.db``, or a
+plain directory ``DIR`` meaning ``DIR/results.db``.
 
 The fingerprint (:func:`request_fingerprint`) hashes everything that
 determines the *outcome* of a solve — workflow structure and weights,
@@ -32,7 +17,7 @@ excludes ``tags`` (correlation metadata that does not influence the
 result), ``want_mapping`` (which only controls whether the live mapping
 rides on the envelope), and the execution ``policy`` (timeout/retry
 knobs that govern *how* the request runs, not what it computes): two
-requests for the same computation hit the same cache line no matter how
+requests for the same computation hit the same cache entry no matter how
 they are labelled or executed. On a hit the stored
 result is rehydrated with the *incoming* request's tags (the stored
 ``extra`` — algorithm-reported outcome metadata — is kept, since the
@@ -53,10 +38,9 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.api.envelopes import ScheduleRequest, ScheduleResult
 from repro.api.registry import canonical_name, get_algorithm
-from repro.utils.appendlog import AppendLog
 
-#: file name of the cache inside its directory
-CACHE_FILENAME = "results.jsonl"
+#: file name of the cache a plain directory URI opens
+CACHE_FILENAME = "results.db"
 
 
 def _num(value):
@@ -157,7 +141,7 @@ class CacheBackend:
     here, so every backend behaves identically.
     """
 
-    #: short storage-kind label ("jsonl", "sqlite", ...) surfaced by
+    #: short storage-kind label ("sqlite", ...) surfaced by
     #: :func:`describe_cache`; subclasses override
     kind = "custom"
 
@@ -235,81 +219,19 @@ class CacheBackend:
                     "misses": self.misses}
 
 
-class ResultCache(CacheBackend):
-    """Append-only JSONL cache of :class:`ScheduleResult` envelopes.
-
-    >>> cache = ResultCache("results-cache/")
-    >>> for result in iter_solve_batch(requests, cache=cache):  # doctest: +SKIP
-    ...     ...
-    >>> cache.hits, cache.misses  # doctest: +SKIP
-
-    One process appends at a time (results are written from the batch
-    parent, not from workers), and the :class:`CacheBackend` lock
-    serializes that process's threads; re-opening the same directory
-    later — or after a crash — picks up every complete line.
-    """
-
-    kind = "jsonl"
-
-    def __init__(self, directory: str):
-        super().__init__()
-        self.directory = str(directory)
-        if not self.directory:
-            # os.makedirs("") raises a bare FileNotFoundError; turn the
-            # empty location into an actionable error instead
-            raise ValueError(
-                "ResultCache needs a directory; got an empty location "
-                "(pass a directory path or a jsonl://DIR URI)")
-        os.makedirs(self.directory, exist_ok=True)
-        self.path = os.path.join(self.directory, CACHE_FILENAME)
-        self._log = AppendLog(self.path)
-        #: fingerprint -> byte offset of its line (payloads stay on disk)
-        self._offsets: Dict[str, int] = {
-            entry["fp"]: offset for offset, entry in self._log.replay()
-            if isinstance(entry.get("fp"), str) and "result" in entry}
-
-    @property
-    def location(self) -> str:
-        return self.directory
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._offsets
-
-    def _read(self, fingerprint: str) -> Optional[ScheduleResult]:
-        offset = self._offsets.get(fingerprint)
-        if offset is None:
-            return None
-        entry = self._log.read_at(offset)
-        if entry is None:  # defensive: index said yes, disk disagrees
-            return None
-        return ScheduleResult.from_dict(entry["result"])
-
-    def _write(self, fingerprint: str, result: ScheduleResult) -> None:
-        self._offsets[fingerprint] = self._log.append(
-            {"fp": fingerprint, "result": result.to_dict()})
-
-    def close(self) -> None:
-        with self._lock:
-            self._log.close()
-
-
 #: URI scheme -> how :func:`open_cache` interprets the rest of the URI
 SQLITE_SCHEME = "sqlite://"
-JSONL_SCHEME = "jsonl://"
 
 
 def open_cache(uri: "str | CacheBackend") -> CacheBackend:
     """A cache backend from a URI (or a pass-through for open backends).
 
-    * ``sqlite:///abs/path.db`` / ``sqlite://rel.db`` — the SQLite
-      backend (:class:`~repro.api.cache_sqlite.SqliteResultCache`);
-    * ``jsonl://DIR`` or a plain directory path — the JSONL
-      :class:`ResultCache`.
+    * ``sqlite:///abs/path.db`` / ``sqlite://rel.db`` — that database file;
+    * a plain directory path ``DIR`` — ``DIR/results.db`` (``DIR`` is
+      created if missing).
 
-    An already-open :class:`CacheBackend` is returned unchanged, so call
+    Both open a :class:`~repro.api.cache_sqlite.SqliteResultCache`. An
+    already-open :class:`CacheBackend` is returned unchanged, so call
     sites can accept "URI or backend" uniformly (the caller keeps
     ownership — :func:`open_cache` only closes nothing it did not open).
     """
@@ -319,33 +241,26 @@ def open_cache(uri: "str | CacheBackend") -> CacheBackend:
         raise TypeError(
             f"expected a cache URI string or CacheBackend, "
             f"got {type(uri).__name__}")
+    from repro.api.cache_sqlite import SqliteResultCache
     if uri.startswith(SQLITE_SCHEME):
         path = uri[len(SQLITE_SCHEME):]
         if not path:
             raise ValueError(
                 f"cache URI {uri!r} has an empty location; expected "
                 f"{SQLITE_SCHEME}PATH.db (e.g. sqlite:///tmp/results.db)")
-        from repro.api.cache_sqlite import SqliteResultCache
         return SqliteResultCache(path)
-    if uri.startswith(JSONL_SCHEME):
-        directory = uri[len(JSONL_SCHEME):]
-        if not directory:
-            raise ValueError(
-                f"cache URI {uri!r} has an empty location; expected "
-                f"{JSONL_SCHEME}DIR (e.g. jsonl://results-cache)")
-        return ResultCache(directory)
     if "://" in uri:
         # a typo'd or unsupported scheme must fail loudly, not become a
         # literal directory named "sqlit://..." caching into the void
         scheme = uri.split("://", 1)[0]
         raise ValueError(
             f"unknown cache URI scheme {scheme + '://'!r}; valid: "
-            f"{SQLITE_SCHEME!r}, {JSONL_SCHEME!r}, or a plain directory path")
+            f"sqlite:///PATH.db or a plain directory path")
     if not uri:
         raise ValueError(
-            "empty cache URI; expected sqlite:///PATH.db, jsonl://DIR, "
-            "or a plain directory path")
-    return ResultCache(uri)
+            "empty cache URI; expected sqlite:///PATH.db or a plain "
+            "directory path")
+    return SqliteResultCache(os.path.join(uri, CACHE_FILENAME))
 
 
 @contextlib.contextmanager
@@ -370,8 +285,8 @@ def describe_cache(backend: CacheBackend) -> Dict[str, Any]:
     ``repro cache stats`` prints it and the service's ``/v1/stats``
     endpoint embeds it, so the CLI and the HTTP API can never drift:
     storage kind, location, stored-entry count, and this *session's*
-    hit/miss counters (both shipped stores persist entries, not
-    counters — a freshly opened cache always starts at 0/0).
+    hit/miss counters (the store persists entries, not counters — a
+    freshly opened cache always starts at 0/0).
     """
     stats = backend.stats()
     total = stats["hits"] + stats["misses"]

@@ -1,21 +1,15 @@
 """SQLite cache backend: one ``.db`` file, transactional crash safety.
 
-Where the JSONL :class:`~repro.api.cache.ResultCache` gets its crash
-tolerance from the line framing of its
-:class:`~repro.utils.appendlog.AppendLog` (torn tail skipped on load,
-repaired on the next write), :class:`SqliteResultCache` gets the same
-guarantee from the SQLite journal: every ``put`` is its own committed
-transaction, so a process killed mid-write leaves the database at the
-last commit — no repair pass, no in-memory offset index to rebuild on
-open. That makes it the backend of choice for large sweeps
-(million-entry caches open in constant time) and for sharing one cache
-file between sequential runs.
+Every ``put`` is its own committed transaction, so a process killed
+mid-write leaves the database at the last commit — no repair pass, no
+in-memory index to rebuild on open, and million-entry caches open in
+constant time.
 
-Selected by URI through :func:`repro.api.cache.open_cache`:
-``sqlite:///abs/path.db`` or ``sqlite://relative.db``. Like the JSONL
-backend, every operation is serialized through the
-:class:`CacheBackend` RLock (service dispatcher threads, the thread
-execution backend). Unlike it, this store is also safe across
+Opened by URI through :func:`repro.api.cache.open_cache`:
+``sqlite:///abs/path.db``, ``sqlite://relative.db``, or a plain
+directory ``DIR`` (``DIR/results.db``). Every operation is serialized
+through the :class:`CacheBackend` RLock (service dispatcher threads, the
+thread execution backend), and the store is also safe across
 *processes*: WAL plus a generous busy timeout let several runs (batch
 sweeps, services) sharing one zero-solve cache file read and commit
 against the same database without "database is locked" failures.
@@ -47,9 +41,10 @@ _BUSY_TIMEOUT_S = 30.0
 class SqliteResultCache(CacheBackend):
     """Fingerprint-keyed :class:`ScheduleResult` store in one SQLite file.
 
-    Passes the same behavioural suite as the JSONL backend (retag-on-hit,
-    dedupe-on-put, reopen-after-crash) through the shared
-    :class:`~repro.api.cache.CacheBackend` contract.
+    >>> cache = open_cache("results-cache/")  # doctest: +SKIP
+    >>> for result in iter_solve_batch(requests, cache=cache):  # doctest: +SKIP
+    ...     ...
+    >>> cache.hits, cache.misses  # doctest: +SKIP
     """
 
     kind = "sqlite"

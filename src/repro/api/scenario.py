@@ -25,9 +25,9 @@ workload is a file, not a Python driver:
 :class:`~repro.api.envelopes.ScheduleRequest` envelopes — workflows are
 generated one at a time, so the grid is never materialised.
 :func:`run_scenario` streams the requests through
-:func:`~repro.api.batch.iter_solve_batch`, optionally consulting an
-on-disk :class:`~repro.api.cache.ResultCache` so re-runs and crashed
-sweeps resume instead of recompute.
+:func:`~repro.api.batch.iter_solve_batch`, optionally consulting the
+on-disk result cache (:func:`~repro.api.cache.open_cache`) so re-runs
+and crashed sweeps resume instead of recompute.
 
 The expansion order is deterministic: workflow sources in spec order,
 instances in source order, then platforms × bandwidths × memory factors ×
@@ -382,7 +382,7 @@ class ExecutionSpec(Record):
     (``-1`` = all CPUs); ``policy`` is the per-request
     :class:`~repro.api.exec.policy.ExecutionPolicy` attached to every
     expanded request; ``cache`` is a default cache URI
-    (``sqlite:///path.db``, ``jsonl://dir``, or a plain directory).
+    (``sqlite:///path.db`` or a plain directory).
     Everything here is a *default* — explicit ``run_scenario`` arguments
     and CLI flags override it, and :func:`~repro.api.exec.routing.route`
     still applies when ``backend`` is left unset.
@@ -566,8 +566,8 @@ def run_scenario(spec: ScenarioSpec,
                  backend: Optional[str] = None) -> Iterator[ScheduleResult]:
     """Stream the scenario's results in expansion order.
 
-    ``cache`` is a cache URI (``sqlite:///path.db``, ``jsonl://dir``, or
-    a plain directory path) or an open
+    ``cache`` is a cache URI (``sqlite:///path.db`` or a plain directory
+    path) or an open
     :class:`~repro.api.cache.CacheBackend`; previously computed requests
     are served from it without a ``solve`` call, and fresh results are
     appended as they complete, so an interrupted sweep resumes for free.

@@ -66,7 +66,6 @@ from repro.api import (
     run_scenario,
     solve_with_policy,
 )
-from repro.api.cache import opened_cache
 from repro.api.exec.queue import DEFAULT_LEASE_S
 from repro.core.heuristic import DagHetPartConfig
 from repro.experiments import figures
@@ -255,6 +254,18 @@ def _bad_setting(check) -> bool:
     return False
 
 
+def _open_cache(uri):
+    """The cache ``uri`` names, open (None without a URI), or False after
+    one ``error:`` line for a bad URI."""
+    if uri is None:
+        return None
+    try:
+        return open_cache(uri)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+
+
 def _plot_rows(name: str, rows) -> None:
     """Best-effort ASCII chart for the figure's main series."""
     from repro.experiments.plotting import ascii_bar_chart, ascii_line_plot, figure_series
@@ -296,14 +307,22 @@ def _load_spec(path: str):
 
 @contextlib.contextmanager
 def _result_stream(args, spec, header, label):
-    """What a scenario verb's results go to: ``--cache``, ``--progress``
-    and ``--json``, after the ``scenario`` line and ``header`` lines.
+    """What a scenario verb's results go to: the cache (``--cache``, else
+    the spec's ``execution.cache``), ``--progress`` and ``--json``, after
+    the ``scenario`` line and ``header`` lines.
 
     Yields ``stream``: pass ``stream.cache`` and ``stream.progress`` (a
     hook naming each result ``label(result)``) to the run and each result
     to ``stream.write``. On exit the file and the cache are closed, and
     ``stream.counts`` holds the cache's counters (None without a cache).
+    Yields None instead when the cache URI is bad.
     """
+    execution = spec.execution
+    cache = _open_cache(args.cache if args.cache is not None
+                        else execution.cache if execution else None)
+    if cache is False:
+        yield None
+        return
     total = spec.size()
     print(f"scenario  : {spec.name}" +
           (f" — {spec.description}" if spec.description else ""))
@@ -314,7 +333,7 @@ def _result_stream(args, spec, header, label):
         print(f"  [{index + 1}/{total}] {label(result)}: {status}",
               file=sys.stderr)
 
-    with opened_cache(args.cache) as cache, \
+    with (cache if cache is not None else contextlib.nullcontext()), \
             (open(args.json, "w") if args.json
              else contextlib.nullcontext()) as out_fh:
         stream = SimpleNamespace(
@@ -365,6 +384,8 @@ def cmd_scenario_run(args) -> int:
              f"{sum(a.count() for a in spec.platforms)} platform point(s) x "
              f"{len(spec.algorithms)} algorithm(s))"],
             lambda r: f"{r.workflow} / {r.algorithm} on {r.cluster}") as out:
+        if out is None:
+            return 2
         for result in run_scenario(spec, parallel=args.parallel,
                                    cache=out.cache, progress=out.progress,
                                    backend=backend):
@@ -427,6 +448,8 @@ def cmd_simulate(args) -> int:
     with _result_stream(args, spec,
                         [f"requests  : {total}", f"policy    : {policy}"],
                         lambda r: f"{r.workflow} / {r.algorithm}") as out:
+        if out is None:
+            return 2
         for result in run_dynamic_scenario(spec, cache=out.cache,
                                            progress=out.progress,
                                            policy=args.policy):
@@ -479,11 +502,17 @@ def cmd_serve(args) -> int:
 
     from repro.service import serve
 
+    if _bad_setting(lambda: create_backend(route(backend=args.backend))):
+        return 2
+    cache = _open_cache(args.cache)
+    if cache is False:
+        return 2
     try:
-        asyncio.run(serve(
-            host=args.host, port=args.port, store_dir=args.store,
-            cache=args.cache, backend=args.backend, workers=args.workers,
-            parallel=args.parallel if args.parallel is not None else 0))
+        with cache if cache is not None else contextlib.nullcontext():
+            asyncio.run(serve(
+                host=args.host, port=args.port, store_dir=args.store,
+                cache=cache, backend=args.backend, workers=args.workers,
+                parallel=args.parallel if args.parallel is not None else 0))
     except KeyboardInterrupt:
         pass  # Ctrl-C before the signal handler installs: quiet exit
     return 0
@@ -516,11 +545,11 @@ def cmd_cache_stats(args) -> int:
     """``repro cache stats``: describe a result cache by URI."""
     from repro.api import describe_cache
 
-    cache = open_cache(args.uri)
-    try:
+    cache = _open_cache(args.uri)
+    if cache is False:
+        return 2
+    with cache:
         info = describe_cache(cache)
-    finally:
-        cache.close()
     print(f"kind      : {info['kind']}")
     print(f"location  : {info['location']}")
     print(f"entries   : {info['entries']}")
@@ -677,10 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra attempts per failed request (0 switches a "
                          "spec's retries off; default: the spec's policy)")
     pr.add_argument("--cache", metavar="URI",
-                    help="result cache URI: sqlite:///path.db, jsonl://DIR, "
-                         "or a plain directory; previously computed requests "
-                         "are served from it and new results appended, so "
-                         "re-runs and interrupted sweeps resume")
+                    help="result cache URI: sqlite:///path.db, or a plain "
+                         "directory DIR (DIR/results.db); previously "
+                         "computed requests are served from it and new "
+                         "results stored, so re-runs and interrupted sweeps "
+                         "resume (default: the spec's execution.cache)")
     pr.add_argument("--json", metavar="FILE",
                     help="write result envelopes to FILE as JSONL (streamed)")
     pr.add_argument("--progress", action="store_true")
@@ -703,8 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="override the spec's reaction policy")
     p.add_argument("--cache", metavar="URI",
-                   help="result cache (sqlite:///path.db, jsonl://DIR, or a "
-                        "directory); keyed by the dynamic fingerprint")
+                   help="result cache (sqlite:///path.db or a directory; "
+                        "default: the spec's execution.cache); keyed by "
+                        "the dynamic fingerprint")
     p.add_argument("--json", metavar="FILE",
                    help="write result envelopes to FILE as JSONL")
     p.add_argument("--events-json", metavar="FILE",
@@ -724,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "ones)")
     p.add_argument("--cache", metavar="URI", default=None,
                    help="result cache shared by all jobs "
-                        "(sqlite:///path.db, jsonl://DIR, or a directory)")
+                        "(sqlite:///path.db or a directory)")
     p.add_argument("--backend", choices=sorted(available_backends()),
                    default=None,
                    help="execution backend per job (default: routed like "
@@ -763,8 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cache_command", required=True)
     pc = csub.add_parser(
         "stats", help="describe a cache (kind, location, entries)")
-    pc.add_argument("uri", help="sqlite:///path.db, jsonl://DIR, or a "
-                                "directory")
+    pc.add_argument("uri", help="sqlite:///path.db or a directory")
     pc.set_defaults(func=cmd_cache_stats)
 
     p = sub.add_parser(

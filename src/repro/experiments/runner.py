@@ -74,8 +74,8 @@ def scenario_records(spec: ScenarioSpec,
     """Run a declarative scenario and flatten its results into records.
 
     Results stream through :func:`repro.api.run_scenario` (so ``cache``
-    — a directory path or :class:`repro.api.ResultCache` — turns re-runs
-    into disk reads) and are flattened as they arrive. ``progress``
+    — a cache URI or an open :class:`repro.api.CacheBackend` — turns
+    re-runs into disk reads) and are flattened as they arrive. ``progress``
     receives one message per completed request.
     """
     hook = None

@@ -1,10 +1,9 @@
 """Scheduling-as-a-service: the async HTTP layer over ``repro.api``.
 
-The wire format was frozen in PRs 2/3 (``ScheduleRequest`` /
-``ScenarioSpec`` round-trip JSON), execution became pluggable in PR 5 —
-this package adds the missing front door: a long-running asyncio
-HTTP/JSON server (``repro serve``) with a durable job store, live
-stats and streaming progress. Its held-burst throughput gate lives in
+Over the JSON wire format of ``ScheduleRequest`` / ``ScenarioSpec`` and
+the pluggable execution backends, this package adds the front door: a
+long-running asyncio HTTP/JSON server (``repro serve``) with a durable
+job store, live stats and streaming progress. Its held-burst throughput gate lives in
 ``benchmarks/test_service_burst_gate.py``.
 
 Layering, bottom up:
@@ -14,7 +13,8 @@ Layering, bottom up:
 * :mod:`repro.service.store` — the durable job store, event-sourced
   on the crash-tolerant :class:`~repro.utils.appendlog.AppendLog`;
 * :mod:`repro.service.dispatcher` — a pool of job threads feeding
-  :func:`repro.api.batch.iter_solve_batch`;
+  :func:`repro.api.batch.iter_solve_batch`, all sharing one SQLite
+  result cache (``--cache``);
 * :mod:`repro.service.app` — the HTTP listener and graceful shutdown;
 * :mod:`repro.service.client` — a blocking urllib client.
 """

@@ -9,11 +9,10 @@ One directory, one ``jobs.jsonl`` file — an
 
 The store is event-sourced: a job's history is its sequence of lines,
 and its current state is the *last* status line for its id. Nothing is
-ever rewritten — crash durability is the log's contract, the same one
-under the JSONL result cache: every append is flushed line-by-line, a
-truncated final line (the crash artifact) is skipped on load, and the
-next writer terminates the torn fragment before appending so the file
-self-repairs. Lines are strict JSON (``allow_nan=False``), like the job
+ever rewritten — crash durability is the log's contract: every append
+is flushed line-by-line, a truncated final line (the crash artifact) is
+skipped on load, and the next writer terminates the torn fragment
+before appending so the file self-repairs. Lines are strict JSON (``allow_nan=False``), like the job
 envelopes' own encoding.
 
 Specs and statuses are small and kept in memory, but result payloads

@@ -1,7 +1,6 @@
 """A crash-tolerant append-only JSONL log: one JSON object per line.
 
-The durability contract shared by the JSONL result cache
-(:class:`repro.api.cache.ResultCache`) and the service's job store
+The durability contract of the service's job store
 (:class:`repro.service.store.JobStore`):
 
 * every :meth:`AppendLog.append` writes one complete line and flushes
@@ -14,9 +13,9 @@ The durability contract shared by the JSONL result cache
   its own line.
 
 Records are addressed by the byte offset of their line, which lets the
-stores keep only an offset index in memory and read large payloads back
+store keep only an offset index in memory and read large payloads back
 lazily with :meth:`AppendLog.read_at`. The log itself takes no lock: it
-assumes one writer, and each owner serializes access behind its own.
+assumes one writer, and its owner serializes access behind its own.
 """
 
 from __future__ import annotations

@@ -1,17 +1,16 @@
 """Tests of the on-disk result cache and the request fingerprint."""
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.api import (
-    ResultCache,
     ScheduleRequest,
-    ScheduleResult,
+    open_cache,
     request_fingerprint,
     solve,
 )
+from repro.api.cache_sqlite import SqliteResultCache
 from repro.core.heuristic import DagHetPartConfig
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster, small_cluster
@@ -55,7 +54,7 @@ class TestFingerprint:
         assert len(fingerprints) == len(others)  # all pairwise distinct
 
     def test_golden_fingerprint(self):
-        # every stored jsonl/sqlite cache entry is keyed by this digest:
+        # every stored cache entry is keyed by this digest:
         # a change to the payload or to canonical_name orphans them all
         from repro.platform.cluster import Cluster
         from repro.platform.processor import Processor
@@ -77,10 +76,13 @@ class TestFingerprint:
 
 
 class TestResultCache:
+    """The plain-directory form: ``open_cache(DIR)`` keeps its results in
+    ``DIR/results.db``."""
+
     def test_put_get_roundtrip(self, tmp_path):
         request = _request()
         result = solve(request)
-        with ResultCache(str(tmp_path / "c")) as cache:
+        with open_cache(str(tmp_path / "c")) as cache:
             fp = cache.fingerprint(request)
             assert cache.get(fp) is None
             cache.put(fp, result)
@@ -92,7 +94,7 @@ class TestResultCache:
     def test_hit_takes_tags_from_incoming_request(self, tmp_path):
         request = _request(tags={"instance": "a"})
         result = solve(request)
-        with ResultCache(str(tmp_path / "c")) as cache:
+        with open_cache(str(tmp_path / "c")) as cache:
             fp = cache.fingerprint(request)
             cache.put(fp, result)
             relabelled = _request(tags={"instance": "b", "extra": 1})
@@ -103,171 +105,53 @@ class TestResultCache:
         request = _request()
         result = solve(request)
         path = str(tmp_path / "c")
-        with ResultCache(path) as cache:
+        with open_cache(path) as cache:
             cache.put(cache.fingerprint(request), result)
-        with ResultCache(path) as reopened:
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()
+                      if not p.name.startswith("results.db-")) \
+            == ["results.db"]
+        with open_cache(path) as reopened:
             assert len(reopened) == 1
             assert reopened.get(reopened.fingerprint(request), request) == result
-
-    def test_truncated_final_line_is_skipped(self, tmp_path):
-        """A crash mid-write leaves a partial line; the prefix stays usable."""
-        request = _request()
-        result = solve(request)
-        path = str(tmp_path / "c")
-        with ResultCache(path) as cache:
-            cache.put(cache.fingerprint(request), result)
-        with open(cache.path, "a") as fh:
-            fh.write('{"fp": "deadbeef", "result": {"algo')  # torn write
-        with ResultCache(path) as reopened:
-            assert len(reopened) == 1
-            assert reopened.get(reopened.fingerprint(request), request) == result
-            # and the cache still accepts new entries afterwards
-            other = _request(scale_memory=False)
-            reopened.put(reopened.fingerprint(other), solve(other))
-        with ResultCache(path) as final:
-            assert len(final) == 2
 
     def test_duplicate_put_not_rewritten(self, tmp_path):
         request = _request()
         result = solve(request)
-        with ResultCache(str(tmp_path / "c")) as cache:
+        path = str(tmp_path / "c")
+        with open_cache(path) as cache:
             fp = cache.fingerprint(request)
             cache.put(fp, result)
             cache.put(fp, dataclasses.replace(result, runtime=99.0))
-        lines = [l for l in _read_bytes(cache.path).splitlines() if l.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["result"]["runtime"] != 99.0
+        assert _stored_records(cache) == 1
+        with open_cache(path) as reopened:
+            assert reopened.get(fp, request).runtime == result.runtime
 
     def test_stats(self, tmp_path):
         request = _request()
-        with ResultCache(str(tmp_path / "c")) as cache:
+        with open_cache(str(tmp_path / "c")) as cache:
             fp = cache.fingerprint(request)
             cache.get(fp)
             cache.put(fp, solve(request))
             cache.get(fp)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _populated_cache(tmp_path, n=3):
-    """A closed cache with ``n`` complete entries.
-
-    Returns ``(directory, log file, [(fp, request)])``.
-    """
-    entries = []
-    path = str(tmp_path / "c")
-    with ResultCache(path) as cache:
-        for seed in range(1, n + 1):
-            request = _request(workflow=generate_workflow("blast", 24, seed=seed))
-            fp = cache.fingerprint(request)
-            cache.put(fp, solve(request))
-            entries.append((fp, request))
-    return path, cache.path, entries
-
-
-class TestMidAppendCrashRecovery:
-    """The process dies mid-append: the repaired index must drop exactly
-    the torn entry — every byte-complete line before it stays served."""
-
-    @pytest.mark.parametrize("keep", [0.02, 0.25, 0.5, 0.97])
-    def test_torn_final_line_drops_only_that_entry(self, tmp_path, keep):
-        path, cache_file, entries = _populated_cache(tmp_path)
-        raw = _read_bytes(cache_file)
-        last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
-        last_len = len(raw) - last_start
-        # cut the final payload line `keep` of the way in (1 byte .. just
-        # short of complete) — every prefix the OS could have flushed
-        cut = last_start + max(1, min(last_len - 2, int(last_len * keep)))
-        with open(cache_file, "r+b") as fh:
-            fh.truncate(cut)
-
-        with ResultCache(path) as reopened:
-            assert len(reopened) == len(entries) - 1
-            for fp, request in entries[:-1]:
-                assert reopened.get(fp, request) is not None
-            torn_fp, torn_request = entries[-1]
-            assert torn_fp not in reopened
-            assert reopened.get(torn_fp, torn_request) is None
-
-    def test_missing_final_newline_alone_is_not_a_torn_entry(self, tmp_path):
-        # dying between write() and the newline flush leaves complete
-        # JSON without its terminator — that entry is still recoverable
-        path, cache_file, entries = _populated_cache(tmp_path)
-        size = len(_read_bytes(cache_file))
-        with open(cache_file, "r+b") as fh:
-            fh.truncate(size - 1)
-        with ResultCache(path) as reopened:
-            assert len(reopened) == len(entries)
-            assert reopened.get(*entries[-1]) is not None
-
-    def test_corrupt_middle_line_drops_only_that_entry(self, tmp_path):
-        path, cache_file, entries = _populated_cache(tmp_path)
-        lines = _read_bytes(cache_file).splitlines(keepends=True)
-        assert len(lines) == 3
-        # a hole punched mid-file (lost page, partial sector write): the
-        # middle line's payload is garbage but its framing survives
-        lines[1] = b'{"fp": "deadbeef", "result": {"alg\x00' + b"\n"
-        with open(cache_file, "wb") as fh:
-            fh.writelines(lines)
-
-        with ResultCache(path) as reopened:
-            assert len(reopened) == 2
-            assert entries[0][0] in reopened and entries[2][0] in reopened
-            assert entries[1][0] not in reopened
-
-    @pytest.mark.parametrize("keep", [0.3, 0.8])
-    def test_next_writer_repairs_the_torn_tail(self, tmp_path, keep):
-        path, cache_file, entries = _populated_cache(tmp_path)
-        raw = _read_bytes(cache_file)
-        last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
-        cut = last_start + max(1, int((len(raw) - last_start) * keep))
-        with open(cache_file, "r+b") as fh:
-            fh.truncate(cut)
-
-        # the torn request is recomputed and re-appended; the fragment is
-        # newline-terminated first so the new entry parses on its own line
-        torn_fp, torn_request = entries[-1]
-        with ResultCache(path) as reopened:
-            assert reopened.get(torn_fp, torn_request) is None
-            reopened.put(torn_fp, solve(torn_request))
-
-        with ResultCache(path) as final:
-            assert len(final) == len(entries)
-            for fp, request in entries:
-                assert final.get(fp, request) is not None
-        # every line except the repaired fragment is valid JSON
-        bad = [l for l in _read_bytes(cache_file).splitlines()
-               if l and not _parses(l)]
-        assert len(bad) == 1  # exactly the terminated torn fragment
-
-
-def _parses(line: bytes) -> bool:
-    try:
-        json.loads(line.decode("utf-8"))
-        return True
-    except (ValueError, UnicodeDecodeError):
-        return False
+            assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        with open_cache(str(tmp_path / "c")) as reopened:
+            assert reopened.stats() == {"entries": 1, "hits": 0, "misses": 0}
 
 
 # ----------------------------------------------------------------------
-# The CacheBackend interface: both storage backends, one behaviour suite
+# The CacheBackend interface: both URI forms, one behaviour suite
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["jsonl", "sqlite"])
+@pytest.fixture(params=["dir", "sqlite"])
 def make_cache(request, tmp_path):
-    """Factory opening the same on-disk cache again and again."""
-    from repro.api import open_cache
-    kind = request.param
-    uri = (f"sqlite://{tmp_path}/cache.db" if kind == "sqlite"
+    """Factory opening the same on-disk cache again and again, by a plain
+    directory or by a ``sqlite://`` URI."""
+    uri = (f"sqlite://{tmp_path}/cache.db" if request.param == "sqlite"
            else str(tmp_path / "cache-dir"))
     return lambda: open_cache(uri)
 
 
 class TestCacheBackendContract:
-    """The suite every backend must pass (retag, dedupe, reopen, stats)."""
+    """The suite every cache must pass (retag, dedupe, reopen, stats)."""
 
     def test_put_get_roundtrip_and_retagging(self, make_cache):
         request = _request(tags={"instance": "a"})
@@ -292,8 +176,7 @@ class TestCacheBackendContract:
             assert reopened.get(reopened.fingerprint(request), request) == result
 
     def test_reopen_without_close_is_crash_safe(self, make_cache):
-        """Every completed put is durable even when close() never ran —
-        the sqlite analogue of the JSONL torn-tail recovery."""
+        """Every completed put is durable even when close() never ran."""
         request = _request()
         other = _request(scale_memory=False)
         cache = make_cache()
@@ -344,19 +227,19 @@ class TestOpenedCache:
     @pytest.fixture
     def closes(self, monkeypatch):
         closed = []
-        original = ResultCache.close
+        original = SqliteResultCache.close
 
         def close(self):
             closed.append(self)
             original(self)
 
-        monkeypatch.setattr(ResultCache, "close", close)
+        monkeypatch.setattr(SqliteResultCache, "close", close)
         return closed
 
     def test_uri_is_opened_and_closed(self, tmp_path, closes):
         from repro.api.cache import opened_cache
         with opened_cache(str(tmp_path / "d")) as store:
-            assert isinstance(store, ResultCache)
+            assert isinstance(store, SqliteResultCache)
             assert closes == []
         assert closes == [store]
 
@@ -369,7 +252,7 @@ class TestOpenedCache:
 
     def test_open_backend_and_none_pass_through(self, tmp_path, closes):
         from repro.api.cache import opened_cache
-        with ResultCache(str(tmp_path / "d")) as cache:
+        with open_cache(str(tmp_path / "d")) as cache:
             with opened_cache(cache) as store:
                 assert store is cache
             assert closes == []
@@ -379,65 +262,68 @@ class TestOpenedCache:
 
 
 class TestOpenCacheUri:
-    def test_plain_directory_is_jsonl(self, tmp_path):
-        from repro.api import open_cache
-        with open_cache(str(tmp_path / "d")) as cache:
-            assert isinstance(cache, ResultCache)
+    def test_plain_directory_opens_results_db(self, tmp_path):
+        directory = tmp_path / "missing" / "d"
+        request = _request()
+        with open_cache(str(directory)) as cache:
+            assert isinstance(cache, SqliteResultCache)
+            assert cache.path == str(directory / "results.db")
+            cache.put(cache.fingerprint(request), solve(request))
+        assert (directory / "results.db").is_file()
+        with open_cache(str(directory)) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get(reopened.fingerprint(request), request) \
+                is not None
 
-    def test_jsonl_scheme(self, tmp_path):
-        from repro.api import open_cache
-        with open_cache(f"jsonl://{tmp_path}/d") as cache:
-            assert isinstance(cache, ResultCache)
-            assert cache.directory == f"{tmp_path}/d"
+    def test_jsonl_scheme(self, tmp_path, monkeypatch):
+        # the retired JSONL store's scheme is refused, naming the valid
+        # forms, and leaves nothing behind in the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as exc:
+            open_cache(f"jsonl://{tmp_path}/d")
+        assert str(exc.value) == (
+            "unknown cache URI scheme 'jsonl://'; "
+            "valid: sqlite:///PATH.db or a plain directory path")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sqlite_scheme_absolute(self, tmp_path):
         # sqlite:// + /abs/path — i.e. sqlite:///abs/path, three slashes
-        from repro.api import open_cache
-        from repro.api.cache_sqlite import SqliteResultCache
         with open_cache(f"sqlite://{tmp_path}/c.db") as cache:
             assert isinstance(cache, SqliteResultCache)
             assert cache.path == f"{tmp_path}/c.db"
 
     def test_sqlite_scheme_relative(self, tmp_path, monkeypatch):
-        from repro.api import open_cache
-        from repro.api.cache_sqlite import SqliteResultCache
         monkeypatch.chdir(tmp_path)
         with open_cache("sqlite://rel.db") as cache:
             assert isinstance(cache, SqliteResultCache)
         assert (tmp_path / "rel.db").exists()
 
     def test_open_backend_passes_through(self, tmp_path):
-        from repro.api import open_cache
-        cache = ResultCache(str(tmp_path / "d"))
+        cache = open_cache(str(tmp_path / "d"))
         assert open_cache(cache) is cache
         cache.close()
 
     def test_non_string_rejected(self):
-        from repro.api import open_cache
         with pytest.raises(TypeError, match="cache URI"):
             open_cache(42)
 
-    def test_unknown_scheme_fails_loudly(self, tmp_path):
-        from repro.api import open_cache
+    def test_unknown_scheme_fails_loudly(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         for uri in ("sqlit://typo.db", "redis://host/0", "s3://bucket/key"):
-            with pytest.raises(ValueError, match="unknown cache URI scheme"):
+            with pytest.raises(ValueError) as exc:
                 open_cache(uri)
-        assert not (tmp_path / "sqlit:").exists()
+            assert str(exc.value) == (
+                f"unknown cache URI scheme {uri.split('://')[0] + '://'!r}; "
+                f"valid: sqlite:///PATH.db or a plain directory path")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_locations_fail_with_clear_value_errors(self):
-        """``open_cache("jsonl://")`` used to crash with a bare
-        ``FileNotFoundError`` out of ``os.makedirs("")`` — empty
-        locations must name the offending URI instead."""
-        from repro.api import open_cache
-        with pytest.raises(ValueError, match="jsonl://"):
-            open_cache("jsonl://")
+        """Empty locations name the offending URI instead of opening a
+        ``results.db`` in the working directory."""
         with pytest.raises(ValueError, match="sqlite://"):
             open_cache("sqlite://")
         with pytest.raises(ValueError, match="empty"):
             open_cache("")
-        with pytest.raises(ValueError, match="directory"):
-            ResultCache("")
-        from repro.api.cache_sqlite import SqliteResultCache
         with pytest.raises(ValueError, match="path"):
             SqliteResultCache("")
 
@@ -469,13 +355,10 @@ class TestThreadSafety:
         """One shared cache driven from many threads (the service
         dispatcher pattern) must serialize cleanly behind the backend's
         own lock. Every thread puts the same fingerprints at the same
-        time, so a JSONL put's "stored already?" check and its append
-        race unless the lock spans both: each fingerprint must end up as
-        one entry and one stored line or row, with no storage errors and
-        counters that add up. (sqlite dedupes in SQL; there a missing
-        lock shows as errors from statements interleaving on the one
-        shared connection.) With a no-op lock both backends fail this on
-        every run."""
+        time: each fingerprint must end up as one entry and one stored
+        row, with no storage errors and counters that add up. (sqlite
+        dedupes in SQL; a missing lock shows as errors from statements
+        interleaving on the one shared connection.)"""
         import sys
         import threading
 
@@ -526,16 +409,13 @@ class TestThreadSafety:
 
 
 def _stored_records(cache) -> int:
-    """Lines of a JSONL cache's log, or rows of a sqlite cache's table."""
-    if cache.kind == "sqlite":
-        import sqlite3
-        conn = sqlite3.connect(cache.path)
-        try:
-            return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-        finally:
-            conn.close()
-    with open(cache.path, "rb") as fh:
-        return sum(1 for line in fh if line.strip())
+    """Rows of the cache's table, read through a fresh connection."""
+    import sqlite3
+    conn = sqlite3.connect(cache.path)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+    finally:
+        conn.close()
 
 
 class TestSqliteThreadSafety:
@@ -543,7 +423,6 @@ class TestSqliteThreadSafety:
         """Two independent opens of the same file (two queue workers, or
         worker + parent) see each other's committed puts — WAL + busy
         timeout make the file itself the coordination point."""
-        from repro.api.cache_sqlite import SqliteResultCache
 
         request = _request()
         result = solve(request)

@@ -349,11 +349,11 @@ class TestTimeouts:
             result.raise_if_failed()
 
     def test_timeouts_are_never_cached(self, slow_algorithm, tmp_path):
-        from repro.api import ResultCache
+        from repro.api import open_cache
         request = _request(algorithm=slow_algorithm, config=None,
                            scale_memory=False, want_mapping=False,
                            policy=ExecutionPolicy(timeout_s=0.1))
-        with ResultCache(str(tmp_path / "c")) as cache:
+        with open_cache(str(tmp_path / "c")) as cache:
             [result] = list(iter_solve_batch([request], cache=cache))
             assert result.failure.kind == "timeout"
             assert len(cache) == 0  # execution artifacts don't poison reruns

@@ -1,10 +1,18 @@
 """Tests of the command-line interface (direct main() invocation)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+_SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                      "specs")
+_TINY = os.path.join(_SPECS, "tiny_smoke.json")
+_DYNAMICS = os.path.join(_SPECS, "dynamics_smoke.json")
 
 
 class TestGenerate:
@@ -204,6 +212,25 @@ class TestScenario:
         assert "hits=2" in out and "misses=0" in out
         assert (tmp_path / "cache.db").exists()
 
+    @pytest.mark.parametrize("verb,spec_path", [
+        (["scenario", "run"], _TINY), (["simulate"], _DYNAMICS)],
+        ids=["scenario-run", "simulate"])
+    def test_spec_cache_prints_its_summary(self, tmp_path, capsys, verb,
+                                           spec_path):
+        with open(spec_path) as fh:
+            spec = json.load(fh)
+        cache_dir = tmp_path / "cache"
+        spec["execution"] = {"cache": str(cache_dir)}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(verb + [str(path)]) == 0
+        first = capsys.readouterr().out
+        assert "cache     : hits=0 misses=" in first
+        assert main(verb + [str(path)]) == 0
+        second = capsys.readouterr().out
+        assert "cache     : hits=" in second and "misses=0" in second
+        assert (cache_dir / "results.db").is_file()
+
     def test_scenario_run_timeout_flag_reports_timeouts(self, tmp_path,
                                                         capsys):
         import time as time_module
@@ -336,6 +363,71 @@ class TestExecutionSettingErrors:
             main(["worker", str(tmp_path / "spool"), "--cache",
                   f"sqlite://{tmp_path}/c.db"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("env,flags,fragment", [
+        ({"REPRO_BACKEND": "bogus"}, [], "bogus"),
+        ({"REPRO_QUEUE_LEASE_S": "soon"}, ["--backend", "queue"], "soon"),
+    ], ids=["backend-env", "queue-knob"])
+    def test_serve_refuses_bad_setting_before_binding(self, tmp_path, env,
+                                                      flags, fragment):
+        # in a subprocess with a timeout: a server that accepts the bad
+        # setting binds and serves forever instead of exiting
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")] + flags,
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), \
+            proc.stderr
+        assert fragment in lines[0]
+        assert "listening" not in proc.stdout
+        assert not (tmp_path / "store").exists()
+
+
+class TestCacheUriErrors:
+    """A bad cache URI is one ``error:`` line and exit 2 on every verb."""
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["cache", "stats", "bogus://x"], "unknown cache URI scheme"),
+        (["cache", "stats", "sqlite://"], "empty location"),
+        (["cache", "stats", "jsonl://x"], "unknown cache URI scheme"),
+        (["scenario", "run", _TINY, "--cache", "bogus://x"],
+         "unknown cache URI scheme"),
+        (["scenario", "run", _TINY, "--cache", "jsonl://x"],
+         "sqlite:///PATH.db or a plain directory path"),
+        (["simulate", _DYNAMICS, "--cache", "bogus://x"],
+         "unknown cache URI scheme"),
+        (["serve", "--store", "STORE", "--cache", "bogus://x"],
+         "unknown cache URI scheme"),
+    ], ids=["stats-bogus", "stats-empty-sqlite", "stats-jsonl", "run-bogus",
+            "run-jsonl", "simulate-bogus", "serve-bogus"])
+    def test_bad_uri_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                       argv, fragment):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        argv = [str(tmp_path / "store") if a == "STORE" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and fragment in lines[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_spec_cache_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(_GOOD_SPEC,
+                                        execution={"cache": "bogus://x"})))
+        assert main(["scenario", "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: unknown cache URI scheme 'bogus://'; valid: "
+            "sqlite:///PATH.db or a plain directory path"]
+        assert captured.out == ""
 
 
 class TestScenarioDiff:

@@ -1,9 +1,9 @@
 """JobStore: append-only durability, torn-line repair, restart recovery.
 
-The crash tests mirror the ResultCache suite: truncate the log at every
-byte offset inside its final line and require the reopened store to (a)
-load without error, (b) replay the affected job at most one state older
-than it was, and (c) self-repair on the next append.
+The crash tests truncate the log at every byte offset inside its final
+line and require the reopened store to (a) load without error, (b)
+replay the affected job at most one state older than it was, and (c)
+self-repair on the next append.
 """
 
 import dataclasses

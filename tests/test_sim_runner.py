@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.api.cache import ResultCache, request_fingerprint
+from repro.api.cache import open_cache, request_fingerprint
 from repro.api.diff import diff_results, format_diff
 from repro.api.envelopes import ScheduleRequest
 from repro.api.scenario import ScenarioSpec, load_scenario
@@ -79,7 +79,7 @@ class TestSimulateRequest:
         assert result.extra["sim_policy"] == "static"
 
     def test_cache_round_trip(self, request_, dynamics, tmp_path):
-        with ResultCache(str(tmp_path / "cache")) as cache:
+        with open_cache(str(tmp_path / "cache")) as cache:
             first = simulate_request(request_, dynamics, cache=cache)
             again = simulate_request(request_, dynamics, cache=cache)
             assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
@@ -88,7 +88,7 @@ class TestSimulateRequest:
         assert again.extra["sim_event_log"] == first.extra["sim_event_log"]
 
     def test_policies_cache_separately(self, request_, dynamics, tmp_path):
-        with ResultCache(str(tmp_path / "cache")) as cache:
+        with open_cache(str(tmp_path / "cache")) as cache:
             a = simulate_request(request_, dynamics, cache=cache,
                                  policy="warmstart")
             b = simulate_request(request_, dynamics, cache=cache,
