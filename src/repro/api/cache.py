@@ -223,32 +223,19 @@ class CacheBackend:
 SQLITE_SCHEME = "sqlite://"
 
 
-def open_cache(uri: "str | CacheBackend") -> CacheBackend:
-    """A cache backend from a URI (or a pass-through for open backends).
+def cache_path(uri: str) -> str:
+    """The database file a cache URI names (``ValueError`` if it names none).
 
     * ``sqlite:///abs/path.db`` / ``sqlite://rel.db`` — that database file;
-    * a plain directory path ``DIR`` — ``DIR/results.db`` (``DIR`` is
-      created if missing).
-
-    Both open a :class:`~repro.api.cache_sqlite.SqliteResultCache`. An
-    already-open :class:`CacheBackend` is returned unchanged, so call
-    sites can accept "URI or backend" uniformly (the caller keeps
-    ownership — :func:`open_cache` only closes nothing it did not open).
+    * a plain directory path ``DIR`` — ``DIR/results.db``.
     """
-    if isinstance(uri, CacheBackend):
-        return uri
-    if not isinstance(uri, str):
-        raise TypeError(
-            f"expected a cache URI string or CacheBackend, "
-            f"got {type(uri).__name__}")
-    from repro.api.cache_sqlite import SqliteResultCache
     if uri.startswith(SQLITE_SCHEME):
         path = uri[len(SQLITE_SCHEME):]
         if not path:
             raise ValueError(
                 f"cache URI {uri!r} has an empty location; expected "
                 f"{SQLITE_SCHEME}PATH.db (e.g. sqlite:///tmp/results.db)")
-        return SqliteResultCache(path)
+        return path
     if "://" in uri:
         # a typo'd or unsupported scheme must fail loudly, not become a
         # literal directory named "sqlit://..." caching into the void
@@ -260,7 +247,26 @@ def open_cache(uri: "str | CacheBackend") -> CacheBackend:
         raise ValueError(
             "empty cache URI; expected sqlite:///PATH.db or a plain "
             "directory path")
-    return SqliteResultCache(os.path.join(uri, CACHE_FILENAME))
+    return os.path.join(uri, CACHE_FILENAME)
+
+
+def open_cache(uri: "str | CacheBackend") -> CacheBackend:
+    """A cache backend from a URI (or a pass-through for open backends).
+
+    Opens the database file the URI names (:func:`cache_path`, created
+    if missing) as a :class:`~repro.api.cache_sqlite.SqliteResultCache`.
+    An already-open :class:`CacheBackend` is returned unchanged, so call
+    sites can accept "URI or backend" uniformly (the caller keeps
+    ownership — :func:`open_cache` only closes nothing it did not open).
+    """
+    if isinstance(uri, CacheBackend):
+        return uri
+    if not isinstance(uri, str):
+        raise TypeError(
+            f"expected a cache URI string or CacheBackend, "
+            f"got {type(uri).__name__}")
+    from repro.api.cache_sqlite import SqliteResultCache
+    return SqliteResultCache(cache_path(uri))
 
 
 @contextlib.contextmanager

@@ -1,29 +1,22 @@
 """SQLite cache backend: one ``.db`` file, transactional crash safety.
 
 Every ``put`` is its own committed transaction, so a process killed
-mid-write leaves the database at the last commit — no repair pass, no
-in-memory index to rebuild on open, and million-entry caches open in
-constant time.
-
-Opened by URI through :func:`repro.api.cache.open_cache`:
-``sqlite:///abs/path.db``, ``sqlite://relative.db``, or a plain
-directory ``DIR`` (``DIR/results.db``). Every operation is serialized
-through the :class:`CacheBackend` RLock (service dispatcher threads, the
-thread execution backend), and the store is also safe across
-*processes*: WAL plus a generous busy timeout let several runs (batch
-sweeps, services) sharing one zero-solve cache file read and commit
-against the same database without "database is locked" failures.
+mid-write leaves the database at the last commit, and million-entry
+caches open in constant time. Opened by URI through
+:func:`repro.api.cache.open_cache`. Every operation is serialized
+through the :class:`CacheBackend` RLock, and the file is safe across
+processes too (:func:`repro.utils.sqlite.connect`), so several runs can
+share one zero-solve cache.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 from typing import Optional
 
 from repro.api.cache import CacheBackend
 from repro.api.envelopes import ScheduleResult
+from repro.utils.sqlite import connect
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -31,11 +24,6 @@ CREATE TABLE IF NOT EXISTS results (
     result TEXT NOT NULL
 )
 """
-
-#: how long a blocked connection waits for another process's commit
-#: before giving up (seconds); applied both as the connect timeout and
-#: as PRAGMA busy_timeout
-_BUSY_TIMEOUT_S = 30.0
 
 
 class SqliteResultCache(CacheBackend):
@@ -56,27 +44,7 @@ class SqliteResultCache(CacheBackend):
             raise ValueError(
                 "SqliteResultCache needs a database path; got an empty "
                 "location (pass a path or a sqlite:///PATH.db URI)")
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        # check_same_thread=False so the service dispatcher and the
-        # thread/queue execution backends can share one open cache; every
-        # connection use below is serialized through the CacheBackend
-        # RLock — sqlite3 objects are not safe under concurrent
-        # execute/commit even when the module is "serialized" threadsafe
-        self._conn = sqlite3.connect(self.path, check_same_thread=False,
-                                     timeout=_BUSY_TIMEOUT_S)
-        with self._lock:
-            # WAL keeps readers unblocked during the per-put commits and
-            # survives crashes without a repair pass; the busy timeout
-            # makes concurrent *processes* (runs sharing one cache
-            # file) wait out each other's commits instead of
-            # raising "database is locked"
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute(
-                f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
-            self._conn.execute(_SCHEMA)
-            self._conn.commit()
+        self._conn = connect(self.path, _SCHEMA)
 
     @property
     def location(self) -> str:
@@ -130,6 +98,4 @@ class SqliteResultCache(CacheBackend):
 
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            self._conn.close()  # idempotent

@@ -47,6 +47,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import sqlite3
 import sys
 from types import SimpleNamespace
 from typing import List, Optional
@@ -222,8 +224,8 @@ def cmd_experiment(args) -> int:
     driver = EXPERIMENTS[args.name]
     kwargs = {}
     if args.name not in ("table2", "table3"):
-        if _bad_setting(synthetic_sizes) \
-                or _bad_setting(lambda: create_backend(route())):
+        if _checked(synthetic_sizes) is False \
+                or _checked(lambda: create_backend(route())) is False:
             return 2
         if args.families:
             kwargs["families"] = tuple(args.families.split(","))
@@ -243,27 +245,22 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _bad_setting(check) -> bool:
-    """True after one ``error:`` line when ``check()`` rejects a setting,
-    such as ``REPRO_SCALE`` or the batch's backend and its knobs."""
+def _checked(make, *args):
+    """``make(*args)``, or False after one ``error:`` line when it rejects
+    a setting (``REPRO_SCALE``, the batch's backend and its knobs) or a
+    location that cannot be opened (a bad cache URI, a ``--store`` that
+    is a regular file, a file that is not a database, ...)."""
     try:
-        check()
-    except ValueError as exc:
+        return make(*args)
+    except (ValueError, OSError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+        return False
 
 
 def _open_cache(uri):
     """The cache ``uri`` names, open (None without a URI), or False after
-    one ``error:`` line for a bad URI."""
-    if uri is None:
-        return None
-    try:
-        return open_cache(uri)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
+    one ``error:`` line for a bad or unopenable URI."""
+    return None if uri is None else _checked(open_cache, uri)
 
 
 def _plot_rows(name: str, rows) -> None:
@@ -372,7 +369,7 @@ def cmd_scenario_run(args) -> int:
             spec, execution=dataclasses.replace(base, policy=policy))
     backend = args.backend or (spec.execution.backend
                                if spec.execution else None)
-    if _bad_setting(lambda: create_backend(route(backend=backend))):
+    if _checked(lambda: create_backend(route(backend=backend))) is False:
         return 2
     total = spec.size()
     n_ok = n_failed = n_timeout = 0
@@ -500,15 +497,19 @@ def cmd_serve(args) -> int:
     """
     import asyncio
 
-    from repro.service import serve
+    from repro.service import JobStore, serve
 
-    if _bad_setting(lambda: create_backend(route(backend=args.backend))):
+    if _checked(lambda: create_backend(route(backend=args.backend))) \
+            is False:
         return 2
     cache = _open_cache(args.cache)
     if cache is False:
         return 2
     try:
         with cache if cache is not None else contextlib.nullcontext():
+            # a bad --store is one error: line too, before the server binds
+            if _checked(lambda: JobStore(args.store).close()) is False:
+                return 2
             asyncio.run(serve(
                 host=args.host, port=args.port, store_dir=args.store,
                 cache=cache, backend=args.backend, workers=args.workers,
@@ -520,8 +521,6 @@ def cmd_serve(args) -> int:
 
 def cmd_worker(args) -> int:
     """``repro worker``: serve a queue-backend spool until stopped."""
-    import os
-
     from repro.api.exec import NESTED_ENV, run_worker
 
     if not args.lease > 0:
@@ -543,9 +542,16 @@ def cmd_worker(args) -> int:
 
 def cmd_cache_stats(args) -> int:
     """``repro cache stats``: describe a result cache by URI."""
-    from repro.api import describe_cache
+    from repro.api.cache import cache_path, describe_cache
 
-    cache = _open_cache(args.uri)
+    def open_existing(uri):
+        # a read-only verb: a mistyped location must not become a cache
+        path = cache_path(uri)
+        if not os.path.isfile(path):
+            raise ValueError(f"no result cache at {path}")
+        return open_cache(uri)
+
+    cache = _checked(open_existing, args.uri)
     if cache is False:
         return 2
     with cache:
@@ -621,7 +627,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_info(args) -> int:
     """``repro info``: print presets and corpus configuration."""
-    if _bad_setting(synthetic_sizes):
+    if _checked(synthetic_sizes) is False:
         return 2
     rows2 = figures.table2()["rows"]
     print(format_table(rows2, title="Table 2: default machine kinds"))
@@ -750,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8080,
                    help="listen port (0 = ephemeral)")
     p.add_argument("--store", metavar="DIR", default="service-store",
-                   help="durable job-store directory (append-only JSONL; "
+                   help="durable job-store directory (DIR/jobs.db; "
                         "restart resumes queued jobs and reports crashed "
                         "ones)")
     p.add_argument("--cache", metavar="URI", default=None,

@@ -10,8 +10,8 @@ Layering, bottom up:
 
 * :mod:`repro.service.jobs` — frozen ``JobSpec``/``JobStatus``/
   ``JobResult`` envelopes;
-* :mod:`repro.service.store` — the durable job store, event-sourced
-  on the crash-tolerant :class:`~repro.utils.appendlog.AppendLog`;
+* :mod:`repro.service.store` — the durable job store, one row per job
+  in one SQLite file (``STORE/jobs.db``);
 * :mod:`repro.service.dispatcher` — a pool of job threads feeding
   :func:`repro.api.batch.iter_solve_batch`, all sharing one SQLite
   result cache (``--cache``);

@@ -12,8 +12,8 @@ modulo measured runtimes) plus the job-level tallies the stats surface
 reports.
 
 All three are :class:`~repro.utils.records.Record` classes
-(``to_json``/``from_json``, strict RFC 8259, sorted keys), so the
-append-only job store is a plain JSONL file and a restarted server
+(``to_json``/``from_json``, strict RFC 8259, sorted keys), so the job
+store keeps each one as its JSON text and a restarted server
 rehydrates every record without bespoke parsing.
 
 Lifecycle::

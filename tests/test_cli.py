@@ -365,14 +365,19 @@ class TestExecutionSettingErrors:
         assert exc.value.code == 2
 
 
-    @pytest.mark.parametrize("env,flags,fragment", [
-        ({"REPRO_BACKEND": "bogus"}, [], "bogus"),
-        ({"REPRO_QUEUE_LEASE_S": "soon"}, ["--backend", "queue"], "soon"),
-    ], ids=["backend-env", "queue-knob"])
+    @pytest.mark.parametrize("env,flags,fragment,store_is_file", [
+        ({"REPRO_BACKEND": "bogus"}, [], "bogus", False),
+        ({"REPRO_QUEUE_LEASE_S": "soon"}, ["--backend", "queue"], "soon",
+         False),
+        ({}, [], "File exists", True),
+    ], ids=["backend-env", "queue-knob", "store-is-file"])
     def test_serve_refuses_bad_setting_before_binding(self, tmp_path, env,
-                                                      flags, fragment):
+                                                      flags, fragment,
+                                                      store_is_file):
         # in a subprocess with a timeout: a server that accepts the bad
         # setting binds and serves forever instead of exiting
+        if store_is_file:
+            (tmp_path / "store").write_text("")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env)
         proc = subprocess.run(
@@ -385,7 +390,8 @@ class TestExecutionSettingErrors:
             proc.stderr
         assert fragment in lines[0]
         assert "listening" not in proc.stdout
-        assert not (tmp_path / "store").exists()
+        assert (tmp_path / "store").is_file() if store_is_file \
+            else not (tmp_path / "store").exists()
 
 
 class TestCacheUriErrors:
@@ -403,20 +409,31 @@ class TestCacheUriErrors:
          "unknown cache URI scheme"),
         (["serve", "--store", "STORE", "--cache", "bogus://x"],
          "unknown cache URI scheme"),
+        (["cache", "stats", "typo-dir"], "no result cache at typo-dir"),
+        (["cache", "stats", "FILE"], "no result cache at"),
+        (["cache", "stats", "sqlite://FILE"], "file is not a database"),
+        (["scenario", "run", _TINY, "--cache", "FILE"], "File exists"),
     ], ids=["stats-bogus", "stats-empty-sqlite", "stats-jsonl", "run-bogus",
-            "run-jsonl", "simulate-bogus", "serve-bogus"])
+            "run-jsonl", "simulate-bogus", "serve-bogus", "stats-missing",
+            "stats-file", "stats-not-a-db", "run-file"])
     def test_bad_uri_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                        argv, fragment):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        argv = [str(tmp_path / "store") if a == "STORE" else a for a in argv]
+        # FILE is an existing regular file, neither a directory nor a
+        # database
+        existing = tmp_path / "file"
+        existing.write_text("not a database\n")
+        argv = [a.replace("STORE", str(tmp_path / "store"))
+                .replace("FILE", str(existing)) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("error: ") and fragment in lines[0]
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [existing]
+        assert existing.read_text() == "not a database\n"
 
     def test_bad_spec_cache_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -1,15 +1,15 @@
-"""JobStore: append-only durability, torn-line repair, restart recovery.
+"""JobStore: one SQLite row per job, transactional writes, restart recovery.
 
-The crash tests truncate the log at every byte offset inside its final
-line and require the reopened store to (a) load without error, (b)
-replay the affected job at most one state older than it was, and (c)
-self-repair on the next append.
+The crash test SIGKILLs a writer mid-stream and requires the reopened
+store to show every transition the writer saw committed, at most one
+step more, and never a ``done`` job without its result.
 """
 
 import dataclasses
-import json
 import os
-from pathlib import Path
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -77,75 +77,12 @@ class TestLifecycle:
             assert store.result("b") is None
             assert store.spec("b") == _spec("b")
 
-    def test_result_line_precedes_terminal_status(self, tmp_path):
-        """A crash between finish()'s two appends must replay as running,
-        never as done-without-result — so result goes to disk first."""
-        with JobStore(str(tmp_path)) as store:
-            store.submit(_spec("a"))
-            _finish_done(store, "a")
-            path = store.path
-        types = [json.loads(line)["type"]
-                 for line in Path(path).read_text(encoding="utf-8").splitlines()]
-        assert types.index("result") < len(types) - 1
-        assert types[-1] == "status"  # terminal status is the last line
 
-
-class TestTornLines:
-    def _store_with_history(self, tmp_path):
-        with JobStore(str(tmp_path)) as store:
-            store.submit(_spec("a"))
-            store.submit(_spec("b"))
-            _finish_done(store, "a")
-            return store.path
-
-    def test_truncation_at_every_offset_in_the_last_line(self, tmp_path):
-        path = self._store_with_history(tmp_path)
-        data = Path(path).read_bytes()
-        last_line_start = data[:-1].rfind(b"\n") + 1
-        # stop short of len(data) - 1: a line missing only its newline is
-        # complete JSON and rightly replays as the state it records
-        for cut in range(last_line_start + 1, len(data) - 1):
-            Path(path).write_bytes(data[:cut])
-            with JobStore(str(tmp_path)) as store:
-                # the torn line was job a's terminal "done" status; the
-                # replay shows the result already on disk but the status
-                # one step older — exactly the crash recovery contract
-                assert store.jobs() == ["a", "b"]
-                assert store.status("a").state == "running"
-                assert store.result("a") is not None
-                assert store.status("b").state == "queued"
-
-    def test_next_append_repairs_the_torn_tail(self, tmp_path):
-        path = self._store_with_history(tmp_path)
-        data = Path(path).read_bytes()
-        Path(path).write_bytes(data[:-7])  # tear into the final line
-        with JobStore(str(tmp_path)) as store:
-            store.submit(_spec("c"))
-        # the torn fragment stays (newline-terminated, skipped on load);
-        # everything appended after it must parse cleanly
-        lines = Path(path).read_bytes().split(b"\n")
-        assert lines[-1] == b""  # file ends with a newline
-        parsed = []
-        for line in lines[:-1]:
-            try:
-                parsed.append(json.loads(line))
-            except ValueError:
-                parsed.append(None)  # exactly one: the repaired fragment
-        assert parsed.count(None) == 1
-        assert parsed[-1]["type"] == "status"
-        assert parsed[-1]["job"]["id"] == "c"
-        with JobStore(str(tmp_path)) as store:
-            assert store.jobs() == ["a", "b", "c"]
-
-    def test_garbage_lines_are_skipped(self, tmp_path):
-        path = self._store_with_history(tmp_path)
-        with open(path, "ab") as fh:
-            fh.write(b"not json at all\n")
-            fh.write(b'{"type": "martian", "job": {"id": "x"}}\n')
-            fh.write(b'{"type": "status", "no_job_key": 1}\n')
-        with JobStore(str(tmp_path)) as store:
-            assert store.jobs() == ["a", "b"]
-            assert store.status("a").state == "done"
+    def test_old_jsonl_store_is_refused(self, tmp_path):
+        (tmp_path / "jobs.jsonl").write_text("")
+        with pytest.raises(ValueError, match="jobs.jsonl"):
+            JobStore(str(tmp_path))
+        assert os.listdir(tmp_path) == ["jobs.jsonl"]
 
 
 class TestRecovery:
@@ -166,20 +103,6 @@ class TestRecovery:
             assert store.status("a").state == "crashed"
             assert store.recover() == (["b"], [])
 
-    def test_spec_without_status_is_requeued(self, tmp_path):
-        with JobStore(str(tmp_path)) as store:
-            store.submit(_spec("a"))
-            path = store.path
-        # tear off the trailing queued-status line entirely
-        lines = Path(path).read_bytes().splitlines(keepends=True)
-        Path(path).write_bytes(b"".join(lines[:-1]))
-        with JobStore(str(tmp_path)) as store:
-            assert store.status("a") is None
-            requeued, crashed = store.recover()
-            assert (requeued, crashed) == (["a"], [])
-            assert store.status("a").state == "queued"
-            assert store.status("a").total == 1
-
     def test_terminal_jobs_are_left_alone(self, tmp_path):
         with JobStore(str(tmp_path)) as store:
             store.submit(_spec("a"))
@@ -187,3 +110,92 @@ class TestRecovery:
         with JobStore(str(tmp_path)) as store:
             assert store.recover() == ([], [])
             assert store.status("a").state == "done"
+
+
+#: the writer the crash test kills: job i is submitted at step i, set
+#: running at step i + 1 unless i % 3 == 0, and finished with a result at
+#: step i + 2 when i % 3 == 2; each transition is printed once committed
+_WRITER = """
+import dataclasses, itertools, sys
+from repro.service import JobResult, JobSpec, JobStore
+
+store = JobStore(sys.argv[1])
+statuses = {}
+for step in itertools.count():
+    job_id = f"j{step:05d}"
+    statuses[job_id] = store.submit(JobSpec(
+        id=job_id, kind="schedule", payload={"algorithm": "daghetpart"}))
+    print(job_id, "queued", flush=True)
+    if step >= 1 and (step - 1) % 3:
+        job_id = f"j{step - 1:05d}"
+        statuses[job_id] = dataclasses.replace(statuses[job_id],
+                                               state="running")
+        store.update(statuses[job_id])
+        print(job_id, "running", flush=True)
+    if step >= 2 and (step - 2) % 3 == 2:
+        job_id = f"j{step - 2:05d}"
+        store.finish(dataclasses.replace(statuses[job_id], state="done",
+                                         completed=1, ok=1),
+                     JobResult(id=job_id, results=({"step": step - 2},),
+                               n_ok=1))
+        print(job_id, "done", flush=True)
+"""
+
+
+def _plan(job_id):
+    """The states job ``j<i>`` passes through, in order."""
+    i = int(job_id[1:])
+    return ["queued", "running", "done"][:1 + (i % 3 != 0) + (i % 3 == 2)]
+
+
+class TestSigkill:
+    def test_killed_writer_leaves_every_committed_transition(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        with subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(tmp_path)],
+                stdout=subprocess.PIPE, text=True, env=env) as proc:
+            try:
+                seen = [proc.stdout.readline() for _ in range(200)]
+            finally:
+                proc.kill()  # SIGKILL, mid-stream
+            rest = proc.stdout.read()
+        assert proc.returncode == -signal.SIGKILL
+        # a line cut short by the kill has no newline and does not count
+        lines = "".join(seen + [rest]).split("\n")[:-1]
+        printed = {}
+        for line in lines:
+            job_id, state = line.split()
+            printed[job_id] = state
+        assert len(printed) > 60
+
+        with JobStore(str(tmp_path)) as store:
+            ids = store.jobs()
+            assert ids == [f"j{i:05d}" for i in range(len(ids))]
+            ahead = 0
+            for job_id in ids:
+                plan = _plan(job_id)
+                state = store.status(job_id).state
+                # the store holds what was printed, or one step more:
+                # the write in flight when the kill landed
+                step = plan.index(state) - (
+                    plan.index(printed[job_id]) if job_id in printed else -1)
+                assert step in (0, 1), (job_id, state, printed.get(job_id))
+                ahead += step
+                result = store.result(job_id)
+                if state == "done":
+                    assert result == JobResult(
+                        id=job_id, results=({"step": int(job_id[1:])},),
+                        n_ok=1)
+                else:
+                    assert result is None
+            assert ahead <= 1
+            assert set(printed) <= set(ids)
+            states = {job_id: store.status(job_id).state for job_id in ids}
+            requeued, crashed = store.recover()
+            assert requeued == [j for j in ids if states[j] == "queued"]
+            assert crashed == [j for j in ids if states[j] == "running"]
+            assert requeued and crashed
+        with JobStore(str(tmp_path)) as store:
+            assert {store.status(j).state for j in crashed} == {"crashed"}
+            assert store.recover() == (requeued, [])
