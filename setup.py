@@ -8,6 +8,8 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     # numpy backs the seeded random streams (utils/rng) that the
-    # workflow generators draw from
+    # workflow generators, sim and anneal/portfolio draw from; it loads
+    # only there, so serve and worker start without it and a decoded
+    # request solves without it
     install_requires=["numpy"],
 )

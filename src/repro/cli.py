@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sqlite3
 import sys
@@ -523,10 +524,19 @@ def cmd_worker(args) -> int:
     """``repro worker``: serve a queue-backend spool until stopped."""
     from repro.api.exec import NESTED_ENV, run_worker
 
-    if not args.lease > 0:
-        print(f"error: --lease must be a positive number of seconds, "
-              f"got {args.lease:g}", file=sys.stderr)
-        return 2
+    # every comparison with nan is false, so each check refuses nan; a
+    # zero poll would busy-spin a core, and a nan --max-idle would never
+    # idle out (`elapsed > nan` is false too)
+    for flag, value, ok, what in (
+            ("--lease", args.lease, args.lease > 0, "a positive"),
+            ("--poll", args.poll, 0 < args.poll < math.inf,
+             "a positive finite"),
+            ("--max-idle", args.max_idle,
+             args.max_idle is None or args.max_idle >= 0, "a non-negative")):
+        if not ok:
+            print(f"error: {flag} must be {what} number of seconds, "
+                  f"got {value:g}", file=sys.stderr)
+            return 2
     # a batch issued *inside* a worker (portfolio-style algorithms that
     # call solve_batch) must run serial, not spool into a new queue or
     # fork pools from a process that is already one worker of many

@@ -1,22 +1,31 @@
 """Deterministic random-number plumbing.
 
-Every stochastic component (generators, partitioner tie-breaking) takes an
+Every stochastic component (generators, ``sim`` events, ``anneal``) takes an
 explicit ``numpy.random.Generator``. These helpers normalise seeds and derive
 independent child streams so that a single experiment seed reproduces the
 whole sweep bit-for-bit, regardless of execution order.
+
+numpy is imported inside :func:`make_rng` and :func:`spawn_rngs`, so it
+loads only where random numbers are drawn: the workflow generators, ``sim``
+and ``anneal``/``portfolio``. ``repro serve`` and ``repro worker`` start
+without it and a ``solve()`` of a decoded request never loads it, which
+keeps their process start short and their memory small.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import TYPE_CHECKING, List, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator, None]
+SeedLike = Union[int, "np.random.Generator", None]
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a ``numpy.random.Generator`` from an int seed, generator, or None."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -28,6 +37,8 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     Uses ``SeedSequence.spawn`` so child streams do not overlap even when the
     parent is consumed concurrently.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
     else:

@@ -358,6 +358,25 @@ class TestExecutionSettingErrors:
         self._one_error_line(capsys, "--lease")
         assert not (tmp_path / "spool").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--poll", "-1"), ("--poll", "nan"), ("--poll", "0"),
+        ("--poll", "inf"), ("--max-idle", "nan"), ("--max-idle", "-1"),
+    ])
+    def test_worker_bad_poll_or_max_idle(self, tmp_path, capsys, flag,
+                                         value):
+        # refused before attaching: a sleep of -1/nan/inf raises inside
+        # the claim loop, a zero poll busy-spins, a nan idle never expires.
+        # The spool is drained already, so a worker that does attach
+        # exits 0 at once instead of spinning or waiting forever.
+        from repro.api.exec.queue import Spool
+
+        spool = tmp_path / "spool"
+        Spool(str(spool)).request_stop()
+        before = sorted(os.walk(spool))
+        assert main(["worker", str(spool), flag, value]) == 2
+        self._one_error_line(capsys, flag, value)
+        assert sorted(os.walk(spool)) == before  # no heartbeat, no claim
+
     def test_worker_has_no_cache_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["worker", str(tmp_path / "spool"), "--cache",

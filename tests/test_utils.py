@@ -1,5 +1,10 @@
 """Tests for utilities: priority queue, RNG plumbing, errors."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -99,6 +104,46 @@ class TestRng:
         assert stable_hash("blast:200") == stable_hash("blast:200")
         assert stable_hash("a") != stable_hash("b")
         assert 0 <= stable_hash("anything") < 2 ** 63
+
+
+_LEAN_CHILD = """
+import json, sys
+import repro.cli, repro.service, repro.api.exec.worker
+from repro.api import ScheduleRequest, solve_with_policy
+
+result = solve_with_policy(ScheduleRequest.from_json(sys.stdin.read()))
+lean = "numpy" not in sys.modules
+from repro import generate_workflow
+generate_workflow("blast", n_tasks=20, seed=1)
+print(json.dumps({"lean": lean, "success": result.success,
+                  "makespan": result.makespan,
+                  "numpy_after_generate": "numpy" in sys.modules}))
+"""
+
+
+class TestLeanImportPath:
+    """Serving, working and solving a decoded request never load numpy."""
+
+    def test_decoded_solve_leaves_numpy_unloaded(self):
+        from repro import (
+            ScheduleRequest, default_cluster, generate_workflow, solve)
+
+        request = ScheduleRequest(
+            workflow=generate_workflow("blast", n_tasks=30, seed=2),
+            cluster=default_cluster(), algorithm="daghetpart",
+            scale_memory=True)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEAN_CHILD], input=request.to_json(),
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["lean"], "numpy was imported on the solve path"
+        assert report["success"]
+        assert report["makespan"] == solve(request).makespan
+        # the generators are numpy's intended importer
+        assert report["numpy_after_generate"]
 
 
 class TestErrors:
