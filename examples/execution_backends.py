@@ -1,7 +1,7 @@
-"""Execution backends & policies: one batch, four engines, one answer.
+"""Execution backends & policies: one batch, three engines, one answer.
 
 Builds a small request grid and runs it through ``solve_batch`` on the
-``serial``, ``thread``, ``process`` and ``queue`` backends, asserting
+``serial``, ``process`` and ``queue`` backends, asserting
 the results are bit-for-bit identical (modulo measured runtime) — then
 demonstrates the per-request ``ExecutionPolicy``: a deliberately slow
 algorithm is cut off by ``timeout_s`` and reported as a structured
@@ -68,7 +68,7 @@ def main() -> None:
     #    `repro worker` subprocesses that claim and solve them — the
     #    same engine would serve workers attached from other machines.)
     reference = None
-    for backend in ("serial", "thread", "process", "queue"):
+    for backend in ("serial", "process", "queue"):
         start = time.perf_counter()
         results = solve_batch(requests, backend=backend, parallel=2)
         elapsed = time.perf_counter() - start

@@ -29,9 +29,10 @@ echo "== leg 2: attach mode, external workers, one SIGKILLed mid-sweep =="
 SPOOL="$WORK/spool"
 mkdir -p "$SPOOL"
 export REPRO_QUEUE_DIR="$SPOOL" REPRO_QUEUE_SPAWN=0 REPRO_QUEUE_LEASE_S=2
-python -m repro worker "$SPOOL" --id w1 --lease 2 > "$WORK/w1.log" 2>&1 &
+# the workers read their lease from REPRO_QUEUE_LEASE_S, like the parent
+python -m repro worker "$SPOOL" --id w1 > "$WORK/w1.log" 2>&1 &
 W1=$!
-python -m repro worker "$SPOOL" --id w2 --lease 2 > "$WORK/w2.log" 2>&1 &
+python -m repro worker "$SPOOL" --id w2 > "$WORK/w2.log" 2>&1 &
 W2=$!
 python -m repro scenario run "$SPEC" --backend queue \
   --json "$WORK/killed.jsonl" > "$WORK/killed.log" 2>&1 &

@@ -68,7 +68,7 @@ def main() -> None:
                         help="workers per scenario "
                              "(-1 = all CPUs; default: $REPRO_PARALLEL or serial)")
     parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (serial/thread/process; "
+                        help="execution backend (serial/process/queue; "
                              "default: routed per batch)")
     parser.add_argument("--cache", metavar="URI",
                         help="fingerprint-keyed result cache URI "

@@ -81,7 +81,6 @@ from repro.api.scenario import (
     RealWorkflowSource,
     ScenarioSpec,
     TemplateWorkflowSource,
-    collect_scenario,
     expand,
     load_scenario,
     run_scenario,
@@ -120,7 +119,6 @@ __all__ = [
     "available_algorithms",
     "available_backends",
     "canonical_name",
-    "collect_scenario",
     "create_backend",
     "describe_cache",
     "diff_results",

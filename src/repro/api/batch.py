@@ -10,9 +10,9 @@ keeping only a bounded window of requests in flight, so arbitrarily large
 sweeps (scenario cross-products, million-request corpora) never
 materialise all requests or results at once. *Where* the requests run is
 delegated to an :class:`~repro.api.exec.backends.ExecutionBackend`
-(``serial`` / ``thread`` / ``process``, or a registered plugin), chosen
-per batch by :func:`~repro.api.exec.routing.route` — explicit
-``backend=`` override, then ``REPRO_BACKEND``, then the worker count.
+(a registered engine or plugin), chosen per batch by
+:func:`~repro.api.exec.routing.route` — explicit ``backend=`` override,
+then ``REPRO_BACKEND``, then the worker count.
 Per-request :class:`~repro.api.exec.policy.ExecutionPolicy` (timeout,
 retries) is enforced by the backend, so a timed-out request yields a
 structured ``FailureInfo(kind="timeout")`` instead of hanging the sweep.
@@ -191,9 +191,8 @@ def iter_solve_batch(requests: Iterable[ScheduleRequest],
     as in :func:`solve_batch`. ``progress`` is called in the parent, in
     request order, as each result is yielded.
 
-    ``backend`` overrides the execution backend (a registered name:
-    ``serial``, ``thread``, ``process``, ...); by default
-    :func:`~repro.api.exec.routing.route` picks one from
+    ``backend`` overrides the execution backend (a registered name);
+    by default :func:`~repro.api.exec.routing.route` picks one from
     ``REPRO_BACKEND`` and the worker count. The first request is pulled
     before routing only so that an empty stream never opens a backend.
     On the ``serial`` backend the semantics are bit-for-bit the classic

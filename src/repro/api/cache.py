@@ -149,10 +149,9 @@ class CacheBackend:
         self.hits = 0
         self.misses = 0
         #: the one guard of a shared cache: serializes get/put/stats/
-        #: close across threads — the service dispatcher and the thread
-        #: execution backend drive one cache from several threads at
-        #: once; subclasses reuse it for their own entry points (it is
-        #: reentrant)
+        #: close across threads — the service dispatcher's workers drive
+        #: one cache from several threads at once; subclasses reuse it
+        #: for their own entry points (it is reentrant)
         self._lock = threading.RLock()
 
     @property

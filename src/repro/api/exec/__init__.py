@@ -5,8 +5,8 @@
   ``retry_backoff``, ``on_timeout``), carried on ``ScheduleRequest`` and
   enforced uniformly by every backend;
 * :mod:`repro.api.exec.backends` — the :class:`ExecutionBackend`
-  protocol, the ``@register_backend`` registry, and the three shipped
-  engines (``serial``, ``thread``, ``process``);
+  protocol, the ``@register_backend`` registry, and the two in-process
+  engines (``serial``, ``process``);
 * :mod:`repro.api.exec.routing` — :func:`route`, the override >
   ``REPRO_BACKEND`` > worker-count dispatcher;
 * :mod:`repro.api.exec.queue` / :mod:`repro.api.exec.worker` — the
@@ -22,7 +22,6 @@ from repro.api.exec.backends import (
     ProcessBackend,
     SerialBackend,
     Submission,
-    ThreadBackend,
     available_backends,
     create_backend,
     failure_result,
@@ -48,7 +47,6 @@ __all__ = [
     "SerialBackend",
     "Spool",
     "Submission",
-    "ThreadBackend",
     "available_backends",
     "create_backend",
     "failure_result",

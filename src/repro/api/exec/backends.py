@@ -10,18 +10,17 @@ and progress hooks all stay in the batch façade
 the ``solve`` call executes.
 
 Backends share the algorithm registry's mechanism (same canonical names,
-same duplicate rejection): ``@register_backend("mybackend")``. Three ship:
+same duplicate rejection): ``@register_backend("mybackend")``. Two
+in-process engines ship here:
 
 ``serial``   in-process, synchronous — ``submit`` returns a completed
              handle, so the façade's streaming is bit-for-bit the classic
              serial loop (one request pulled, one result yielded);
-``thread``   a ``ThreadPoolExecutor`` — the GIL makes it pointless for
-             CPU-bound scheduling, but it is the right engine for
-             cache-hit-dominated re-runs and I/O-heavy custom algorithms,
-             and it shares the parent's registry (no fork needed);
 ``process``  a ``multiprocessing`` pool (fork where available), the
              engine CPU-bound sweeps want — absorbed from the old
              hard-coded ``iter_solve_batch`` pool logic.
+
+The third, ``queue``, lives in :mod:`repro.api.exec.queue`.
 
 Every backend enforces the request's
 :class:`~repro.api.exec.policy.ExecutionPolicy` through the shared
@@ -102,9 +101,9 @@ def _attempt(request: ScheduleRequest,
             box["error"] = exc
 
     start = time.perf_counter()
-    # the "repro-exec" prefix marks this thread as a backend worker for
-    # route()'s nested-batch guard: an algorithm that itself calls
-    # solve_batch (the portfolio) must not fork from this threaded parent
+    # the "repro-exec" prefix is route()'s nested-batch guard: an
+    # algorithm that itself calls solve_batch (the portfolio) must not
+    # fork a process pool from this now multithreaded parent
     watchdog = threading.Thread(target=target, daemon=True,
                                 name="repro-exec-attempt")
     watchdog.start()
@@ -221,7 +220,7 @@ def create_backend(name: str) -> ExecutionBackend:
 
 
 # ----------------------------------------------------------------------
-# The three shipped backends
+# The shipped in-process backends
 # ----------------------------------------------------------------------
 class _Completed:
     """A submission that finished at submit time (serial backend)."""
@@ -253,50 +252,6 @@ class SerialBackend:
 
     def close(self) -> None:
         pass
-
-
-class _FutureSubmission:
-    """Adapter: ``concurrent.futures.Future`` → :class:`Submission`."""
-
-    __slots__ = ("_future",)
-
-    def __init__(self, future):
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self) -> ScheduleResult:
-        return self._future.result()
-
-
-@register_backend("thread",
-                  summary="thread pool; right for cache-hit-dominated "
-                          "re-runs and I/O-heavy algorithms (GIL-bound "
-                          "for CPU-heavy solves)")
-class ThreadBackend:
-    """``ThreadPoolExecutor``-backed execution, sharing the parent registry."""
-
-    name = "thread"
-
-    def __init__(self):
-        self._pool = None
-
-    def open(self, workers: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-exec")
-
-    def submit(self, request: ScheduleRequest) -> Submission:
-        return _FutureSubmission(self._pool.submit(solve_with_policy, request))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            # cancel_futures: an abandoned batch (caller broke out of the
-            # stream early) must not keep burning CPU on queued solves or
-            # block interpreter exit on them
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 class _AsyncResultSubmission:

@@ -2,8 +2,8 @@
 
 An :class:`ExecutionPolicy` travels on
 :class:`~repro.api.envelopes.ScheduleRequest` and is enforced uniformly by
-every execution backend (serial, thread, process alike), so a scenario's
-timeout behaviour does not change when its backend does.
+every execution backend alike, so a scenario's timeout behaviour does
+not change when its backend does.
 
 Semantics
 ---------
@@ -16,7 +16,7 @@ before attempt ``attempt + 1`` — except a timeout under
 up its remaining attempts and reports ``FailureInfo(kind="timeout")``.
 ``on_timeout="requeue"`` instead puts a timed-out request back through
 the attempt loop like any other failure (useful when timeouts are load
-artifacts, e.g. an oversubscribed thread pool).
+artifacts, e.g. an oversubscribed machine).
 
 Retries are deterministic: the attempt loop is sequential and the
 algorithms are seeded, so the same request under the same policy always

@@ -1,7 +1,7 @@
 """``queue`` — a stdlib-only filesystem work-queue execution backend.
 
-Where ``thread``/``process`` parallelize inside one machine-local pool,
-the queue backend decouples *submission* from *execution* entirely: the
+Where ``process`` parallelizes inside one machine-local pool, the
+queue backend decouples *submission* from *execution* entirely: the
 parent spools each :class:`~repro.api.envelopes.ScheduleRequest` as a
 JSON file into a shared **spool directory**, and independent worker
 processes (``repro worker SPOOL_DIR`` — on this machine, or on any
@@ -107,6 +107,20 @@ def _check_knobs(lease_timeout_s: float, max_reclaims: int) -> None:
         raise ValueError(f"max_reclaims must be >= 0, got {max_reclaims!r}")
 
 
+def lease_from_env() -> float:
+    """The lease ``REPRO_QUEUE_LEASE_S`` sets (default 15 s), refused
+    when it is not a positive number — the one reading that parents and
+    attached workers share."""
+    lease = _env_number(QUEUE_LEASE_ENV, DEFAULT_LEASE_S)
+    _check_knobs(lease, DEFAULT_MAX_RECLAIMS)
+    return lease
+
+
+def _check_spool_dir(root: str) -> None:
+    if os.path.exists(root) and not os.path.isdir(root):
+        raise NotADirectoryError(f"queue spool {root!r} is not a directory")
+
+
 class Spool:
     """The on-disk queue: atomic job files plus lease bookkeeping.
 
@@ -121,6 +135,7 @@ class Spool:
         if not root:
             raise ValueError("Spool needs a directory; got an empty path")
         self.root = str(root)
+        _check_spool_dir(self.root)
         _check_knobs(lease_timeout_s, max_reclaims)
         self.lease_timeout_s = float(lease_timeout_s)
         self.max_reclaims = int(max_reclaims)
@@ -408,11 +423,13 @@ class QueueBackend:
                  poll_s: float = 0.02):
         if spool_dir is None:
             spool_dir = os.environ.get(QUEUE_DIR_ENV) or None
+        if spool_dir is not None:
+            _check_spool_dir(spool_dir)
         if spawn is None:
             spawn = os.environ.get(QUEUE_SPAWN_ENV, "1").strip().lower() \
                 not in ("0", "false", "no")
         if lease_timeout_s is None:
-            lease_timeout_s = _env_number(QUEUE_LEASE_ENV, DEFAULT_LEASE_S)
+            lease_timeout_s = lease_from_env()
         if max_reclaims is None:
             max_reclaims = _env_number(QUEUE_RECLAIMS_ENV,
                                         DEFAULT_MAX_RECLAIMS, int)

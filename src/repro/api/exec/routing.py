@@ -13,11 +13,13 @@ Precedence, highest first:
 The router validates every name it resolves, so a typo in
 ``REPRO_BACKEND`` fails loudly instead of silently running serial.
 
-Nested batches are safe by construction: inside a backend worker (a
-daemonic pool process, or a ``repro-exec`` thread of the thread backend
-— e.g. the portfolio meta-scheduler calling ``solve_batch`` from within
-a solve) the router falls back to ``serial``: daemonic processes cannot
-fork children, forking from a multithreaded parent risks the classic
+Nested batches are safe by construction: inside a backend worker — a
+daemonic pool process, a ``queue`` worker (``REPRO_EXEC_NESTED``), or
+the ``repro-exec-attempt`` watchdog thread that runs a solve under an
+:class:`~repro.api.exec.policy.ExecutionPolicy` timeout, e.g. the
+portfolio meta-scheduler calling ``solve_batch`` from within a solve —
+the router falls back to ``serial``: daemonic processes cannot fork
+children, forking from a multithreaded parent risks the classic
 fork-with-locks deadlock, and nested pools would only oversubscribe an
 already-saturated machine. An explicit ``backend=`` argument is honoured
 as written (and fails loudly if it cannot work there).
@@ -56,7 +58,7 @@ def route(*, backend: Optional[str] = None, workers: int = 1) -> str:
             return name
     if nested or workers <= 1:
         # one worker gains nothing from a pool; inside a backend worker
-        # forking is impossible (daemonic process) or unsafe (threaded
-        # parent), and extra pools only thrash a saturated machine
+        # forking is impossible (daemonic process) or unsafe (watchdog
+        # thread), and extra pools only thrash a saturated machine
         return get_backend("serial").name
     return get_backend("process").name

@@ -6,7 +6,7 @@ oldest pending request (atomic rename — see
 :func:`~repro.api.exec.backends.solve_with_policy` every in-process
 backend uses, land the result envelope in ``done/``, repeat. All policy
 semantics (timeouts, retries, structured ``timeout`` failures) therefore
-hold bit-for-bit across ``serial``/``thread``/``process``/``queue``.
+hold bit-for-bit on every backend.
 
 Liveness is a heartbeat: a daemon thread touches the worker's lease file
 every quarter lease interval. If the worker is SIGKILLed the beats stop,

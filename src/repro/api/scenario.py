@@ -47,7 +47,6 @@ from typing import (
     Any,
     Dict,
     Iterator,
-    List,
     Mapping as TMapping,
     Optional,
     Tuple,
@@ -377,9 +376,8 @@ DEFAULT_ALGORITHMS = (AlgorithmSpec("daghetmem"), AlgorithmSpec("daghetpart"))
 class ExecutionSpec(Record):
     """How a scenario wants to be executed (all fields optional).
 
-    ``backend`` names a registered execution backend (``serial`` /
-    ``thread`` / ``process``); ``parallel`` is the worker count
-    (``-1`` = all CPUs); ``policy`` is the per-request
+    ``backend`` names a registered execution backend; ``parallel`` is
+    the worker count (``-1`` = all CPUs); ``policy`` is the per-request
     :class:`~repro.api.exec.policy.ExecutionPolicy` attached to every
     expanded request; ``cache`` is a default cache URI
     (``sqlite:///path.db`` or a plain directory).
@@ -562,7 +560,6 @@ def run_scenario(spec: ScenarioSpec,
                  parallel: Optional[int] = None,
                  cache: Union[None, str, CacheBackend] = None,
                  progress: Optional[ProgressHook] = None,
-                 window: Optional[int] = None,
                  backend: Optional[str] = None) -> Iterator[ScheduleResult]:
     """Stream the scenario's results in expansion order.
 
@@ -571,7 +568,7 @@ def run_scenario(spec: ScenarioSpec,
     :class:`~repro.api.cache.CacheBackend`; previously computed requests
     are served from it without a ``solve`` call, and fresh results are
     appended as they complete, so an interrupted sweep resumes for free.
-    ``parallel``/``progress``/``window``/``backend`` behave as in
+    ``parallel``/``progress``/``backend`` behave as in
     :func:`~repro.api.batch.iter_solve_batch`. Arguments left at ``None``
     fall back to the spec's ``execution`` block before the usual
     environment defaults apply.
@@ -587,14 +584,4 @@ def run_scenario(spec: ScenarioSpec,
     with opened_cache(cache) as store:
         yield from iter_solve_batch(expand(spec), parallel=parallel,
                                     progress=progress, cache=store,
-                                    window=window, backend=backend)
-
-
-def collect_scenario(spec: ScenarioSpec,
-                     parallel: Optional[int] = None,
-                     cache: Union[None, str, CacheBackend] = None,
-                     progress: Optional[ProgressHook] = None,
-                     backend: Optional[str] = None) -> List[ScheduleResult]:
-    """:func:`run_scenario`, materialised (small grids / tests)."""
-    return list(run_scenario(spec, parallel=parallel, cache=cache,
-                             progress=progress, backend=backend))
+                                    backend=backend)

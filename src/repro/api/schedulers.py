@@ -69,11 +69,6 @@ class DagHetPartScheduler:
                                sweep=outcome.sweep)
 
 
-# rank helpers are shared with the critical-path packer (repro.core.cpack)
-_upward_ranks = upward_ranks
-_rank_order = rank_order
-
-
 @register_algorithm(
     "heftlist", display_name="HeftList",
     capabilities=("baseline", "memory-oblivious", "list-scheduler"),

@@ -17,7 +17,7 @@ Commands
 ``scenario``    run a declarative scenario spec (JSON) — the cross-product
                 of workflow sources x platforms x algorithms — streamed
                 through the batch façade on a selectable execution backend
-                (``--backend serial|thread|process``) with an optional
+                (``--backend``) with an optional
                 result cache (``--cache sqlite:///path.db`` or a
                 directory), so re-runs and crashed sweeps resume for
                 free; ``scenario diff`` compares two result JSONL dumps;
@@ -69,7 +69,7 @@ from repro.api import (
     run_scenario,
     solve_with_policy,
 )
-from repro.api.exec.queue import DEFAULT_LEASE_S
+from repro.api.exec.queue import Spool, lease_from_env
 from repro.core.heuristic import DagHetPartConfig
 from repro.experiments import figures
 from repro.experiments.instances import synthetic_sizes
@@ -528,7 +528,8 @@ def cmd_worker(args) -> int:
     # zero poll would busy-spin a core, and a nan --max-idle would never
     # idle out (`elapsed > nan` is false too)
     for flag, value, ok, what in (
-            ("--lease", args.lease, args.lease > 0, "a positive"),
+            ("--lease", args.lease, args.lease is None or args.lease > 0,
+             "a positive"),
             ("--poll", args.poll, 0 < args.poll < math.inf,
              "a positive finite"),
             ("--max-idle", args.max_idle,
@@ -537,6 +538,11 @@ def cmd_worker(args) -> int:
             print(f"error: {flag} must be {what} number of seconds, "
                   f"got {value:g}", file=sys.stderr)
             return 2
+    # without --lease, the worker beats by the lease its parent judges
+    # by; a bad setting or a spool that is a regular file is refused here
+    lease = args.lease if args.lease is not None else _checked(lease_from_env)
+    if lease is False or _checked(Spool, args.spool, lease) is False:
+        return 2
     # a batch issued *inside* a worker (portfolio-style algorithms that
     # call solve_batch) must run serial, not spool into a new queue or
     # fork pools from a process that is already one worker of many
@@ -544,7 +550,7 @@ def cmd_worker(args) -> int:
     print(f"worker    : attaching to {args.spool}", file=sys.stderr)
     completed = run_worker(
         args.spool, worker_id=args.id, poll_s=args.poll,
-        lease_timeout_s=args.lease, max_idle_s=args.max_idle, once=args.once)
+        lease_timeout_s=lease, max_idle_s=args.max_idle, once=args.once)
     print(f"worker    : done ({completed} request(s) completed)",
           file=sys.stderr)
     return 0
@@ -792,10 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, metavar="NAME",
                    help="worker id (default: derived from pid); claims live "
                         "under claimed/NAME/ and the lease is NAME.lease")
-    p.add_argument("--lease", type=float, default=DEFAULT_LEASE_S,
-                   metavar="S",
+    p.add_argument("--lease", type=float, default=None, metavar="S",
                    help="lease interval the parent judges liveness by "
-                        "(heartbeats run at a quarter of it; default 15)")
+                        "(heartbeats run at a quarter of it; default: "
+                        "$REPRO_QUEUE_LEASE_S, else 15)")
     p.add_argument("--poll", type=float, default=0.1, metavar="S",
                    help="sleep between claim attempts when the spool is "
                         "empty (default 0.1)")

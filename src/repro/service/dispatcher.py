@@ -17,8 +17,8 @@ runtimes).
 Worker threads are named ``repro-serve-*`` on purpose: the nested-batch
 guard in :func:`repro.api.exec.routing.route` forces *serial* routing
 only inside ``repro-exec*`` threads, so a job running on a service
-worker can still fan out over the thread/process backends exactly as it
-would offline.
+worker can still fan out over a process pool exactly as it would
+offline.
 
 Concurrency notes: every worker thread drives the one shared
 :class:`~repro.api.cache.CacheBackend` directly — the backend's own lock

@@ -1,8 +1,8 @@
 """Tests of the execution-backend API: policy, registry, routing, equivalence.
 
 The contract under test: ``solve_batch`` is bit-for-bit identical (modulo
-measured ``runtime``) across the ``serial``, ``thread`` and ``process``
-backends; a request whose ``ExecutionPolicy.timeout_s`` is exceeded
+measured ``runtime``) across the ``serial`` and ``process`` backends; a
+request whose ``ExecutionPolicy.timeout_s`` is exceeded
 reports a structured ``FailureInfo(kind="timeout")`` on every backend
 without hanging the batch; retries are deterministic.
 """
@@ -37,7 +37,7 @@ from repro.core.heuristic import DagHetPartConfig
 from repro.generators.families import generate_workflow
 from repro.platform.presets import default_cluster
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 FAST_CFG = DagHetPartConfig(k_prime_values=(1, 4))
 
 
@@ -160,7 +160,7 @@ class TestPolicyProperties:
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_shipped_backends_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert available_backends() == ("process", "queue", "serial")
 
     def test_canonical_names(self):
         assert get_backend("Serial").name == "serial"
@@ -198,12 +198,12 @@ class TestBackendRegistry:
 class TestRouting:
     def test_explicit_override_wins(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "process")
-        assert route(backend="thread", workers=8) == "thread"
+        assert route(backend="serial", workers=8) == "serial"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert route(workers=8) == "thread"
-        assert route(workers=0) == "thread"
+        monkeypatch.setenv(BACKEND_ENV, "queue")
+        assert route(workers=8) == "queue"
+        assert route(workers=0) == "queue"
 
     def test_bad_env_fails_loudly(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "quantum")
@@ -238,9 +238,11 @@ class TestRouting:
         assert result.success
         assert created == ["serial", "serial"]  # outer batch + nested one
 
-    def test_route_inside_thread_backend_worker_is_serial(self, monkeypatch):
-        """Nested solve_batch from a repro-exec worker thread must not
-        fork a process pool out of a multithreaded parent."""
+    def test_route_inside_policy_watchdog_thread_is_serial(self,
+                                                          monkeypatch):
+        """route() called on the policy's repro-exec-attempt watchdog
+        thread must not fork a process pool out of a multithreaded
+        parent, even with REPRO_BACKEND asking for one."""
         import threading
         monkeypatch.setenv(BACKEND_ENV, "process")
         routed = {}
@@ -248,7 +250,7 @@ class TestRouting:
         def target():
             routed["name"] = route(workers=8)
 
-        worker = threading.Thread(target=target, name="repro-exec_0")
+        worker = threading.Thread(target=target, name="repro-exec-attempt")
         worker.start()
         worker.join()
         assert routed["name"] == "serial"
@@ -423,10 +425,9 @@ class TestBackendEquivalence:
         requests = _smoke_requests()
         reference = [_strip(r) for r in
                      solve_batch(requests, backend="serial")]
-        for backend in ("thread", "process"):
-            got = [_strip(r) for r in
-                   solve_batch(requests, backend=backend, parallel=2)]
-            assert got == reference, f"{backend} diverged from serial"
+        got = [_strip(r) for r in
+               solve_batch(requests, backend="process", parallel=2)]
+        assert got == reference, "process diverged from serial"
 
     def test_streaming_order_preserved_on_every_backend(self):
         requests = _smoke_requests()
@@ -474,10 +475,10 @@ class TestBackendEquivalence:
         monkeypatch.delenv(BACKEND_ENV)
         assert route(workers=4) == "serial"
         # an explicit argument is still honoured as written
-        assert route(backend="thread", workers=4) == "thread"
+        assert route(backend="process", workers=4) == "process"
 
     def test_explicit_backend_object_lifecycle(self):
-        backend = create_backend("thread")
+        backend = create_backend("process")
         backend.open(2)
         submission = backend.submit(_request())
         result = submission.result()
@@ -515,7 +516,7 @@ class TestWithinRunDedup:
         # three copies of one computation interleaved with a second one
         return [dup, dup, other, dup]
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_duplicates_solve_once_with_a_cache(self, backend, tmp_path,
                                                 counting_algorithm):
         from repro.api import open_cache
@@ -544,13 +545,13 @@ class TestWithinRunDedup:
                                  cache=serial_cache)
             serial_stats = serial_cache.stats()
         counter.write_text("")
-        with open_cache(f"sqlite://{tmp_path}/thread.db") as thread_cache:
-            threaded = solve_batch(requests, backend="thread", parallel=4,
-                                   cache=thread_cache)
-            thread_stats = thread_cache.stats()
-        assert [_strip(r) for r in threaded] == [_strip(r) for r in serial]
+        with open_cache(f"sqlite://{tmp_path}/process.db") as process_cache:
+            parallel = solve_batch(requests, backend="process", parallel=4,
+                                   cache=process_cache)
+            process_stats = process_cache.stats()
+        assert [_strip(r) for r in parallel] == [_strip(r) for r in serial]
         for key in ("hits", "misses", "entries"):
-            assert thread_stats[key] == serial_stats[key]
+            assert process_stats[key] == serial_stats[key]
 
     def test_duplicates_of_a_timed_out_primary_resolve_inline(
             self, tmp_path, slow_algorithm):
@@ -562,7 +563,7 @@ class TestWithinRunDedup:
                            scale_memory=False,
                            policy=ExecutionPolicy(timeout_s=0.2))
         with open_cache(f"sqlite://{tmp_path}/t.db") as cache:
-            results = solve_batch([request, request], backend="thread",
+            results = solve_batch([request, request], backend="process",
                                   parallel=2, cache=cache)
             assert len(cache) == 0
         assert [r.failure.kind for r in results] == ["timeout", "timeout"]
@@ -572,6 +573,6 @@ class TestWithinRunDedup:
         fast path must stay zero-overhead), so duplicates each solve."""
         name, counter = counting_algorithm
         requests = self._duplicated_requests(name)
-        results = solve_batch(requests, backend="thread", parallel=4)
+        results = solve_batch(requests, backend="process", parallel=4)
         assert all(r.success for r in results)
         assert len(counter.read_text()) == 4

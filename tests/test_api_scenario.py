@@ -13,7 +13,6 @@ from repro.api import (
     PlatformAxis,
     RealWorkflowSource,
     ScenarioSpec,
-    collect_scenario,
     expand,
     load_scenario,
     run_scenario,
@@ -152,7 +151,7 @@ class TestExpand:
 
     def test_algorithm_template_matches_result_display_name(self):
         spec = tiny_spec(tags={"algo": "{algorithm}"})
-        results = collect_scenario(spec)
+        results = list(run_scenario(spec))
         for r in results:  # the tag joins cleanly against result.algorithm
             assert r.tags["algo"] == r.algorithm
 
@@ -240,9 +239,12 @@ class TestFig5Equivalence:
 
 class TestRunScenario:
     def test_streaming_matches_collect(self):
+        """run_scenario streams exactly the list solve_batch collects
+        over the expanded requests."""
+        from repro.api import solve_batch
         spec = tiny_spec()
         streamed = list(run_scenario(spec))
-        collected = collect_scenario(spec)
+        collected = solve_batch(expand(spec))
         strip = lambda r: {k: v for k, v in r.to_dict().items()
                            if k != "runtime"}
         assert [strip(r) for r in streamed] == [strip(r) for r in collected]
@@ -251,8 +253,8 @@ class TestRunScenario:
         spec = tiny_spec()
         strip = lambda r: {k: v for k, v in r.to_dict().items()
                            if k != "runtime"}
-        assert [strip(r) for r in collect_scenario(spec, parallel=2)] == \
-            [strip(r) for r in collect_scenario(spec)]
+        assert [strip(r) for r in run_scenario(spec, parallel=2)] == \
+            [strip(r) for r in run_scenario(spec)]
 
     def test_crashed_sweep_resumes(self, tmp_path, monkeypatch):
         """A partial cache (crash artifact) only re-solves what is missing."""
@@ -283,7 +285,7 @@ class TestExecutionBlock:
     def test_round_trips_with_policy(self):
         from repro.api import ExecutionPolicy
         spec = self._spec_with_execution(
-            backend="thread", parallel=2, cache="sqlite://cache.db",
+            backend="process", parallel=2, cache="sqlite://cache.db",
             policy=ExecutionPolicy(timeout_s=60.0, retries=1))
         rebuilt = ScenarioSpec.from_json(spec.to_json())
         assert rebuilt == spec
@@ -329,20 +331,15 @@ class TestExecutionBlock:
         monkeypatch.setattr(backends_module, "create_backend",
                             lambda name: created.append(name) or real(name))
         uri = f"sqlite://{tmp_path}/spec-cache.db"
-        spec = tiny_spec(execution=ExecutionSpec(backend="thread",
+        spec = tiny_spec(execution=ExecutionSpec(backend="process",
                                                  parallel=2, cache=uri))
         first = list(run_scenario(spec))
-        assert created == ["thread"]
-        # the spec's cache URI was honoured: a re-run is fully served
-        calls = []
-        real_solve = batch_module.solve
-        monkeypatch.setattr(batch_module, "solve",
-                            lambda req: calls.append(req) or real_solve(req))
+        assert created == ["process"]
+        # the spec's cache URI was honoured: a re-run is fully served, so
+        # even the measured runtimes come back exactly as cached (the
+        # solves ran in pool processes, out of a patched solve's sight)
         second = list(run_scenario(spec))
-        assert calls == []
-        strip = lambda r: {k: v for k, v in r.to_dict().items()
-                           if k != "runtime"}
-        assert [strip(r) for r in first] == [strip(r) for r in second]
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_explicit_arguments_override_spec(self, monkeypatch):
         from repro.api import ExecutionSpec
@@ -351,7 +348,7 @@ class TestExecutionBlock:
         real = backends_module.create_backend
         monkeypatch.setattr(backends_module, "create_backend",
                             lambda name: created.append(name) or real(name))
-        spec = tiny_spec(execution=ExecutionSpec(backend="thread"))
+        spec = tiny_spec(execution=ExecutionSpec(backend="process"))
         list(run_scenario(spec, backend="serial"))
         assert created == ["serial"]
 

@@ -193,7 +193,7 @@ class TestScenario:
         assert main(["scenario", "run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_scenario_run_backend_flag(self, tmp_path, capsys, backend):
         path = self._write_spec(tmp_path)
         rc = main(["scenario", "run", path, "--backend", backend, "-j", "2"])
@@ -275,6 +275,8 @@ def _bad_specs():
     kind = json.loads(json.dumps(_GOOD_SPEC))
     kind["workflows"][0]["kind"] = "famlies"
     return {
+        "thread-backend": json.dumps(dict(_GOOD_SPEC,
+                                          execution={"backend": "thread"})),
         "bad-json": '{"name": "bad-spec", "workflows": [',
         "unknown-source-field": json.dumps(typo),
         "unknown-source-kind": json.dumps(kind),
@@ -282,6 +284,13 @@ def _bad_specs():
         "missing-name": json.dumps({"workflows": _GOOD_SPEC["workflows"]}),
         "missing-workflows": json.dumps({"name": "bad-spec"}),
     }
+
+
+#: what a bad spec's one error line must also say, where it matters
+_BAD_SPEC_FRAGMENTS = {
+    "thread-backend": "unknown execution backend 'thread'; "
+                      "available: process, queue, serial",
+}
 
 
 class TestSpecLoadErrors:
@@ -297,6 +306,7 @@ class TestSpecLoadErrors:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"error: {path}: ")
+        assert _BAD_SPEC_FRAGMENTS.get(case, "") in lines[0]
         assert "Traceback" not in captured.err
 
     def test_simulate_missing_file(self, tmp_path, capsys):
@@ -325,26 +335,34 @@ class TestExecutionSettingErrors:
             assert fragment in lines[0]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["scenario", "run", "SPEC"],
-        ["experiment", "fig3_left", "-j", "2"],
-    ])
-    def test_bogus_backend_env(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+    @pytest.mark.parametrize("backend,argv", [
+        ("bogus", ["scenario", "run", "SPEC"]),
+        ("bogus", ["experiment", "fig3_left", "-j", "2"]),
+        ("thread", ["scenario", "run", "SPEC"]),
+        ("thread", ["experiment", "fig3_left", "-j", "2"]),
+    ], ids=["argv0", "argv1", "thread-run", "thread-experiment"])
+    def test_bogus_backend_env(self, tmp_path, capsys, monkeypatch, backend,
+                               argv):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         monkeypatch.setenv("REPRO_SCALE", "400")
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(_GOOD_SPEC))
         argv = [str(path) if a == "SPEC" else a for a in argv]
         assert main(argv) == 2
-        self._one_error_line(capsys, "bogus")
+        self._one_error_line(capsys, f"unknown execution backend {backend!r}",
+                             "available: process, queue, serial")
 
     @pytest.mark.parametrize("name,value", [
         ("REPRO_QUEUE_LEASE_S", "soon"),
         ("REPRO_QUEUE_LEASE_S", "-1"),
         ("REPRO_QUEUE_MAX_RECLAIMS", "x"),
+        ("REPRO_QUEUE_DIR", "FILE"),
     ])
     def test_bad_queue_knob(self, tmp_path, capsys, monkeypatch, name,
                             value):
+        if value == "FILE":  # a spool path that is a regular file
+            value = str(tmp_path / "file")
+            (tmp_path / "file").write_text("")
         monkeypatch.setenv(name, value)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(_GOOD_SPEC))
@@ -377,6 +395,50 @@ class TestExecutionSettingErrors:
         self._one_error_line(capsys, flag, value)
         assert sorted(os.walk(spool)) == before  # no heartbeat, no claim
 
+    @pytest.mark.parametrize("env,spool_is_file,fragment", [
+        ({}, True, "is not a directory"),
+        ({"REPRO_QUEUE_LEASE_S": "soon"}, False, "REPRO_QUEUE_LEASE_S='soon'"),
+        ({"REPRO_QUEUE_LEASE_S": "-1"}, False,
+         "lease_timeout_s must be positive, got -1.0"),
+    ], ids=["spool-is-file", "lease-env-word", "lease-env-negative"])
+    def test_worker_bad_spool_or_lease_env(self, tmp_path, capsys,
+                                           monkeypatch, env, spool_is_file,
+                                           fragment):
+        # refused before attaching, with the parent's own message for a
+        # bad REPRO_QUEUE_LEASE_S. A directory spool is drained already,
+        # so a worker that does attach exits at once instead of waiting.
+        from repro.api.exec.queue import Spool
+
+        spool = tmp_path / "spool"
+        if spool_is_file:
+            spool.write_text("")
+        else:
+            Spool(str(spool)).request_stop()
+        before = sorted(os.walk(spool))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["worker", str(spool)]) == 2
+        self._one_error_line(capsys, fragment)
+        assert spool.is_file() if spool_is_file \
+            else sorted(os.walk(spool)) == before
+
+    def test_worker_lease_defaults_to_env(self, tmp_path, monkeypatch):
+        """A worker started without --lease beats by the lease its parent
+        judges by; an explicit --lease still wins."""
+        import repro.api.exec as exec_module
+        from repro.api.exec import NESTED_ENV
+        leases = []
+        monkeypatch.setattr(
+            exec_module, "run_worker",
+            lambda spool, **kw: leases.append(kw["lease_timeout_s"]) or 0)
+        monkeypatch.setenv(NESTED_ENV, "")  # restored: the verb sets it
+        monkeypatch.setenv("REPRO_QUEUE_LEASE_S", "0.5")
+        assert main(["worker", str(tmp_path / "spool")]) == 0
+        assert main(["worker", str(tmp_path / "spool"), "--lease", "3"]) == 0
+        monkeypatch.delenv("REPRO_QUEUE_LEASE_S")
+        assert main(["worker", str(tmp_path / "spool")]) == 0
+        assert leases == [0.5, 3.0, 15.0]
+
     def test_worker_has_no_cache_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["worker", str(tmp_path / "spool"), "--cache",
@@ -389,7 +451,14 @@ class TestExecutionSettingErrors:
         ({"REPRO_QUEUE_LEASE_S": "soon"}, ["--backend", "queue"], "soon",
          False),
         ({}, [], "File exists", True),
-    ], ids=["backend-env", "queue-knob", "store-is-file"])
+        ({"REPRO_BACKEND": "thread"}, [],
+         "'thread'; available: process, queue, serial", False),
+        ({}, ["--backend", "thread"], "invalid choice: 'thread' (choose "
+         "from 'process', 'queue', 'serial')", False),
+        ({"REPRO_QUEUE_DIR": "FILE"}, ["--backend", "queue"],
+         "is not a directory", False),
+    ], ids=["backend-env", "queue-knob", "store-is-file", "thread-env",
+            "thread-flag", "queue-dir-is-file"])
     def test_serve_refuses_bad_setting_before_binding(self, tmp_path, env,
                                                       flags, fragment,
                                                       store_is_file):
@@ -397,6 +466,9 @@ class TestExecutionSettingErrors:
         # setting binds and serves forever instead of exiting
         if store_is_file:
             (tmp_path / "store").write_text("")
+        (tmp_path / "file").write_text("")
+        env = {k: str(tmp_path / "file") if v == "FILE" else v
+               for k, v in env.items()}
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env)
         proc = subprocess.run(
@@ -405,6 +477,12 @@ class TestExecutionSettingErrors:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stdout + proc.stderr
         lines = proc.stderr.strip().splitlines()
+        if "invalid choice" in fragment:
+            # argparse refuses a flag value: its usage, then one line
+            # "repro serve: error: ..."
+            assert lines[0].startswith("usage: "), proc.stderr
+            lines = [line.split("repro serve: ", 1)[-1] for line in lines
+                     if line.startswith("repro serve: error: ")]
         assert len(lines) == 1 and lines[0].startswith("error: "), \
             proc.stderr
         assert fragment in lines[0]
@@ -468,15 +546,15 @@ class TestCacheUriErrors:
 
 class TestScenarioDiff:
     def _run_to_jsonl(self, tmp_path, name, mutate=None):
-        from repro.api import collect_scenario
-        from repro.api import (AlgorithmSpec, FamilyGridSource, ScenarioSpec)
+        from repro.api import (AlgorithmSpec, FamilyGridSource, ScenarioSpec,
+                               run_scenario)
         spec = ScenarioSpec(
             name="diff-tiny",
             workflows=(FamilyGridSource(families=("blast", "bwa"),
                                         sizes={"small": (24,)}),),
             algorithms=(AlgorithmSpec("daghetmem"),),
         )
-        records = [r.to_dict() for r in collect_scenario(spec)]
+        records = [r.to_dict() for r in run_scenario(spec)]
         if mutate is not None:
             mutate(records)
         path = tmp_path / name

@@ -51,7 +51,7 @@ CHURN = ProcessorChurn(fail_times=(0.2,), leave_times=(0.3, 0.35),
 DYNAMICS = DynamicsSpec(models=(PoissonArrivals(rate=2.0, count=2), CHURN),
                         seed=7, policy="resolve", algorithm="daghetmem",
                         relative_times=False, warm_sweep=False, horizon=10.0)
-EXECUTION = ExecutionSpec(backend="thread", parallel=2, policy=POLICY,
+EXECUTION = ExecutionSpec(backend="process", parallel=2, policy=POLICY,
                           cache="sqlite:///results.db")
 
 FIXTURES = {
@@ -131,7 +131,7 @@ GOLDEN = {
         '"seed": 7, "warm_sweep": false}'
     ),
     "execution": (
-        '{"backend": "thread", "cache": "sqlite:///results.db", '
+        '{"backend": "process", "cache": "sqlite:///results.db", '
         '"parallel": 2, "policy": {"on_timeout": "requeue", "retries": 2, '
         '"retry_backoff": 0.1, "timeout_s": 2.5}}'
     ),
@@ -200,7 +200,7 @@ GOLDEN = {
         ' "algorithms": [\n  {\n   "name": "daghetmem",\n   "config": null\n'
         '  }\n ],\n "tags": {\n  "series": "{family}@{bandwidth}",\n'
         '  "run": 3\n },\n "scale_memory": false,\n "validate": true,\n'
-        ' "execution": {\n  "backend": "thread",\n  "parallel": 2,\n'
+        ' "execution": {\n  "backend": "process",\n  "parallel": 2,\n'
         '  "policy": {\n   "timeout_s": 2.5,\n   "retries": 2,\n'
         '   "retry_backoff": 0.1,\n   "on_timeout": "requeue"\n  },\n'
         '  "cache": "sqlite:///results.db"\n },\n "dynamics": {\n'
