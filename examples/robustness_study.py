@@ -18,10 +18,11 @@ Run:  python examples/robustness_study.py
 (set REPRO_EXAMPLE_SCALE=10 for a tiny smoke-test corpus, as CI does)
 """
 
+import dataclasses
 import os
 
 from repro import generate_workflow
-from repro.api import ScheduleRequest, solve
+from repro.api import ScheduleRequest, solve, solve_batch
 from repro.platform.presets import cluster_by_name
 from repro.sim import (
     DynamicsSpec,
@@ -29,7 +30,6 @@ from repro.sim import (
     ProcessorChurn,
     RuntimeInflation,
     available_policies,
-    simulate_request,
 )
 
 #: divisor for task counts; CI's examples smoke job sets this to 10
@@ -64,10 +64,16 @@ def main() -> None:
 
     print(f"\n{'policy':10s} {'plan':>10s} {'realized':>10s} "
           f"{'degr%':>7s} {'migr':>5s} {'replans':>7s} {'passes':>6s}")
+    # one request per policy: the dynamics block makes solve() replay the
+    # plan, so the policies run as one batch (REPRO_PARALLEL workers)
+    policies = available_policies()
+    replays = solve_batch(
+        dataclasses.replace(request, want_mapping=False,
+                            dynamics=DynamicsSpec(models=models, seed=23,
+                                                  policy=policy))
+        for policy in policies)
     reports = {}
-    for policy in available_policies():
-        dynamics = DynamicsSpec(models=models, seed=23, policy=policy)
-        result = simulate_request(request, dynamics)
+    for policy, result in zip(policies, replays):
         assert result.failure is None, result.failure
         sim = result.extra
         reports[policy] = sim

@@ -3,7 +3,8 @@
 :func:`solve` executes one :class:`ScheduleRequest` end to end: registry
 lookup, optional memory scaling, an O(n) check for tasks that fit no
 processor, timed algorithm run, failure capture into a
-:class:`FailureInfo`, optional validation, envelope assembly.
+:class:`FailureInfo`, optional validation, the replay under the
+request's ``dynamics`` block when it has one, envelope assembly.
 
 :func:`iter_solve_batch` streams results back in request order while
 keeping only a bounded window of requests in flight, so arbitrarily large
@@ -19,8 +20,10 @@ structured ``FailureInfo(kind="timeout")`` instead of hanging the sweep.
 
 The façade optionally consults a :class:`~repro.api.cache.CacheBackend`
 so repeated sweeps are served from disk instead of recomputed. It is the
-only code that reads or writes the cache: backends, the ``queue``
-engine's worker processes included, only ever see cache misses. When no
+only code that reads or writes the cache — for static solves and
+dynamic replays alike, since a replay is just a request with a
+``dynamics`` block: backends, the ``queue`` engine's worker processes
+included, only ever see cache misses. When no
 cache is attached, no fingerprint is ever computed (fingerprinting hashes
 the whole workflow — pure overhead on cache-less runs; see
 ``benchmarks/test_batch_overhead.py`` for the guard).
@@ -86,8 +89,14 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
     runtime = time.perf_counter() - start
 
     mapping = output.mapping if output is not None else None
-    if mapping is not None and request.validate:
-        mapping.validate()
+    makespan = float("inf")
+    extra = dict(output.extra) if output is not None else {}
+    if mapping is not None:
+        if request.validate:
+            mapping.validate()
+        makespan = mapping.makespan()
+        if request.dynamics is not None:
+            makespan, failure = _replay(request, mapping, makespan, extra)
 
     return ScheduleResult(
         algorithm=info.display_name,
@@ -95,16 +104,37 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
         n_tasks=request.workflow.n_tasks,
         cluster=cluster.name,
         bandwidth=cluster.bandwidth,
-        makespan=mapping.makespan() if mapping is not None else float("inf"),
+        makespan=makespan,
         runtime=runtime,
         n_blocks=mapping.n_blocks if mapping is not None else 0,
         k_prime=output.k_prime if output is not None else None,
         sweep=tuple(output.sweep) if output is not None else sweep,
         failure=failure,
         tags=dict(request.tags),
-        extra=dict(output.extra) if output is not None else {},
+        extra=extra,
         mapping=mapping if request.want_mapping else None,
     )
+
+
+def _replay(request: ScheduleRequest, mapping, makespan: float,
+            extra: dict) -> Tuple[float, Optional[FailureInfo]]:
+    """Replay the plan under ``request.dynamics``: (makespan, failure).
+
+    On success the makespan is the *realized* one, and ``extra`` gains
+    the flat ``sim_*`` robustness metrics and the resolved event log
+    (``sim_event_log``). A replay that strands a block (no live
+    processor fits it) keeps the plan's makespan and reports the
+    failure. ``runtime`` stays the solver's: the replay is not timed.
+    """
+    from repro.sim.engine import SimEngine  # lazy: static solves skip it
+    try:
+        report = SimEngine(mapping, request.dynamics,
+                           algorithm=request.algorithm).run()
+    except ReproError as exc:
+        return makespan, FailureInfo.from_exception(exc)
+    extra.update(report.metrics)
+    extra["sim_event_log"] = report.events
+    return report.realized, None
 
 
 def _effective_cluster(request: ScheduleRequest):

@@ -12,7 +12,9 @@ plain directory ``DIR`` meaning ``DIR/results.db``.
 The fingerprint (:func:`request_fingerprint`) hashes everything that
 determines the *outcome* of a solve — workflow structure and weights,
 cluster processors and interconnect, canonical algorithm name, config
-fields, and the ``scale_memory``/``validate`` knobs. It deliberately
+fields, the ``scale_memory``/``validate`` knobs and, for a dynamic
+request, the ``dynamics`` block (hashed over the static key, so the
+plan and each of its replays are separate entries). It deliberately
 excludes ``tags`` (correlation metadata that does not influence the
 result), ``want_mapping`` (which only controls whether the live mapping
 rides on the envelope), and the execution ``policy`` (timeout/retry
@@ -127,6 +129,12 @@ def request_fingerprint(request: ScheduleRequest) -> str:
         "validate": bool(request.validate),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if request.dynamics is None:
+        return digest
+    # a replay layers on the plan's key, so a static solve and each of
+    # its dynamic replays are distinct entries of one cache
+    text = digest + ":" + request.dynamics.to_json()
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -86,6 +86,10 @@ class ScheduleRequest:
     :class:`~repro.api.exec.policy.ExecutionPolicy` (per-request timeout,
     retries, backoff) enforced by every execution backend; like ``tags``
     it is an execution knob, excluded from the result-cache fingerprint.
+    ``dynamics`` is an optional :class:`~repro.sim.events.DynamicsSpec`
+    (or a plain dict of it): set, :func:`~repro.api.solve` replays the
+    solved plan under it and reports the realized makespan. Unlike
+    ``policy`` it changes the outcome, so it is part of the fingerprint.
     """
 
     workflow: Workflow
@@ -97,8 +101,14 @@ class ScheduleRequest:
     want_mapping: bool = True
     tags: TMapping[str, Any] = field(default_factory=dict)
     policy: Optional[Any] = None
+    dynamics: Optional[Any] = None
 
     def __post_init__(self):
+        if self.dynamics is not None:
+            from repro.sim.events import DynamicsSpec
+            if not isinstance(self.dynamics, DynamicsSpec):
+                object.__setattr__(self, "dynamics",
+                                   DynamicsSpec.from_dict(self.dynamics))
         if self.policy is None:
             return
         # accept a plain policy dict (the spec-file idiom) but normalize
@@ -141,7 +151,7 @@ class ScheduleRequest:
             raise TypeError(
                 f"cannot serialize config of type "
                 f"{type(self.config).__name__}; expected None or a dataclass")
-        return {
+        data = {
             "workflow": workflow_to_dict(self.workflow),
             "cluster": self.cluster.to_dict(),
             "algorithm": self.algorithm,
@@ -152,6 +162,10 @@ class ScheduleRequest:
             "tags": dict(self.tags),
             "policy": None if self.policy is None else self.policy.to_dict(),
         }
+        if self.dynamics is not None:
+            # only when set: a static request's wire form stays unchanged
+            data["dynamics"] = self.dynamics.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: TMapping[str, Any]) -> "ScheduleRequest":
@@ -182,6 +196,7 @@ class ScheduleRequest:
             want_mapping=bool(data.get("want_mapping", True)),
             tags=dict(data.get("tags", {})),
             policy=data.get("policy"),  # a dict; __post_init__ decodes it
+            dynamics=data.get("dynamics"),  # likewise
         )
 
     def to_json(self) -> str:

@@ -432,8 +432,8 @@ class ScenarioSpec(Record):
     #: cache URI); explicit run_scenario/CLI arguments override it
     execution: Optional[ExecutionSpec] = None
     #: optional dynamics block (perturbation models + reaction policy);
-    #: set, the spec runs through ``repro simulate`` /
-    #: :func:`repro.sim.runner.run_dynamic_scenario`
+    #: set, :func:`expand` puts it on every request, so every front end
+    #: and backend reports each plan's replay under it
     dynamics: Optional[DynamicsSpec] = None
 
     def __post_init__(self):
@@ -553,6 +553,7 @@ def expand(spec: ScenarioSpec) -> Iterator[ScheduleRequest]:
                             want_mapping=False,
                             tags=tags,
                             policy=policy,
+                            dynamics=spec.dynamics,
                         )
 
 

@@ -21,11 +21,11 @@ Commands
                 result cache (``--cache sqlite:///path.db`` or a
                 directory), so re-runs and crashed sweeps resume for
                 free; ``scenario diff`` compares two result JSONL dumps;
-``simulate``    replay a scenario spec's plans under its ``dynamics``
-                block (job arrivals, processor churn, runtime inflation)
-                through the event-driven simulator, reporting makespan
-                degradation, migrations, and reaction latency per
-                policy;
+``simulate``    run a scenario spec whose ``dynamics`` block (job
+                arrivals, processor churn, runtime inflation) replays
+                every plan through the event-driven simulator — the same
+                run as ``scenario run`` — and sum up makespan
+                degradation, migrations, and reaction latency;
 ``serve``       run the asyncio HTTP scheduling service (durable job
                 store, live stats, graceful drain);
 ``worker``      attach a work-queue worker to a spool directory: claim
@@ -423,12 +423,13 @@ def cmd_scenario_diff(args) -> int:
 def cmd_simulate(args) -> int:
     """``repro simulate``: dynamic replay of a scenario.
 
-    Streams every request of a ScenarioSpec (whose ``dynamics`` block
-    must be set) through the event-driven simulator. Exit code 0 on
-    success, 2 when every simulated request failed or the spec does not
-    load.
+    Runs a ScenarioSpec (whose ``dynamics`` block must be set) through
+    :func:`run_scenario`, exactly as ``repro scenario run`` does, with
+    ``--policy`` overriding the block's reaction policy, and sums up the
+    replays' robustness metrics. Exit code 0 on success, 2 when every
+    simulated request failed or the spec does not load.
     """
-    from repro.sim.runner import run_dynamic_scenario
+    import dataclasses
 
     spec = _load_spec(args.spec)
     if spec is None:
@@ -437,7 +438,13 @@ def cmd_simulate(args) -> int:
         print(f"{args.spec}: scenario has no dynamics block; "
               f"use 'repro scenario run' for static sweeps", file=sys.stderr)
         return 2
-    policy = args.policy or spec.dynamics.policy
+    if args.policy is not None:
+        spec = dataclasses.replace(spec, dynamics=dataclasses.replace(
+            spec.dynamics, policy=args.policy))
+    policy = spec.dynamics.policy
+    backend = spec.execution.backend if spec.execution else None
+    if _checked(lambda: create_backend(route(backend=backend))) is False:
+        return 2
     total = spec.size()
     n_ok = n_failed = 0
     event_dump = []
@@ -448,9 +455,8 @@ def cmd_simulate(args) -> int:
                         lambda r: f"{r.workflow} / {r.algorithm}") as out:
         if out is None:
             return 2
-        for result in run_dynamic_scenario(spec, cache=out.cache,
-                                           progress=out.progress,
-                                           policy=args.policy):
+        for result in run_scenario(spec, cache=out.cache,
+                                   progress=out.progress):
             if result.success:
                 n_ok += 1
                 extra = result.extra
@@ -756,8 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the spec's reaction policy")
     p.add_argument("--cache", metavar="URI",
                    help="result cache (sqlite:///path.db or a directory; "
-                        "default: the spec's execution.cache); keyed by "
-                        "the dynamic fingerprint")
+                        "default: the spec's execution.cache)")
     p.add_argument("--json", metavar="FILE",
                    help="write result envelopes to FILE as JSONL")
     p.add_argument("--events-json", metavar="FILE",

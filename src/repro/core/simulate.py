@@ -10,9 +10,13 @@ each processor runs its block's tasks in the block's recorded traversal
 order, and a task starts as soon as its processor is free and all parent
 outputs have arrived (parent finish time plus link transfer time for
 cross-processor edges). The resulting makespan quantifies how loose the
-block-level bound is on real mappings; :mod:`tests.test_core_simulate`
-checks it never exceeds the bound's structure assumptions, and an ablation
-bench reports the gap across families.
+block-level bound is on real mappings (:func:`overestimation_factor`);
+:mod:`tests.test_core_simulate` checks that the block-level makespan is
+never below it on DagHetMem and DagHetPart mappings. No bench reports
+the gap.
+
+This is a separate, finer model, not a view of the block-level replay in
+:mod:`repro.sim.engine`, which prices plans under the paper's model.
 
 :func:`gantt_text` renders either schedule as an ASCII timeline, and
 :func:`schedule_to_dict` exports machine-readable start/finish times.

@@ -474,7 +474,7 @@ def demand4x(seed=0, full=None, families=None, sizes=None,
 
 
 # ----------------------------------------------------------------------
-# Dynamic scenarios: robustness of the reaction policies (ROADMAP item 4)
+# Dynamic scenarios: robustness of the reaction policies
 # ----------------------------------------------------------------------
 def robustness(seed=0, full=None, families=None, sizes=None,
                config: Optional[DagHetPartConfig] = None,
@@ -485,13 +485,12 @@ def robustness(seed=0, full=None, families=None, sizes=None,
     the same seeded dynamics — Poisson job arrivals, one mid-run
     processor failure, one runtime-inflation shock — so the columns
     isolate the policy: makespan degradation over the undisturbed plan,
-    task migrations, wholesale re-solves, and reaction latency.
-    ``parallel`` is accepted for signature parity; the replay is
-    sequential by design.
+    task migrations, wholesale re-solves, and reaction latency. Each cell
+    is one request with a ``dynamics`` block, so the cells run through
+    :func:`~repro.api.solve_batch` on ``parallel`` workers.
     """
-    from repro.api.envelopes import ScheduleRequest
+    from repro.api import ScheduleRequest, solve_batch
     from repro.generators.families import generate_workflow
-    from repro.platform.presets import cluster_by_name
     from repro.sim.events import (
         DynamicsSpec,
         PoissonArrivals,
@@ -499,21 +498,15 @@ def robustness(seed=0, full=None, families=None, sizes=None,
         RuntimeInflation,
     )
     from repro.sim.policies import available_policies
-    from repro.sim.runner import simulate_request
 
     families = tuple(families) if families else ("blast", "genome", "montage")
     n_tasks = int(sizes[0]) if sizes else (300 if full else 80)
     part_config = config or DagHetPartConfig()
+    cluster = cluster_by_name("default")
 
-    rows: List[Dict] = []
-    records = []
+    requests = []
     for family in families:
         wf = generate_workflow(family, n_tasks, seed=seed)
-        request = ScheduleRequest(
-            workflow=wf, cluster=cluster_by_name("default"),
-            algorithm="daghetpart", config=part_config,
-            scale_memory=True,
-            tags={"instance": f"{family}-{n_tasks}", "family": family})
         models = (
             PoissonArrivals(rate=3.0, count=2, family=family,
                             n_tasks=max(10, n_tasks // 8), start=0.1),
@@ -521,28 +514,39 @@ def robustness(seed=0, full=None, families=None, sizes=None,
             RuntimeInflation(times=(0.55,), sigma=0.25, fraction=0.5),
         )
         for policy in available_policies():
-            if progress is not None:
-                progress(f"robustness: {family}-{n_tasks} / {policy}")
-            result = simulate_request(
-                request, DynamicsSpec(models=models, seed=seed + 17,
-                                      policy=policy))
-            records.append(result)
-            if result.failure is not None:
-                rows.append({"family": family, "policy": policy,
-                             "failure": result.failure.kind})
-                continue
-            extra = result.extra
-            rows.append({
-                "family": family,
-                "policy": policy,
-                "plan_makespan": round(extra["sim_plan_makespan"], 2),
-                "realized_makespan": round(extra["sim_realized_makespan"], 2),
-                "degradation_pct": round(extra["sim_degradation_pct"], 1),
-                "migrations": extra["sim_task_migrations"],
-                "replans": extra["sim_replans"],
-                "full_passes": extra["sim_full_passes"],
-                "react_total_s": round(extra["sim_react_total_s"], 4),
-            })
+            requests.append(ScheduleRequest(
+                workflow=wf, cluster=cluster, algorithm="daghetpart",
+                config=part_config,
+                scale_memory=True, want_mapping=False,
+                tags={"instance": f"{family}-{n_tasks}", "family": family},
+                dynamics=DynamicsSpec(models=models, seed=seed + 17,
+                                      policy=policy)))
+
+    def report(index, request, result):
+        progress(f"robustness: {request.tags['instance']} / "
+                 f"{request.dynamics.policy}")
+
+    records = solve_batch(requests, parallel=parallel,
+                          progress=report if progress is not None else None)
+    rows: List[Dict] = []
+    for request, result in zip(requests, records):
+        family, policy = request.tags["family"], request.dynamics.policy
+        if result.failure is not None:
+            rows.append({"family": family, "policy": policy,
+                         "failure": result.failure.kind})
+            continue
+        extra = result.extra
+        rows.append({
+            "family": family,
+            "policy": policy,
+            "plan_makespan": round(extra["sim_plan_makespan"], 2),
+            "realized_makespan": round(extra["sim_realized_makespan"], 2),
+            "degradation_pct": round(extra["sim_degradation_pct"], 1),
+            "migrations": extra["sim_task_migrations"],
+            "replans": extra["sim_replans"],
+            "full_passes": extra["sim_full_passes"],
+            "react_total_s": round(extra["sim_react_total_s"], 4),
+        })
     return {"rows": rows, "records": records}
 
 

@@ -1,4 +1,4 @@
-"""Event-driven dynamic-scheduling simulator (ROADMAP item 4).
+"""Event-driven dynamic-scheduling simulator.
 
 Replays a computed mapping under a virtual clock while a seeded
 perturbation stream — job arrivals, processor fail/leave/join,
@@ -7,10 +7,15 @@ makespan degradation against the undisturbed plan, re-solve latency,
 and task migrations. Reaction policies (``static`` / ``warmstart`` /
 ``resolve``) share the registry mechanism behind ``@register_algorithm``.
 
+A replay is requested like any solve: a
+:class:`~repro.api.envelopes.ScheduleRequest` (or a scenario spec) with a
+``dynamics`` block makes :func:`repro.api.solve` replay the plan through
+:class:`~repro.sim.engine.SimEngine`, so caching, backends and the
+service treat it as one more request.
+
 Only the frozen event models (and the policy registry they validate
-against) are imported eagerly; the engine and the scenario runner load
-lazily so that ``repro.api`` can depend on :class:`DynamicsSpec`
-without a cycle. The warm-start vs cold re-solve gate lives in
+against) are imported eagerly; the engine loads lazily so that
+``repro.api`` can depend on :class:`DynamicsSpec` without a cycle. The warm-start vs cold re-solve gate lives in
 ``benchmarks/test_sim_warmstart_gate.py``.
 """
 
@@ -43,9 +48,6 @@ __all__ = [
     "get_policy",
     "policy_infos",
     "register_policy",
-    "simulate_request",
-    "run_dynamic_scenario",
-    "dynamic_fingerprint",
 ]
 
 _LAZY = {
@@ -55,9 +57,6 @@ _LAZY = {
     "get_policy": "repro.sim.policies",
     "policy_infos": "repro.sim.policies",
     "register_policy": "repro.sim.policies",
-    "simulate_request": "repro.sim.runner",
-    "run_dynamic_scenario": "repro.sim.runner",
-    "dynamic_fingerprint": "repro.sim.runner",
 }
 
 

@@ -63,7 +63,7 @@ class SimReport:
 
     ``events`` is the resolved, JSON-serializable event log (the
     determinism artifact); ``metrics`` holds the flat ``sim_*`` entries
-    the runner merges into the result envelope's ``extra`` — latency
+    :func:`repro.api.solve` merges into the result's ``extra`` — latency
     keys end in ``_s`` so the scenario differ knows to skip them.
     """
 

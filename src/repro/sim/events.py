@@ -3,7 +3,7 @@
 The dynamic simulator is driven by a :class:`DynamicsSpec`: a seed, a
 reaction policy, and a tuple of *event models* — each a frozen dataclass
 that compiles to a deterministic list of :class:`SimEvent` records. Four
-models cover the perturbations ROADMAP item 4 names:
+models cover the perturbations:
 
 =====================  ====================================================
 model                  events it emits

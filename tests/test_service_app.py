@@ -211,6 +211,20 @@ class TestScenarioJobs:
             assert record["algorithm"] == expected.algorithm
             assert record["makespan"] == expected.to_dict()["makespan"]
 
+    def test_dynamics_block_is_replayed_like_offline(self, service):
+        from repro.api.diff import diff_results, format_diff
+        from repro.api.scenario import load_scenario
+
+        spec = load_scenario("examples/specs/dynamics_smoke.json")
+        accepted = service.client.submit_scenario(spec.to_dict())
+        view = service.client.wait(accepted["id"], timeout=120)
+        assert view["status"]["state"] == "done"
+        records = view["result"]["results"]
+        assert all("sim_event_log" in r["extra"] for r in records)
+        diff = diff_results([r.to_dict() for r in run_scenario(spec)],
+                            records)
+        assert diff.clean, format_diff(diff)
+
 
 class TestSharedCache:
     """Every job of the service shares the dispatcher's one cache."""

@@ -187,29 +187,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             DynamicsSpec(horizon=0.0)
 
-    def test_policy_resolved_at_construction(self, monkeypatch):
+    def test_policy_resolved_at_construction(self):
         with pytest.raises(TypeError):
             DynamicsSpec(policy=7)
         with pytest.raises(ValueError, match="unknown reaction policy 'nope'; "
                                              "available: .*warmstart"):
             DynamicsSpec(policy="nope")
         # aliases resolve, and the spelling is stored unchanged: to_json()
-        # is the simulate-cache fingerprint payload
+        # is the cache-key payload of a dynamic request
         assert DynamicsSpec(policy="Warm-Start").policy == "Warm-Start"
 
-        # a bad policy override fails before any (expensive) planning
+        # a bad policy fails when the request is built, before any
+        # (expensive) planning
         from repro.api.envelopes import ScheduleRequest
         from repro.generators.families import generate_workflow
         from repro.platform.presets import small_cluster
-        from repro.sim import runner
 
-        solves = []
-        monkeypatch.setattr(runner, "solve", solves.append)
-        request = ScheduleRequest(workflow=generate_workflow("blast", 10, seed=0),
-                                  cluster=small_cluster(), algorithm="cpack")
         with pytest.raises(ValueError, match="unknown reaction policy"):
-            runner.simulate_request(request, DynamicsSpec(), policy="nope")
-        assert solves == []
+            ScheduleRequest(workflow=generate_workflow("blast", 10, seed=0),
+                            cluster=small_cluster(), algorithm="cpack",
+                            dynamics={"policy": "nope"})
 
     def test_victims_consumed_then_random(self):
         churn = ProcessorChurn(fail_times=(0.2, 0.4), victims=("p7",))
