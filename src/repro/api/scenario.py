@@ -285,13 +285,12 @@ class TemplateWorkflowSource(Record):
                        workflow=wf)
 
 
-WorkflowSource = Union[FamilyGridSource, RealWorkflowSource,
-                       FileWorkflowSource, TemplateWorkflowSource]
+_SOURCE_CLASSES = (FamilyGridSource, RealWorkflowSource,
+                   FileWorkflowSource, TemplateWorkflowSource)
+WorkflowSource = Union[_SOURCE_CLASSES]
 
 source_from_dict = tagged_decoder(
-    "workflow source",
-    {cls.kind: cls for cls in (FamilyGridSource, RealWorkflowSource,
-                               FileWorkflowSource, TemplateWorkflowSource)})
+    "workflow source", {cls.kind: cls for cls in _SOURCE_CLASSES})
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +399,8 @@ class ExecutionSpec(Record):
         if self.parallel is not None:
             object.__setattr__(self, "parallel", int(self.parallel))
         object.__setattr__(self, "policy",
-                           decoded(self.policy, ExecutionPolicy.from_dict))
+                           decoded(self.policy, ExecutionPolicy.from_dict,
+                                   ExecutionPolicy))
 
 
 # ----------------------------------------------------------------------
@@ -440,15 +440,18 @@ class ScenarioSpec(Record):
         if not self.workflows:
             raise ValueError("a scenario needs at least one workflow source")
         object.__setattr__(self, "workflows", tuple(
-            decoded(s, source_from_dict) for s in self.workflows))
+            decoded(s, source_from_dict, *_SOURCE_CLASSES)
+            for s in self.workflows))
         object.__setattr__(self, "platforms", tuple(
-            decoded(p, PlatformAxis.from_dict) for p in self.platforms))
+            decoded(p, PlatformAxis.from_dict, PlatformAxis)
+            for p in self.platforms))
         object.__setattr__(self, "algorithms", tuple(
-            decoded(a, AlgorithmSpec.from_dict) for a in self.algorithms))
-        object.__setattr__(self, "execution",
-                           decoded(self.execution, ExecutionSpec.from_dict))
-        object.__setattr__(self, "dynamics",
-                           decoded(self.dynamics, DynamicsSpec.from_dict))
+            decoded(a, AlgorithmSpec.from_dict, AlgorithmSpec)
+            for a in self.algorithms))
+        object.__setattr__(self, "execution", decoded(
+            self.execution, ExecutionSpec.from_dict, ExecutionSpec))
+        object.__setattr__(self, "dynamics", decoded(
+            self.dynamics, DynamicsSpec.from_dict, DynamicsSpec))
         if not self.platforms:
             raise ValueError("a scenario needs at least one platform axis")
         if not self.algorithms:

@@ -79,28 +79,6 @@ from repro.generators.realworld import REAL_WORKFLOW_NAMES, generate_real_workfl
 from repro.platform.presets import CLUSTER_PRESETS, cluster_by_name
 from repro.workflow.io import save_workflow_json, workflow_to_dot
 
-#: experiment name -> driver (drivers that need no extra arguments)
-EXPERIMENTS = {
-    "table2": figures.table2,
-    "table3": figures.table3,
-    "fig3_left": figures.fig3_left,
-    "fig3_right": figures.fig3_right,
-    "fig4": figures.fig4,
-    "fig5": figures.fig5,
-    "fig6": figures.fig6,
-    "fig7": figures.fig7,
-    "fig8": figures.fig8,
-    "fig9": figures.fig9,
-    "table4": figures.table4,
-    "success_counts": figures.success_counts_experiment,
-    "failures": figures.failure_report,
-    "heft_relative": figures.heft_relative,
-    "demand4x": figures.demand4x,
-    "refinement_gain": figures.refinement_gain,
-    "robustness": figures.robustness,
-    "optimality_gap": figures.optimality_gap,
-}
-
 
 def _cli_config(algorithm: str, k_strategy: str):
     """Build the config the CLI can express for ``algorithm``.
@@ -222,7 +200,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_experiment(args) -> int:
     """``repro experiment``: regenerate one table/figure."""
-    driver = EXPERIMENTS[args.name]
+    driver = figures.EXPERIMENTS[args.name]
     kwargs = {}
     if args.name not in ("table2", "table3"):
         if _checked(synthetic_sizes) is False \
@@ -238,7 +216,11 @@ def cmd_experiment(args) -> int:
     result = driver(**kwargs)
     print(format_table(result["rows"], title=args.name))
     if args.plot:
-        _plot_rows(args.name, result["rows"])
+        from repro.experiments.plotting import plot_rows
+        chart = plot_rows(args.name, result["rows"])
+        if chart:
+            print()
+            print(chart)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(result["rows"], fh, indent=1)
@@ -262,32 +244,6 @@ def _open_cache(uri):
     """The cache ``uri`` names, open (None without a URI), or False after
     one ``error:`` line for a bad or unopenable URI."""
     return None if uri is None else _checked(open_cache, uri)
-
-
-def _plot_rows(name: str, rows) -> None:
-    """Best-effort ASCII chart for the figure's main series."""
-    from repro.experiments.plotting import ascii_bar_chart, ascii_line_plot, figure_series
-    if not rows:
-        return
-    keys = set(rows[0])
-    print()
-    if {"n_tasks", "relative_makespan_pct", "family"} <= keys:
-        print(ascii_line_plot(
-            figure_series(rows, "n_tasks", "relative_makespan_pct", "family"),
-            title=name, x_label="n_tasks", y_label="relative makespan %"))
-    elif {"bandwidth", "relative_makespan_pct", "workflow_type"} <= keys:
-        print(ascii_line_plot(
-            figure_series(rows, "bandwidth", "relative_makespan_pct",
-                          "workflow_type"),
-            title=name, x_label="bandwidth", y_label="relative makespan %"))
-    elif {"n_tasks", "makespan", "family"} <= keys:
-        print(ascii_line_plot(
-            figure_series(rows, "n_tasks", "makespan", "family"),
-            title=name, x_label="n_tasks", y_label="makespan"))
-    elif {"workflow_type", "relative_makespan_pct"} <= keys:
-        print(ascii_bar_chart(
-            {r["workflow_type"]: r["relative_makespan_pct"] for r in rows},
-            title=f"{name} (relative makespan %)"))
 
 
 def _load_spec(path: str):
@@ -698,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("experiment", help="regenerate a table/figure")
-    p.add_argument("name", choices=sorted(EXPERIMENTS))
+    p.add_argument("name", choices=sorted(figures.EXPERIMENTS))
     p.add_argument("--families", help="comma-separated family subset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-strategy", default="doubling",

@@ -10,7 +10,7 @@ a heuristic's internal bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Sequence, Tuple
 
 from repro.core.makespan import makespan as quotient_makespan
 from repro.core.quotient import QuotientGraph
@@ -66,9 +66,6 @@ class Mapping:
     @property
     def n_blocks(self) -> int:
         return len(self.assignments)
-
-    def processors_used(self) -> List[Processor]:
-        return [a.processor for a in self.assignments]
 
     def block_of(self, task: Node) -> BlockAssignment:
         for a in self.assignments:

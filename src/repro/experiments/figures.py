@@ -3,9 +3,17 @@
 Every function returns ``{"rows": [...], "records": [...]}`` — ``rows``
 holds exactly the series the paper plots (ready for
 :func:`repro.experiments.report.format_table`), ``records`` the raw
-per-run data. Corpus size is controlled by the same knobs everywhere
-(``seed``, ``full``, ``families``, ``sizes``) so the benchmarks can run
-reduced corpora while ``REPRO_FULL=1`` reproduces the paper's scale.
+per-run data. Every driver takes the same keyword arguments: the corpus
+knobs ``seed``, ``full``, ``families``, ``sizes`` and ``config`` (so the
+benchmarks can run reduced corpora while ``REPRO_FULL=1`` reproduces the
+paper's scale), and the execution knobs ``progress``, ``parallel`` and
+``cache``. :data:`EXPERIMENTS` names them all.
+
+``cache`` (a cache URI or an open :class:`~repro.api.CacheBackend`) is
+how a full evaluation shares work: request fingerprints leave out tags
+and scenario names, so a corpus several drivers sweep — the default
+cluster at ``bandwidth=1`` feeds most of them — is solved once and read
+back by every later driver.
 
 Every driver is now a thin aggregation over a declarative
 :class:`~repro.api.ScenarioSpec` (:func:`corpus_scenario` builds the spec,
@@ -85,31 +93,27 @@ def corpus_scenario(name: str, preset: str = "default", bandwidth: float = 1.0,
     )
 
 
-def _records(preset, seed=0, full=None, families=None, sizes=None,
-             include_real=True, config=None, work_factor=1.0,
-             progress=None, parallel=None, bandwidth=1.0,
-             algorithms: Sequence[str] = ALGORITHMS) -> List[RunRecord]:
-    spec = corpus_scenario(f"corpus-{preset}", preset=preset,
-                           bandwidth=bandwidth, seed=seed, full=full,
-                           families=families, sizes=sizes,
-                           include_real=include_real,
-                           work_factor=work_factor, config=config,
-                           algorithms=algorithms)
-    return scenario_records(spec, parallel=parallel, progress=progress)
+def _records(preset: str, progress=None, parallel=None, cache=None,
+             **corpus) -> List[RunRecord]:
+    """The records of ``corpus_scenario(preset=preset, **corpus)``."""
+    spec = corpus_scenario(f"corpus-{preset}", preset=preset, **corpus)
+    return scenario_records(spec, parallel=parallel, progress=progress,
+                            cache=cache)
 
 
 # ----------------------------------------------------------------------
 # Tables 2 and 3 — cluster configurations (pure data, kept as experiments
 # so the benches can assert the presets never drift from the paper)
 # ----------------------------------------------------------------------
-def table2() -> Dict[str, List[Dict]]:
-    """Table 2: the default cluster's machine kinds."""
+def table2(**_knobs) -> Dict[str, List[Dict]]:
+    """Table 2: the default cluster's machine kinds (the driver knobs are
+    accepted and ignored, like every static table's)."""
     rows = [{"processor": kind, "speed_ghz": float(s), "memory_gb": float(m)}
             for kind, s, m in MACHINE_KINDS]
     return {"rows": rows, "records": []}
 
 
-def table3() -> Dict[str, List[Dict]]:
+def table3(**_knobs) -> Dict[str, List[Dict]]:
     """Table 3: MoreHet and LessHet machine kinds."""
     rows = []
     for (k1, s1, m1), (k2, s2, m2) in zip(MACHINE_KINDS_MOREHET, MACHINE_KINDS_LESSHET):
@@ -121,13 +125,9 @@ def table3() -> Dict[str, List[Dict]]:
 # ----------------------------------------------------------------------
 # Fig. 3 (left): relative makespan by workflow type, default cluster
 # ----------------------------------------------------------------------
-def fig3_left(seed=0, full=None, families=None, sizes=None,
-              config: Optional[DagHetPartConfig] = None,
-              progress=None, parallel=None) -> Dict[str, List]:
+def fig3_left(**knobs) -> Dict[str, List]:
     """Relative makespan (%) of DagHetPart vs DagHetMem per workflow type."""
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, config=config,
-                       progress=progress, parallel=parallel)
+    records = _records("default", **knobs)
     rel = relative_makespan_by(records, key=lambda r: r.category)
     rows = [{"workflow_type": cat, "relative_makespan_pct": rel[cat]}
             for cat in SIZE_CATEGORIES if cat in rel]
@@ -140,15 +140,12 @@ def fig3_left(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Fig. 3 (right): relative makespan on different cluster sizes
 # ----------------------------------------------------------------------
-def fig3_right(seed=0, full=None, families=None, sizes=None,
-               config: Optional[DagHetPartConfig] = None,
-               progress=None, parallel=None) -> Dict[str, List]:
+def fig3_right(**knobs) -> Dict[str, List]:
     """Relative makespan (%) across small/default/large clusters (18/36/60)."""
     rows: List[Dict] = []
     all_records: List[RunRecord] = []
     for preset in ("small", "default", "large"):
-        records = _records(preset, seed=seed, full=full, families=families,
-                           sizes=sizes, config=config, progress=progress, parallel=parallel)
+        records = _records(preset, **knobs)
         all_records.extend(records)
         rel = relative_makespan_by(records, key=lambda r: r.category)
         n_cpus = cluster_by_name(preset).k
@@ -163,15 +160,12 @@ def fig3_right(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Fig. 4: impact of heterogeneity (relative + absolute makespans)
 # ----------------------------------------------------------------------
-def fig4(seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+def fig4(**knobs) -> Dict[str, List]:
     """NoHet / LessHet / default / MoreHet: relative and absolute makespan."""
     rows: List[Dict] = []
     all_records: List[RunRecord] = []
     for label in ("nohet", "lesshet", "default", "morehet"):
-        records = _records(label, seed=seed, full=full, families=families,
-                           sizes=sizes, config=config, progress=progress, parallel=parallel)
+        records = _records(label, **knobs)
         all_records.extend(records)
         rel = relative_makespan_by(records, key=lambda r: r.category)
         absolute = aggregate_by(
@@ -188,13 +182,9 @@ def fig4(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Fig. 5 / Fig. 6: per-family behaviour when scaling workflow size
 # ----------------------------------------------------------------------
-def fig5(seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+def fig5(**knobs) -> Dict[str, List]:
     """Relative makespan per workflow family as a function of size."""
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, include_real=False,
-                       config=config, progress=progress, parallel=parallel)
+    records = _records("default", include_real=False, **knobs)
     rows = [
         {"family": rec.family, "n_tasks": rec.n_tasks,
          "relative_makespan_pct": 100.0 * ratio}
@@ -204,13 +194,9 @@ def fig5(seed=0, full=None, families=None, sizes=None,
     return {"rows": rows, "records": records}
 
 
-def fig6(seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+def fig6(**knobs) -> Dict[str, List]:
     """Absolute DagHetPart makespan per family as a function of size."""
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, include_real=False,
-                       config=config, progress=progress, parallel=parallel)
+    records = _records("default", include_real=False, **knobs)
     rows = [
         {"family": r.family, "n_tasks": r.n_tasks, "makespan": r.makespan}
         for r in records if r.algorithm == "DagHetPart" and r.success
@@ -223,16 +209,12 @@ def fig6(seed=0, full=None, families=None, sizes=None,
 # Fig. 7: impact of the communication-to-computation ratio (bandwidth)
 # ----------------------------------------------------------------------
 def fig7(betas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 5.0),
-         seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+         **knobs) -> Dict[str, List]:
     """Relative makespan vs bandwidth, by workflow type."""
     rows: List[Dict] = []
     all_records: List[RunRecord] = []
     for beta in betas:
-        records = _records("default", bandwidth=beta, seed=seed,
-                           full=full, families=families, sizes=sizes,
-                           config=config, progress=progress, parallel=parallel)
+        records = _records("default", bandwidth=beta, **knobs)
         all_records.extend(records)
         rel = relative_makespan_by(records, key=lambda r: r.category)
         for cat in SIZE_CATEGORIES:
@@ -246,13 +228,9 @@ def fig7(betas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 5.0),
 # ----------------------------------------------------------------------
 # Figs. 8-9 and Table 4: running times
 # ----------------------------------------------------------------------
-def fig8(seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+def fig8(**knobs) -> Dict[str, List]:
     """Per-workflow running time of DagHetPart relative to DagHetMem."""
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, config=config,
-                       progress=progress, parallel=parallel)
+    records = _records("default", **knobs)
     by_instance: Dict[str, Dict[str, RunRecord]] = {}
     for r in records:
         by_instance.setdefault(r.instance, {})[r.algorithm] = r
@@ -267,13 +245,9 @@ def fig8(seed=0, full=None, families=None, sizes=None,
     return {"rows": rows, "records": records}
 
 
-def fig9(seed=0, full=None, families=None, sizes=None,
-         config: Optional[DagHetPartConfig] = None,
-         progress=None, parallel=None) -> Dict[str, List]:
+def fig9(**knobs) -> Dict[str, List]:
     """Absolute running time of DagHetPart by workflow type (log-scale plot)."""
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, config=config,
-                       progress=progress, parallel=parallel)
+    records = _records("default", **knobs)
     rows = [
         {"workflow_type": r.category, "instance": r.instance,
          "n_tasks": r.n_tasks, "runtime_sec": r.runtime}
@@ -283,13 +257,9 @@ def fig9(seed=0, full=None, families=None, sizes=None,
     return {"rows": rows, "records": records}
 
 
-def table4(seed=0, full=None, families=None, sizes=None,
-           config: Optional[DagHetPartConfig] = None,
-           progress=None, parallel=None) -> Dict[str, List]:
+def table4(**knobs) -> Dict[str, List]:
     """Table 4: avg relative and absolute running times per workflow set."""
-    data = fig8(seed=seed, full=full, families=families, sizes=sizes,
-                config=config, progress=progress, parallel=parallel)
-    records = data["records"]
+    records = _records("default", **knobs)
     by_cat_rel: Dict[str, List[float]] = {}
     by_cat_abs: Dict[str, List[float]] = {}
     by_instance: Dict[str, Dict[str, RunRecord]] = {}
@@ -318,15 +288,12 @@ def table4(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Section 5.2.2: scheduling success counts per cluster size
 # ----------------------------------------------------------------------
-def success_counts_experiment(seed=0, full=None, families=None, sizes=None,
-                              config: Optional[DagHetPartConfig] = None,
-                              progress=None, parallel=None) -> Dict[str, List]:
+def success_counts_experiment(**knobs) -> Dict[str, List]:
     """How many workflows each algorithm schedules on each cluster size."""
     rows: List[Dict] = []
     all_records: List[RunRecord] = []
     for preset in ("small", "default", "large"):
-        records = _records(preset, seed=seed, full=full, families=families,
-                           sizes=sizes, config=config, progress=progress, parallel=parallel)
+        records = _records(preset, **knobs)
         all_records.extend(records)
         cluster_name = cluster_by_name(preset).name
         for (cat, alg), (ok, total) in sorted(success_counts(records).items()):
@@ -338,9 +305,7 @@ def success_counts_experiment(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Failure audit: which runs failed and why (uses RunRecord.failure_reason)
 # ----------------------------------------------------------------------
-def failure_report(seed=0, full=None, families=None, sizes=None,
-                   config: Optional[DagHetPartConfig] = None,
-                   progress=None, parallel=None) -> Dict[str, List]:
+def failure_report(**knobs) -> Dict[str, List]:
     """Every failed run on the small cluster, with its structured reason.
 
     The small (18-proc) cluster is where the paper's corpus actually
@@ -348,10 +313,8 @@ def failure_report(seed=0, full=None, families=None, sizes=None,
     counts down into *why* — the exception kind and message the runner
     used to discard.
     """
-    records = _records("small", seed=seed, full=full,
-                       families=families, sizes=sizes, config=config,
-                       progress=progress, parallel=parallel,
-                       algorithms=ALGORITHMS + ("HeftList",))
+    records = _records("small", algorithms=ALGORITHMS + ("HeftList",),
+                       **knobs)
     rows = [
         {"instance": r.instance, "workflow_type": r.category,
          "algorithm": r.algorithm, "failure_reason": r.failure_reason}
@@ -368,9 +331,7 @@ def failure_report(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # HEFT baseline: what does the memory constraint cost?
 # ----------------------------------------------------------------------
-def heft_relative(seed=0, full=None, families=None, sizes=None,
-                  config: Optional[DagHetPartConfig] = None,
-                  progress=None, parallel=None) -> Dict[str, List]:
+def heft_relative(**knobs) -> Dict[str, List]:
     """Memory-aware algorithms vs the memory-oblivious HeftList baseline.
 
     HeftList ignores memory entirely, so its makespan is what a classic
@@ -379,10 +340,8 @@ def heft_relative(seed=0, full=None, families=None, sizes=None,
     against it bound how much respecting memory costs on the default
     cluster.
     """
-    records = _records("default", seed=seed, full=full,
-                       families=families, sizes=sizes, config=config,
-                       progress=progress, parallel=parallel,
-                       algorithms=ALGORITHMS + ("HeftList",))
+    records = _records("default", algorithms=ALGORITHMS + ("HeftList",),
+                       **knobs)
     part = relative_makespan_by(records, key=lambda r: r.category,
                                 numerator="DagHetPart", denominator="HeftList")
     mem = relative_makespan_by(records, key=lambda r: r.category,
@@ -408,10 +367,9 @@ def heft_relative(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Refinement suite: what does simulated annealing buy over DagHetPart?
 # ----------------------------------------------------------------------
-def refinement_gain(seed=0, full=None, families=None, sizes=None,
-                    config: Optional[DagHetPartConfig] = None,
+def refinement_gain(config: Optional[DagHetPartConfig] = None,
                     anneal_config: Optional["AnnealConfig"] = None,
-                    progress=None, parallel=None) -> Dict[str, List]:
+                    **knobs) -> Dict[str, List]:
     """Relative makespan (%) of ``anneal`` vs its ``daghetpart`` seed.
 
     The annealer is seeded from the best DagHetPart sweep mapping and
@@ -427,13 +385,10 @@ def refinement_gain(seed=0, full=None, families=None, sizes=None,
     if anneal_config is None:
         anneal_config = AnnealConfig(
             k_prime_strategy=part_config.k_prime_strategy)
-    spec = corpus_scenario(
-        "refinement-gain", seed=seed, full=full, families=families,
-        sizes=sizes, algorithm_specs=(
-            AlgorithmSpec("daghetpart", config=part_config),
-            AlgorithmSpec("anneal", config=anneal_config),
-        ))
-    records = scenario_records(spec, parallel=parallel, progress=progress)
+    records = _records("default", algorithm_specs=(
+        AlgorithmSpec("daghetpart", config=part_config),
+        AlgorithmSpec("anneal", config=anneal_config),
+    ), **knobs)
     rel = relative_makespan_by(records, key=lambda r: r.category,
                                numerator="Anneal", denominator="DagHetPart")
     rows = [{"workflow_type": cat, "anneal_vs_daghetpart_pct": rel[cat]}
@@ -450,17 +405,13 @@ def refinement_gain(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 # Section 5.2.4: four-times-bigger computational demands
 # ----------------------------------------------------------------------
-def demand4x(seed=0, full=None, families=None, sizes=None,
-             config: Optional[DagHetPartConfig] = None,
-             progress=None, parallel=None) -> Dict[str, List]:
+def demand4x(**knobs) -> Dict[str, List]:
     """Relative makespans with normal vs 4x workloads, side by side."""
     rows: List[Dict] = []
     all_records: List[RunRecord] = []
     rel_by_factor: Dict[float, Dict[str, float]] = {}
     for factor in (1.0, 4.0):
-        records = _records("default", seed=seed, full=full,
-                           families=families, sizes=sizes, config=config,
-                           work_factor=factor, progress=progress, parallel=parallel)
+        records = _records("default", work_factor=factor, **knobs)
         all_records.extend(records)
         rel_by_factor[factor] = relative_makespan_by(records, key=lambda r: r.category)
     for cat in SIZE_CATEGORIES:
@@ -478,7 +429,7 @@ def demand4x(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 def robustness(seed=0, full=None, families=None, sizes=None,
                config: Optional[DagHetPartConfig] = None,
-               progress=None, parallel=None) -> Dict[str, List]:
+               progress=None, parallel=None, cache=None) -> Dict[str, List]:
     """Robustness table: each reaction policy under one perturbation mix.
 
     Every (family, policy) cell replays the same ``daghetpart`` plan for
@@ -487,7 +438,9 @@ def robustness(seed=0, full=None, families=None, sizes=None,
     isolate the policy: makespan degradation over the undisturbed plan,
     task migrations, wholesale re-solves, and reaction latency. Each cell
     is one request with a ``dynamics`` block, so the cells run through
-    :func:`~repro.api.solve_batch` on ``parallel`` workers.
+    :func:`~repro.api.solve_batch` on ``parallel`` workers. Every family
+    runs at the corpus's smallest size (80 tasks, 300 with ``full``,
+    when ``sizes`` is not given).
     """
     from repro.api import ScheduleRequest, solve_batch
     from repro.generators.families import generate_workflow
@@ -500,7 +453,8 @@ def robustness(seed=0, full=None, families=None, sizes=None,
     from repro.sim.policies import available_policies
 
     families = tuple(families) if families else ("blast", "genome", "montage")
-    n_tasks = int(sizes[0]) if sizes else (300 if full else 80)
+    n_tasks = min(n for ns in sizes.values() for n in ns) if sizes \
+        else (300 if full else 80)
     part_config = config or DagHetPartConfig()
     cluster = cluster_by_name("default")
 
@@ -526,7 +480,7 @@ def robustness(seed=0, full=None, families=None, sizes=None,
         progress(f"robustness: {request.tags['instance']} / "
                  f"{request.dynamics.policy}")
 
-    records = solve_batch(requests, parallel=parallel,
+    records = solve_batch(requests, parallel=parallel, cache=cache,
                           progress=report if progress is not None else None)
     rows: List[Dict] = []
     for request, result in zip(requests, records):
@@ -555,7 +509,8 @@ def robustness(seed=0, full=None, families=None, sizes=None,
 # ----------------------------------------------------------------------
 def optimality_gap(seed=0, full=None, families=None, sizes=None,
                    config: Optional[DagHetPartConfig] = None,
-                   progress=None, parallel=None) -> Dict[str, List]:
+                   progress=None, parallel=None,
+                   cache=None) -> Dict[str, List]:
     """How far from optimal are the heuristics on tiny instances?
 
     Every family x size instance small enough for the ``exact`` reference
@@ -564,9 +519,9 @@ def optimality_gap(seed=0, full=None, families=None, sizes=None,
     reported) is solved by ``exact`` and by every memory-aware heuristic;
     the table shows each heuristic's geometric-mean and worst gap
     (``makespan / optimum - 1``, in %) plus how many instances it solved
-    to proven optimality. ``full``/``config`` are accepted for driver
-    signature parity; the instance sizes are intrinsically capped by the
-    solver, so the corpus knobs do not grow this table.
+    to proven optimality. ``full``/``sizes``/``config`` are accepted for
+    driver signature parity; the instance sizes are intrinsically capped
+    by the solver, so the corpus knobs do not grow this table.
     """
     import math
 
@@ -576,14 +531,13 @@ def optimality_gap(seed=0, full=None, families=None, sizes=None,
     from repro.utils.rng import stable_hash
 
     families = tuple(families) if families else WORKFLOW_FAMILIES
-    size_list = tuple(int(n) for n in sizes) if sizes else (5, 6, 7, 8)
     heuristics = ("daghetpart", "daghetmem", "cpack", "anneal")
     cluster = cluster_by_name("default")
 
     instances = []
     skipped = []
     for family in families:
-        for n in size_list:
+        for n in (5, 6, 7, 8):
             inst_seed = (seed + stable_hash(f"{family}:{n}")) % (2 ** 31)
             wf = generate_workflow(family, n, seed=inst_seed)
             if wf.n_tasks > DEFAULT_MAX_TASKS:
@@ -595,12 +549,12 @@ def optimality_gap(seed=0, full=None, families=None, sizes=None,
 
     requests = [
         ScheduleRequest(workflow=wf, cluster=cluster, algorithm=alg,
-                        scale_memory=True,
+                        scale_memory=True, want_mapping=False,
                         tags={"instance": name, "algorithm_name": alg})
         for name, wf in instances
         for alg in ("exact",) + heuristics
     ]
-    results = solve_batch(requests, parallel=parallel)
+    results = solve_batch(requests, parallel=parallel, cache=cache)
 
     by_instance: Dict[str, Dict[str, object]] = {}
     for req, res in zip(requests, results):
@@ -641,3 +595,27 @@ def optimality_gap(seed=0, full=None, families=None, sizes=None,
             "worst_gap_pct": round(100.0 * max(gaps[alg]), 3),
         })
     return {"rows": rows, "records": results}
+
+
+#: every driver by the name ``repro experiment`` and
+#: ``scripts/run_all_experiments.py`` know it by
+EXPERIMENTS = {
+    "table2": table2,
+    "table3": table3,
+    "fig3_left": fig3_left,
+    "fig3_right": fig3_right,
+    "fig4": fig4,
+    "fig5": fig5,
+    "fig6": fig6,
+    "fig7": fig7,
+    "fig8": fig8,
+    "fig9": fig9,
+    "table4": table4,
+    "success_counts": success_counts_experiment,
+    "failures": failure_report,
+    "heft_relative": heft_relative,
+    "demand4x": demand4x,
+    "refinement_gain": refinement_gain,
+    "robustness": robustness,
+    "optimality_gap": optimality_gap,
+}

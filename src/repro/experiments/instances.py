@@ -137,8 +137,8 @@ def scaled_cluster_for(wf: Workflow, cluster: Cluster,
 #: ``repro scenario run`` with a cache directory executes it resumably.
 #: The one record set *not* in this grid is Section 5.2.4's 4x-demand
 #: variant — the same corpus with ``work_factor=4.0`` on the default
-#: cluster only (``figures.corpus_scenario("demand4x", work_factor=4.0)``
-#: builds it, and ``scripts/run_all_experiments.py`` runs it alongside).
+#: cluster only, which ``figures.demand4x`` runs (as
+#: ``scripts/run_all_experiments.py`` runs every figure driver).
 PAPER_SCENARIO = ScenarioSpec(
     name="icpp24-kulagina-evaluation",
     description="Full ICPP'24 evaluation grid: corpus x clusters x "

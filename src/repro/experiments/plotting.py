@@ -2,8 +2,10 @@
 
 The evaluation environment has no plotting stack, so the figure drivers
 render their series as text: :func:`ascii_line_plot` draws multi-series
-scatter/line charts with axis labels (used by the CLI and by
-``scripts/render_figures.py``), :func:`ascii_bar_chart` draws labelled bars.
+scatter/line charts with axis labels, :func:`ascii_bar_chart` draws
+labelled bars, and :func:`plot_rows` picks the chart for one driver's
+rows (``repro experiment --plot`` and ``scripts/run_all_experiments.py``
+both call it).
 """
 
 from __future__ import annotations
@@ -92,3 +94,45 @@ def figure_series(rows: Sequence[Dict], x_key: str, y_key: str,
     for row in rows:
         out.setdefault(str(row[group_key]), {})[float(row[x_key])] = float(row[y_key])
     return out
+
+
+#: (x, y, series) columns of each driver's line chart, first match wins
+_LINE_CHARTS = (
+    ("n_tasks", "relative_makespan_pct", "family"),  # Fig. 5
+    ("bandwidth", "relative_makespan_pct", "workflow_type"),  # Fig. 7
+    ("n_cpus", "relative_makespan_pct", "workflow_type"),  # Fig. 3 right
+    ("heterogeneity", "relative_makespan_pct", "workflow_type"),  # Fig. 4
+    ("n_tasks", "makespan", "family"),  # Fig. 6
+)
+_Y_LABELS = {"relative_makespan_pct": "relative makespan %",
+             "makespan": "makespan"}
+
+
+def plot_rows(name: str, rows: Sequence[Dict]) -> str:
+    """The ASCII chart of a driver's main series ("" when it has none).
+
+    Rows with an x column, a y column and a series column become one
+    line per series; a string-valued x column (Fig. 4's heterogeneity
+    levels) is placed at the index of each level's first row. Rows with
+    only a workflow type and a relative makespan become bars.
+    """
+    if not rows:
+        return ""
+    keys = set(rows[0])
+    for x, y, group in _LINE_CHARTS:
+        if {x, y, group} <= keys:
+            x_label = x
+            if isinstance(rows[0][x], str):
+                levels = list(dict.fromkeys(row[x] for row in rows))
+                rows = [{**row, x: levels.index(row[x])} for row in rows]
+                x_label += " (" + " ".join(
+                    f"{i}={level}" for i, level in enumerate(levels)) + ")"
+            return ascii_line_plot(figure_series(rows, x, y, group),
+                                   title=name, x_label=x_label,
+                                   y_label=_Y_LABELS[y])
+    if {"workflow_type", "relative_makespan_pct"} <= keys:
+        return ascii_bar_chart(
+            {row["workflow_type"]: row["relative_makespan_pct"]
+             for row in rows},
+            title=f"{name} (relative makespan %)")
+    return ""

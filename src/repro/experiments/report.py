@@ -33,9 +33,3 @@ def format_table(rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]
     for r in rendered:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def print_table(rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]] = None,
-                title: str = "", floatfmt: str = "{:.2f}") -> None:
-    """Print :func:`format_table` output."""
-    print(format_table(rows, columns=columns, title=title, floatfmt=floatfmt))

@@ -55,17 +55,6 @@ def lognormal_factor(sigma: float, seed: SeedLike = None) -> float:
     return max(1.0, float(rng.lognormal(mean=0.0, sigma=sigma)))
 
 
-def pick_indices(population: int, seed: SeedLike = None) -> List[int]:
-    """A deterministic random permutation of ``range(population)``.
-
-    Used to resolve "a random victim processor" picks: the model stores
-    the pick *index*; the engine applies it to the sorted live set at
-    event time, so the same seed names the same victims run after run.
-    """
-    rng = make_rng(seed)
-    return [int(i) for i in rng.permutation(population)]
-
-
 def subset_mask(population: int, fraction: float,
                 seed: SeedLike = None) -> List[bool]:
     """Membership mask selecting ~``fraction`` of ``population`` items."""

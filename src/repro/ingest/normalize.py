@@ -64,9 +64,6 @@ class WorkflowAssembler:
         self._declared.add(task_id)
         self.workflow.add_task(task_id, work, memory)
 
-    def has_task(self, task_id: Any) -> bool:
-        return task_id in self.workflow
-
     def set_weights(self, task_id: Any, work: Optional[float] = None,
                     memory: Optional[float] = None,
                     *, line: Optional[int] = None) -> None:
@@ -133,11 +130,6 @@ class NormalizeOptions:
                     f"{field_name} must be a positive finite number, "
                     f"got {value!r}")
             object.__setattr__(self, field_name, float(value))
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.work_scale == 1.0 and self.cost_scale == 1.0
-                and self.memory_scale == 1.0)
 
 
 DEFAULT_OPTIONS = NormalizeOptions()

@@ -77,9 +77,6 @@ class Cluster:
     def max_memory(self) -> float:
         return max(p.memory for p in self._procs)
 
-    def total_memory(self) -> float:
-        return sum(p.memory for p in self._procs)
-
     def smallest_memory_processor(self) -> Processor:
         """``p_min`` of Algorithm 1, Line 14."""
         return min(self._procs, key=lambda p: (p.memory, -p.speed, p.name))

@@ -257,10 +257,8 @@ class DynamicsSpec(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(
-            decoded(m, model_from_dict) for m in self.models))
-        for model in self.models:
-            if type(model).kind not in EVENT_MODEL_KINDS:
-                raise ValueError(f"not an event model: {model!r}")
+            decoded(m, model_from_dict, *EVENT_MODEL_KINDS.values())
+            for m in self.models))
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         # resolve now, so a bad policy name fails before any planning

@@ -14,7 +14,7 @@ A frozen dataclass that also derives from :class:`Record` gets
   so opaque mapping payloads come back exactly as encoded;
 * nested records are normalised by the outer class's ``__post_init__``
   (:func:`decoded`), so a record accepts its nested blocks as records
-  or as their dicts alike;
+  of the declared class or as their dicts alike;
 * ``to_json()`` is ``json.dumps(to_dict(), sort_keys=True,
   allow_nan=False)``.
 
@@ -54,11 +54,20 @@ def listed(value: Any) -> Any:
     return value
 
 
-def decoded(value: Any, decode: Callable[[Any], "Record"]) -> Any:
-    """``value`` when it is ``None`` or already a record, else
-    ``decode(value)`` (how ``__post_init__`` normalises nested blocks)."""
-    if value is None or isinstance(value, Record):
+def decoded(value: Any, decode: Callable[[Any], "Record"],
+            *expected: type) -> Any:
+    """``value`` when it is ``None`` or an ``expected`` record, else
+    ``decode(value)`` (how ``__post_init__`` normalises nested blocks).
+
+    A record of another class is one ``ValueError`` here, where the
+    outer record is built, rather than an ``AttributeError`` later.
+    """
+    if value is None or isinstance(value, expected):
         return value
+    if isinstance(value, Record):
+        names = " or ".join(cls.__name__ for cls in expected)
+        raise ValueError(f"expected {names} or its JSON object, "
+                         f"got {type(value).__name__}")
     return decode(value)
 
 

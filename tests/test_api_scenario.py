@@ -8,6 +8,8 @@ import pytest
 import repro.api.batch as batch_module
 from repro.api import (
     AlgorithmSpec,
+    ExecutionPolicy,
+    ExecutionSpec,
     FamilyGridSource,
     FileWorkflowSource,
     PlatformAxis,
@@ -82,6 +84,25 @@ class TestSpecConstruction:
         from repro.api.scenario import source_from_dict
         with pytest.raises(ValueError, match="unknown workflow source kind"):
             source_from_dict({"kind": "nope"})
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("execution", ExecutionPolicy(), "ExecutionSpec"),
+        ("dynamics", ExecutionPolicy(), "DynamicsSpec"),
+        ("platforms", (ExecutionPolicy(),), "PlatformAxis"),
+        ("algorithms", (PlatformAxis(),), "AlgorithmSpec"),
+        ("workflows", (PlatformAxis(),), "FamilyGridSource"),
+    ])
+    def test_wrong_record_class_rejected_when_built(self, field, value,
+                                                    expected):
+        with pytest.raises(ValueError, match=f"expected {expected}"):
+            tiny_spec(**{field: value})
+
+    def test_wrong_nested_record_class_rejected(self):
+        from repro.sim.events import DynamicsSpec
+        with pytest.raises(ValueError, match="expected ExecutionPolicy"):
+            ExecutionSpec(policy=PlatformAxis())
+        with pytest.raises(ValueError, match="expected PoissonArrivals"):
+            DynamicsSpec(models=(PlatformAxis(),))
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError, match="workflow source"):

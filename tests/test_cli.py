@@ -118,6 +118,23 @@ class TestExperimentAndInfo:
         rows = json.loads(out.read_text())
         assert any(r["workflow_type"] == "all" for r in rows)
 
+    @pytest.mark.parametrize("name, x_axis", [
+        ("fig4", "x: heterogeneity (0=nohet 1=lesshet 2=default 3=morehet)"),
+        ("fig3_right", "x: n_cpus"),
+    ])
+    def test_plot_draws_one_line_per_workflow_type(self, capsys, monkeypatch,
+                                                   name, x_axis):
+        monkeypatch.setenv("REPRO_SCALE", "400")  # tiny corpus
+        rc = main(["experiment", name, "--families", "blast", "--plot"])
+        assert rc == 0
+        chart = capsys.readouterr().out.split(f"\n{name}\n", 1)[1]
+        lines = chart.splitlines()
+        # one series per workflow type, over every level / cluster size
+        assert lines[0] == "o=real  x=small  +=mid  *=big"
+        assert x_axis in lines[-1]
+        if name == "fig3_right":
+            assert lines[-2].split() == ["18", "60"]
+
     def test_info(self, capsys):
         rc = main(["info"])
         assert rc == 0

@@ -4,8 +4,13 @@ These check the *structure* of each experiment's output; the shape of the
 numbers against the paper is checked by the figure benchmarks in ``benchmarks/``.
 """
 
+import importlib.util
+import json
+import os
+
 import pytest
 
+from repro.api.cache_sqlite import SqliteResultCache
 from repro.core.heuristic import DagHetPartConfig
 from repro.experiments import figures
 
@@ -115,3 +120,96 @@ class TestSectionExperiments:
         assert len(real_rows) == len(failed)
         for row in real_rows:
             assert row["failure_reason"]
+
+
+# ----------------------------------------------------------------------
+# scripts/run_all_experiments.py: every driver over one shared cache
+# ----------------------------------------------------------------------
+_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                       "run_all_experiments.py")
+
+#: columns computed from measured wall-clock times
+RUNTIME_COLUMNS = {"relative_runtime", "runtime_sec", "avg_relative_runtime",
+                   "avg_absolute_runtime_sec", "react_total_s"}
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("run_all_experiments",
+                                                  _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class FingerprintLog(SqliteResultCache):
+    """A sqlite cache that remembers every fingerprint it was asked for."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.asked = set()
+
+    def fingerprint(self, request):
+        digest = super().fingerprint(request)
+        self.asked.add(digest)
+        return digest
+
+
+def _without_runtimes(rows):
+    # JSON text, so NaN cells compare equal
+    return json.dumps([{k: v for k, v in row.items()
+                        if k not in RUNTIME_COLUMNS} for row in rows],
+                      sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def evaluation(tmp_path_factory):
+    """Two full evaluations of the TINY corpus over one cache file."""
+    script = _load_script()
+    root = tmp_path_factory.mktemp("evaluation")
+    runs = []
+    for run in ("first", "second"):
+        out = root / run
+        out.mkdir()
+        with FingerprintLog(str(root / "cache.db")) as cache:
+            experiments = script.run_experiments(cache, **TINY)
+            script.write_outputs(TINY["sizes"], experiments, str(out))
+            runs.append({"experiments": experiments, "stats": cache.stats(),
+                         "asked": cache.asked, "out": out})
+    return script, runs
+
+
+@pytest.fixture(scope="module")
+def standalone():
+    """Each driver called on its own, without a cache."""
+    return {name: driver(**TINY)
+            for name, driver in figures.EXPERIMENTS.items()}
+
+
+class TestFullEvaluation:
+    def test_every_driver_matches_its_standalone_call(self, evaluation,
+                                                      standalone):
+        _, (first, _) = evaluation
+        assert list(first["experiments"]) == list(standalone)
+        for name, out in standalone.items():
+            assert _without_runtimes(first["experiments"][name]) == \
+                _without_runtimes(out["rows"]), name
+
+    def test_each_distinct_request_is_solved_once(self, evaluation):
+        _, (first, _) = evaluation
+        stats = first["stats"]
+        assert stats["misses"] == len(first["asked"]) == stats["entries"]
+        assert stats["hits"] > 0  # the shared corpora were read back
+
+    def test_rerun_on_the_same_cache_solves_nothing_and_repeats(
+            self, evaluation, standalone):
+        script, (first, second) = evaluation
+        assert second["stats"]["misses"] == 0
+        # every request of every driver went through the cache
+        assert second["stats"]["hits"] == sum(
+            len(out["records"]) for out in standalone.values())
+        assert second["asked"] == first["asked"]
+        for name in (script.RESULTS, script.REPORT):
+            assert (first["out"] / name).read_bytes() == \
+                (second["out"] / name).read_bytes(), name
+        document = json.loads((first["out"] / script.RESULTS).read_text())
+        assert set(document) == {"sizes", "experiments"}

@@ -6,6 +6,7 @@ from repro.experiments.plotting import (
     ascii_bar_chart,
     ascii_line_plot,
     figure_series,
+    plot_rows,
 )
 
 
@@ -64,3 +65,37 @@ class TestFigureSeries:
         series = figure_series(rows, "n_tasks", "rel", "family")
         assert series["blast"] == {10.0: 80.0, 20.0: 70.0}
         assert series["soykb"] == {10.0: 95.0}
+
+
+class TestPlotRows:
+    LEVELS = ("nohet", "lesshet", "default", "morehet")
+
+    def _markers(self, chart):
+        grid = [line.split("|")[1] for line in chart.splitlines()
+                if line.count("|") == 2]
+        return {m: sum(row.count(m) for row in grid) for m in "ox"}
+
+    def test_heterogeneity_levels_are_one_line_per_workflow_type(self):
+        rows = [{"heterogeneity": level, "workflow_type": cat,
+                 "relative_makespan_pct": 50.0 + 10 * i + (5 if cat == "big"
+                                                           else 0),
+                 "absolute_makespan": 1.0}
+                for i, level in enumerate(self.LEVELS)
+                for cat in ("real", "big")]
+        chart = plot_rows("fig4", rows)
+        assert chart.splitlines()[1] == "o=real  x=big"
+        assert "0=nohet 1=lesshet 2=default 3=morehet" in chart
+        assert self._markers(chart) == {"o": 4, "x": 4}
+
+    def test_cluster_sizes_are_one_line_per_workflow_type(self):
+        rows = [{"n_cpus": n, "workflow_type": cat,
+                 "relative_makespan_pct": n + (7.0 if cat == "big" else 0.0)}
+                for n in (18, 36, 60) for cat in ("real", "big")]
+        chart = plot_rows("fig3_right", rows)
+        assert "x: n_cpus" in chart
+        assert self._markers(chart) == {"o": 3, "x": 3}
+
+    def test_rows_without_a_chart(self):
+        assert plot_rows("fig9", [{"workflow_type": "real",
+                                   "runtime_sec": 1.0}]) == ""
+        assert plot_rows("x", []) == ""
