@@ -66,11 +66,9 @@ from repro.api.exec import (
     available_backends,
     create_backend,
     get_backend,
-    register_backend,
     route,
     run_worker,
     solve_with_policy,
-    unregister_backend,
 )
 from repro.api.scenario import (
     AlgorithmSpec,
@@ -131,7 +129,6 @@ __all__ = [
     "load_scenario",
     "open_cache",
     "register_algorithm",
-    "register_backend",
     "request_fingerprint",
     "resolve_parallel",
     "route",
@@ -142,5 +139,4 @@ __all__ = [
     "solve_batch",
     "solve_with_policy",
     "unregister_algorithm",
-    "unregister_backend",
 ]

@@ -1,4 +1,4 @@
-"""``solve`` / ``solve_batch`` — thin façades over pluggable execution backends.
+"""``solve`` / ``solve_batch`` — thin façades over the execution backends.
 
 :func:`solve` executes one :class:`ScheduleRequest` end to end: registry
 lookup, optional memory scaling, an O(n) check for tasks that fit no
@@ -11,7 +11,7 @@ keeping only a bounded window of requests in flight, so arbitrarily large
 sweeps (scenario cross-products, million-request corpora) never
 materialise all requests or results at once. *Where* the requests run is
 delegated to an :class:`~repro.api.exec.backends.ExecutionBackend`
-(a registered engine or plugin), chosen per batch by
+(``serial``, ``process`` or ``queue``), chosen per batch by
 :func:`~repro.api.exec.routing.route` — explicit ``backend=`` override,
 then ``REPRO_BACKEND``, then the worker count.
 Per-request :class:`~repro.api.exec.policy.ExecutionPolicy` (timeout,
@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from collections import deque
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -167,19 +166,18 @@ def _check_tasks_fit(workflow, cluster, algorithm: str) -> None:
 def resolve_parallel(parallel: Optional[int]) -> int:
     """Normalize the ``parallel`` knob to a worker count (0/1 = serial).
 
-    ``None`` reads :data:`PARALLEL_ENV`; negative values mean "all
+    ``None`` reads :data:`PARALLEL_ENV` (blank means serial; anything
+    but an integer is a ``ValueError``); negative values mean "all
     available CPUs".
     """
     if parallel is None:
-        raw = os.environ.get(PARALLEL_ENV, "0")
+        raw = os.environ.get(PARALLEL_ENV, "").strip() or "0"
         try:
             parallel = int(raw)
         except ValueError:
-            warnings.warn(
-                f"ignoring unparsable {PARALLEL_ENV}={raw!r} (expected an "
-                f"integer worker count); running serially",
-                RuntimeWarning, stacklevel=2)
-            parallel = 0
+            raise ValueError(
+                f"{PARALLEL_ENV}={raw!r} is not an integer worker "
+                f"count") from None
     if parallel < 0:
         parallel = os.cpu_count() or 1
     return parallel

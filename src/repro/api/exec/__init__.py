@@ -1,11 +1,12 @@
-"""repro.api.exec — pluggable execution backends and per-request policy.
+"""repro.api.exec — the execution backends and per-request policy.
 
 * :mod:`repro.api.exec.policy` — frozen, JSON-round-trippable
   :class:`ExecutionPolicy` (per-request ``timeout_s``, ``retries``,
   ``retry_backoff``, ``on_timeout``), carried on ``ScheduleRequest`` and
   enforced uniformly by every backend;
 * :mod:`repro.api.exec.backends` — the :class:`ExecutionBackend`
-  protocol, the ``@register_backend`` registry, and the two in-process
+  protocol, the fixed name table of the three backends
+  (:func:`get_backend`, :func:`create_backend`), and the two in-process
   engines (``serial``, ``process``);
 * :mod:`repro.api.exec.routing` — :func:`route`, the override >
   ``REPRO_BACKEND`` > worker-count dispatcher;
@@ -17,7 +18,6 @@
 """
 
 from repro.api.exec.backends import (
-    BackendInfo,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -26,18 +26,15 @@ from repro.api.exec.backends import (
     create_backend,
     failure_result,
     get_backend,
-    register_backend,
     solve_with_policy,
-    unregister_backend,
 )
 from repro.api.exec.policy import ON_TIMEOUT_CHOICES, ExecutionPolicy
-from repro.api.exec.queue import QueueBackend, Spool  # noqa: F401  (registers)
+from repro.api.exec.queue import QueueBackend, Spool
 from repro.api.exec.routing import BACKEND_ENV, NESTED_ENV, route
 from repro.api.exec.worker import run_worker
 
 __all__ = [
     "BACKEND_ENV",
-    "BackendInfo",
     "ExecutionBackend",
     "ExecutionPolicy",
     "NESTED_ENV",
@@ -51,9 +48,7 @@ __all__ = [
     "create_backend",
     "failure_result",
     "get_backend",
-    "register_backend",
     "route",
     "run_worker",
     "solve_with_policy",
-    "unregister_backend",
 ]

@@ -9,9 +9,9 @@ and progress hooks all stay in the batch façade
 (:func:`repro.api.batch.iter_solve_batch`) — a backend only decides how
 the ``solve`` call executes.
 
-Backends share the algorithm registry's mechanism (same canonical names,
-same duplicate rejection): ``@register_backend("mybackend")``. Two
-in-process engines ship here:
+A fixed table names the three backends (canonical names resolved like
+algorithm names: case and ``-``/``_``/spaces ignored); two are the
+in-process engines defined here:
 
 ``serial``   in-process, synchronous — ``submit`` returns a completed
              handle, so the façade's streaming is bit-for-bit the classic
@@ -21,6 +21,8 @@ in-process engines ship here:
              hard-coded ``iter_solve_batch`` pool logic.
 
 The third, ``queue``, lives in :mod:`repro.api.exec.queue`.
+:func:`create_backend` is looked up on this module at call time, so
+tests can substitute it.
 
 Every backend enforces the request's
 :class:`~repro.api.exec.policy.ExecutionPolicy` through the shared
@@ -38,13 +40,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.api.batch import _effective_cluster
 from repro.api.envelopes import FailureInfo, ScheduleRequest, ScheduleResult
+from repro.api.exec.queue import QueueBackend
 from repro.api.registry import get_algorithm
-from repro.utils.registry import Registry
+from repro.utils.registry import lookup
 
 
 # ----------------------------------------------------------------------
@@ -176,51 +178,7 @@ class ExecutionBackend(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Backend registry (shares the algorithm registry's mechanism)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BackendInfo:
-    """One registry entry: a backend factory plus its one-line summary.
-
-    The router (:mod:`repro.api.exec.routing`) picks a backend by name
-    from the override, ``REPRO_BACKEND`` and the worker count.
-    """
-
-    name: str  # canonical key, e.g. "process"
-    factory: Callable[[], ExecutionBackend]
-    summary: str = ""
-
-
-_BACKENDS: Registry[BackendInfo] = Registry("execution backend")
-
-
-def register_backend(name: str, *, summary: str = ""):
-    """Class decorator adding an execution backend to the registry.
-
-    Names are canonicalized exactly like algorithm names (case and
-    ``-``/``_``/spaces ignored); duplicates are rejected.
-    """
-    key = _BACKENDS.key(name)
-
-    def decorator(cls):
-        _BACKENDS.add(BackendInfo(name=key, factory=cls, summary=summary))
-        return cls
-
-    return decorator
-
-
-unregister_backend = _BACKENDS.remove
-available_backends = _BACKENDS.names
-get_backend = _BACKENDS.get
-
-
-def create_backend(name: str) -> ExecutionBackend:
-    """A fresh backend instance for one batch."""
-    return get_backend(name).factory()
-
-
-# ----------------------------------------------------------------------
-# The shipped in-process backends
+# The in-process backends
 # ----------------------------------------------------------------------
 class _Completed:
     """A submission that finished at submit time (serial backend)."""
@@ -237,10 +195,9 @@ class _Completed:
         return self._result
 
 
-@register_backend("serial", summary="in-process, one request at a time "
-                                    "(the reference semantics)")
 class SerialBackend:
-    """Synchronous execution; ``submit`` returns a completed handle."""
+    """In-process, one request at a time (the reference semantics);
+    ``submit`` returns a completed handle."""
 
     name = "serial"
 
@@ -269,9 +226,6 @@ class _AsyncResultSubmission:
         return self._async.get()
 
 
-@register_backend("process",
-                  summary="multiprocessing pool (fork where available); "
-                          "the engine for CPU-bound sweeps")
 class ProcessBackend:
     """Worker-process execution; absorbs the classic pool logic.
 
@@ -303,3 +257,30 @@ class ProcessBackend:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+
+
+# ----------------------------------------------------------------------
+# The backend table
+# ----------------------------------------------------------------------
+#: canonical name -> backend class; the class's ``name`` is its key
+_BACKENDS: Dict[str, type] = {
+    "process": ProcessBackend,
+    "queue": QueueBackend,
+    "serial": SerialBackend,
+}
+
+
+def available_backends() -> Tuple[str, ...]:
+    """Sorted canonical names of the execution backends."""
+    return tuple(sorted(_BACKENDS))
+
+
+def get_backend(name: str) -> type:
+    """The backend class ``name`` canonicalizes to (its ``name`` is the
+    canonical key); unknown names list the valid ones."""
+    return lookup("execution backend", _BACKENDS, name)
+
+
+def create_backend(name: str) -> ExecutionBackend:
+    """A fresh backend instance for one batch."""
+    return get_backend(name)()

@@ -62,7 +62,6 @@ import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.envelopes import ScheduleRequest, ScheduleResult
-from repro.api.exec.backends import failure_result, register_backend
 
 #: fixed spool directory (default: a fresh private temp dir per batch)
 QUEUE_DIR_ENV = "REPRO_QUEUE_DIR"
@@ -261,6 +260,8 @@ class Spool:
         if payload["reclaims"] > self.max_reclaims:
             # poison: the request has now taken out max_reclaims+1
             # workers — park it and complete the submission structurally
+            from repro.api.exec.backends import failure_result  # imports us
+
             request = ScheduleRequest.from_dict(payload["request"])
             result = failure_result(
                 request, POISON_KIND,
@@ -398,12 +399,10 @@ class _SpoolSubmission:
         return self._result
 
 
-@register_backend("queue",
-                  summary="filesystem work queue; independent `repro "
-                          "worker` processes claim spooled requests and "
-                          "land results (leases reclaim killed workers)")
 class QueueBackend:
-    """Spool-directory execution with leased, restartable workers.
+    """Spool-directory execution with leased, restartable workers:
+    independent ``repro worker`` processes claim spooled requests and
+    land results, and leases reclaim killed workers.
 
     Never auto-routed — select it explicitly (``backend=\"queue\"``,
     ``--backend queue``, ``REPRO_BACKEND=queue``, or a scenario's

@@ -60,5 +60,5 @@ def route(*, backend: Optional[str] = None, workers: int = 1) -> str:
         # one worker gains nothing from a pool; inside a backend worker
         # forking is impossible (daemonic process) or unsafe (watchdog
         # thread), and extra pools only thrash a saturated machine
-        return get_backend("serial").name
-    return get_backend("process").name
+        return "serial"
+    return "process"

@@ -22,17 +22,19 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
 from repro.api.envelopes import SchedulerOutput
 from repro.core.mapping import Mapping
 from repro.platform.cluster import Cluster
-from repro.utils.registry import Registry, canonical_name  # noqa: F401
+from repro.utils.registry import canonical_name, lookup
 from repro.workflow.graph import Workflow
 
 
@@ -63,7 +65,7 @@ class AlgorithmInfo:
     summary: str = ""
 
 
-_REGISTRY: Registry[AlgorithmInfo] = Registry("algorithm")
+_ALGORITHMS: Dict[str, AlgorithmInfo] = {}
 
 
 class _FunctionScheduler:
@@ -95,26 +97,47 @@ def register_algorithm(name: str, *, display_name: Optional[str] = None,
     returning a :class:`SchedulerOutput` or bare ``Mapping``. Duplicate
     names (after canonicalization) are rejected.
     """
-    key = _REGISTRY.key(name)
+    key = canonical_name(name)
+    if not key:
+        raise ValueError(
+            f"algorithm name {name!r} is empty after canonicalization")
 
     def decorator(obj):
+        if key in _ALGORITHMS:
+            raise ValueError(
+                f"algorithm {key!r} already registered; unregister it "
+                f"first to replace it")
         scheduler: Any = obj() if isinstance(obj, type) else obj
         if not callable(getattr(scheduler, "run", None)):
             scheduler = _FunctionScheduler(scheduler)
-        _REGISTRY.add(AlgorithmInfo(
+        _ALGORITHMS[key] = AlgorithmInfo(
             name=key,
             display_name=display_name or name,
             scheduler=scheduler,
             config_cls=config_cls,
             capabilities=frozenset(capabilities),
             summary=summary,
-        ))
+        )
         return obj
 
     return decorator
 
 
-unregister_algorithm = _REGISTRY.remove
-available_algorithms = _REGISTRY.names
-algorithm_infos = _REGISTRY.infos
-get_algorithm = _REGISTRY.get
+def unregister_algorithm(name: str) -> None:
+    """Drop an algorithm (plugin teardown, tests); unknown names are a no-op."""
+    _ALGORITHMS.pop(canonical_name(name), None)
+
+
+def available_algorithms() -> Tuple[str, ...]:
+    """Sorted canonical names of every registered algorithm."""
+    return tuple(sorted(_ALGORITHMS))
+
+
+def algorithm_infos() -> Tuple[AlgorithmInfo, ...]:
+    """Every registered algorithm, sorted by canonical name."""
+    return tuple(_ALGORITHMS[key] for key in available_algorithms())
+
+
+def get_algorithm(name: str) -> AlgorithmInfo:
+    """Resolve a (canonicalized) name; unknown names list the valid ones."""
+    return lookup("algorithm", _ALGORITHMS, name)

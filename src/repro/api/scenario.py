@@ -375,7 +375,7 @@ DEFAULT_ALGORITHMS = (AlgorithmSpec("daghetmem"), AlgorithmSpec("daghetpart"))
 class ExecutionSpec(Record):
     """How a scenario wants to be executed (all fields optional).
 
-    ``backend`` names a registered execution backend; ``parallel`` is
+    ``backend`` names an execution backend; ``parallel`` is
     the worker count (``-1`` = all CPUs); ``policy`` is the per-request
     :class:`~repro.api.exec.policy.ExecutionPolicy` attached to every
     expanded request; ``cache`` is a default cache URI

@@ -65,6 +65,7 @@ from repro.api import (
     load_result_lines,
     load_scenario,
     open_cache,
+    resolve_parallel,
     route,
     run_scenario,
     solve_with_policy,
@@ -204,7 +205,8 @@ def cmd_experiment(args) -> int:
     kwargs = {}
     if args.name not in ("table2", "table3"):
         if _checked(synthetic_sizes) is False \
-                or _checked(lambda: create_backend(route())) is False:
+                or _checked(lambda: create_backend(route(
+                    workers=resolve_parallel(args.parallel)))) is False:
             return 2
         if args.families:
             kwargs["families"] = tuple(args.families.split(","))
@@ -230,9 +232,10 @@ def cmd_experiment(args) -> int:
 
 def _checked(make, *args):
     """``make(*args)``, or False after one ``error:`` line when it rejects
-    a setting (``REPRO_SCALE``, the batch's backend and its knobs) or a
-    location that cannot be opened (a bad cache URI, a ``--store`` that
-    is a regular file, a file that is not a database, ...)."""
+    a setting (``REPRO_SCALE``, ``REPRO_PARALLEL``, the batch's backend
+    and its knobs) or a location that cannot be opened (a bad cache URI,
+    a ``--store`` that is a regular file, a file that is not a database,
+    ...)."""
     try:
         return make(*args)
     except (ValueError, OSError, sqlite3.Error) as exc:
@@ -326,7 +329,9 @@ def cmd_scenario_run(args) -> int:
             spec, execution=dataclasses.replace(base, policy=policy))
     backend = args.backend or (spec.execution.backend
                                if spec.execution else None)
-    if _checked(lambda: create_backend(route(backend=backend))) is False:
+    if _checked(lambda: create_backend(route(
+            backend=backend,
+            workers=resolve_parallel(args.parallel)))) is False:
         return 2
     total = spec.size()
     n_ok = n_failed = n_timeout = 0
@@ -399,7 +404,8 @@ def cmd_simulate(args) -> int:
             spec.dynamics, policy=args.policy))
     policy = spec.dynamics.policy
     backend = spec.execution.backend if spec.execution else None
-    if _checked(lambda: create_backend(route(backend=backend))) is False:
+    if _checked(lambda: create_backend(route(
+            backend=backend, workers=resolve_parallel(None)))) is False:
         return 2
     total = spec.size()
     n_ok = n_failed = 0

@@ -26,7 +26,7 @@ spec and re-run — cached and resumable — with ``repro scenario run``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import (
     AlgorithmSpec,
@@ -228,14 +228,21 @@ def fig7(betas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 5.0),
 # ----------------------------------------------------------------------
 # Figs. 8-9 and Table 4: running times
 # ----------------------------------------------------------------------
+def _by_instance(records: List[RunRecord]
+                 ) -> Dict[Tuple[str, str], Dict[str, RunRecord]]:
+    """Records keyed by (instance, category), then algorithm: a scaled
+    corpus can name one instance per category alike."""
+    out: Dict[Tuple[str, str], Dict[str, RunRecord]] = {}
+    for r in records:
+        out.setdefault((r.instance, r.category), {})[r.algorithm] = r
+    return out
+
+
 def fig8(**knobs) -> Dict[str, List]:
     """Per-workflow running time of DagHetPart relative to DagHetMem."""
     records = _records("default", **knobs)
-    by_instance: Dict[str, Dict[str, RunRecord]] = {}
-    for r in records:
-        by_instance.setdefault(r.instance, {})[r.algorithm] = r
     rows = []
-    for name, algs in sorted(by_instance.items()):
+    for (name, _), algs in sorted(_by_instance(records).items()):
         mem, part = algs.get("DagHetMem"), algs.get("DagHetPart")
         if mem is None or part is None or mem.runtime <= 0:
             continue
@@ -262,10 +269,7 @@ def table4(**knobs) -> Dict[str, List]:
     records = _records("default", **knobs)
     by_cat_rel: Dict[str, List[float]] = {}
     by_cat_abs: Dict[str, List[float]] = {}
-    by_instance: Dict[str, Dict[str, RunRecord]] = {}
-    for r in records:
-        by_instance.setdefault(r.instance, {})[r.algorithm] = r
-    for algs in by_instance.values():
+    for algs in _by_instance(records).values():
         mem, part = algs.get("DagHetMem"), algs.get("DagHetPart")
         if mem is None or part is None:
             continue
@@ -376,17 +380,21 @@ def refinement_gain(config: Optional[DagHetPartConfig] = None,
     never returns a worse one, so every per-instance ratio is <= 100%;
     the geometric means per workflow type quantify what the Metropolis
     local search buys beyond the paper's greedy Step 4. The annealer's
-    ``k'`` strategy follows ``config`` so both columns sweep the same
-    candidate partitions.
+    ``k'`` strategy follows ``config``, and the ``daghetpart`` column runs
+    with the config the annealer seeds from (that strategy only), so
+    both columns sweep the same candidate partitions.
     """
     from repro.core.anneal import AnnealConfig
 
-    part_config = config or DagHetPartConfig()
     if anneal_config is None:
-        anneal_config = AnnealConfig(
-            k_prime_strategy=part_config.k_prime_strategy)
+        anneal_config = AnnealConfig(k_prime_strategy=(
+            config or DagHetPartConfig()).k_prime_strategy)
+    # the seed config AnnealScheduler builds, so both columns sweep the
+    # same k' points (a config's k_prime_values would not reach the seed)
+    seed_config = DagHetPartConfig(
+        k_prime_strategy=anneal_config.k_prime_strategy)
     records = _records("default", algorithm_specs=(
-        AlgorithmSpec("daghetpart", config=part_config),
+        AlgorithmSpec("daghetpart", config=seed_config),
         AlgorithmSpec("anneal", config=anneal_config),
     ), **knobs)
     rel = relative_makespan_by(records, key=lambda r: r.category,

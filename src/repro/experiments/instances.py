@@ -64,14 +64,20 @@ def _env_scale() -> float:
 
 
 def synthetic_sizes(full: Optional[bool] = None) -> Dict[str, Tuple[int, ...]]:
-    """Per-category task counts, honouring ``REPRO_FULL``/``REPRO_SCALE``."""
+    """Per-category task counts, honouring ``REPRO_FULL``/``REPRO_SCALE``.
+
+    Scaling can round several sizes of a category to one count (all of
+    them to :data:`MIN_TASKS` at a large ``REPRO_SCALE``); each count is
+    listed once per category.
+    """
     if full is None:
         full = os.environ.get("REPRO_FULL", "") == "1"
     if full:
         return dict(PAPER_SIZES)
     scale = _env_scale()
     return {
-        cat: tuple(max(MIN_TASKS, round(n / scale)) for n in sizes)
+        cat: tuple(dict.fromkeys(max(MIN_TASKS, round(n / scale))
+                                 for n in sizes))
         for cat, sizes in PAPER_SIZES.items()
     }
 

@@ -24,11 +24,14 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def _pair_up(records: Iterable[RunRecord]) -> Dict[Tuple[str, str, float], Dict[str, RunRecord]]:
-    """Group records of the same (instance, cluster, bandwidth) by algorithm."""
-    pairs: Dict[Tuple[str, str, float], Dict[str, RunRecord]] = {}
+def _pair_up(records: Iterable[RunRecord]) -> Dict[Tuple[str, str, str, float], Dict[str, RunRecord]]:
+    """Group records of the same (category, instance, cluster, bandwidth)
+    by algorithm. Instance names are ``{family}-{n_tasks}``, so a scaled
+    corpus can name one instance per category alike."""
+    pairs: Dict[Tuple[str, str, str, float], Dict[str, RunRecord]] = {}
     for rec in records:
-        pairs.setdefault((rec.instance, rec.cluster, rec.bandwidth), {})[rec.algorithm] = rec
+        key = (rec.category, rec.instance, rec.cluster, rec.bandwidth)
+        pairs.setdefault(key, {})[rec.algorithm] = rec
     return pairs
 
 

@@ -1,12 +1,12 @@
-"""Pluggable ingestion of real workflow descriptions.
+"""Ingestion of real workflow descriptions.
 
 The paper evaluates its partitioners on real scientific workflows
 (nextflow pipelines, Pegasus benchmarks); this package is the seam those
-workflows enter through. It shares the registry mechanism used for
-algorithms, backends, and policies: importers self-register under a
-format name, ``detect_format`` sniffs content before trusting
-extensions, and everything funnels through one normalization/validation
-gate so a workflow is either fully checked or loudly rejected.
+workflows enter through. A fixed table names the formats (looked up
+like algorithm, backend and policy names), ``detect_format`` sniffs
+content before trusting extensions, and everything funnels through one
+normalization/validation gate so a workflow is either fully checked or
+loudly rejected.
 
 Shipped formats: ``wfcommons`` (WfCommons/wfformat JSON traces),
 ``dax`` (Pegasus DAX XML), ``dot`` (GraphViz/nextflow digraphs),
@@ -25,26 +25,15 @@ from repro.ingest.normalize import (DEFAULT_OPTIONS, NormalizeOptions,
                                     WorkflowAssembler, normalize_workflow,
                                     workflow_fingerprint, workflow_stats)
 from repro.ingest.registry import (available_formats, detect_format,
-                                   format_infos, get_format, register_format,
-                                   unregister_format)
+                                   format_infos, get_format)
 from repro.ingest.templates import (build_from_document, parse_structured,
                                     render_template)
-
-# importing the format modules registers them
-from repro.ingest import canonical as _canonical  # noqa: F401
-from repro.ingest import dax as _dax  # noqa: F401
-from repro.ingest import dot as _dot  # noqa: F401
-from repro.ingest import edgelist as _edgelist  # noqa: F401
-from repro.ingest import templates as _templates  # noqa: F401
-from repro.ingest import wfcommons as _wfcommons  # noqa: F401
 
 __all__ = [
     "ingest_path",
     "ingest_text",
     "detect_format",
     "get_format",
-    "register_format",
-    "unregister_format",
     "available_formats",
     "format_infos",
     "NormalizeOptions",

@@ -1,9 +1,9 @@
 """Importer for the library's own canonical workflow JSON.
 
-Registering the native format makes ``repro ingest`` (and the scenario
-file sources behind it) completely uniform: every on-disk workflow —
-whatever its origin — flows through the same detect → import → normalize
-pipeline. The heavy lifting lives in
+Listing the native format in the format table makes ``repro ingest``
+(and the scenario file sources behind it) completely uniform: every
+on-disk workflow — whatever its origin — flows through the same detect →
+import → normalize pipeline. The heavy lifting lives in
 :func:`repro.workflow.io.workflow_from_dict`, which itself routes through
 the shared :class:`~repro.ingest.normalize.WorkflowAssembler`, so
 duplicate ids and unknown edge endpoints fail loudly here too.
@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     stripped = text.lstrip()
     if not stripped.startswith("{"):
         return False
@@ -28,9 +27,6 @@ def _sniff(text: str) -> bool:
             and isinstance(payload.get("tasks"), list))
 
 
-@register_format("json", extensions=(".json",), sniffer=_sniff,
-                 display_name="canonical JSON",
-                 summary="the library's own {tasks, edges} serialization")
 def import_canonical(text: str, *, name: Optional[str] = None,
                      path: Optional[str] = None,
                      data: Any = None) -> Workflow:

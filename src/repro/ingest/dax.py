@@ -26,7 +26,6 @@ import xml.etree.ElementTree as ET
 from typing import Any, Dict, Optional
 
 from repro.ingest.normalize import WorkflowAssembler
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
@@ -36,7 +35,7 @@ def _local(tag: Any) -> str:
     return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     head = text[:4096].lower()
     return "<adag" in head
 
@@ -53,9 +52,6 @@ def _float_attr(element, attr: str, default: float, *,
                           path=path) from None
 
 
-@register_format("dax", extensions=(".dax", ".dax.xml"), sniffer=_sniff,
-                 display_name="Pegasus DAX",
-                 summary="<adag> XML: jobs, uses-files, child/parent refs")
 def import_dax(text: str, *, name: Optional[str] = None,
                path: Optional[str] = None, data: Any = None) -> Workflow:
     try:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.ingest.normalize import WorkflowAssembler
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
@@ -34,7 +33,7 @@ from repro.workflow.graph import Workflow
 _SKIP_KEYWORDS = {"graph", "node", "edge", "digraph", "strict"}
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     head = text[:4096]
     return "digraph" in head or ("->" in head and "{" in head)
 
@@ -191,9 +190,6 @@ def _attr_float(attrs: dict, *names: str) -> Optional[float]:
     return None
 
 
-@register_format("dot", extensions=(".dot", ".gv"), sniffer=_sniff,
-                 display_name="GraphViz DOT",
-                 summary="nextflow -with-dag digraphs (hardened reader)")
 def import_dot(text: str, *, name: Optional[str] = None,
                path: Optional[str] = None, data: Any = None) -> Workflow:
     tokens = _tokenize(text, path)

@@ -22,7 +22,6 @@ import re
 from typing import Any, List, Optional
 
 from repro.ingest.normalize import WorkflowAssembler
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
@@ -31,7 +30,7 @@ _SPLIT_RE = re.compile(r"[,;]|\s+")
 _HEADER_FIRST = {"source", "parent", "from", "u", "src", "task_from"}
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     """A few data lines of 2-4 short columns and no structural syntax."""
     head = text[:4096]
     if any(marker in head for marker in ("{", "<", "->")):
@@ -57,9 +56,6 @@ def _number(raw: str, what: str, *, path: Optional[str],
                           path=path, line=line) from None
 
 
-@register_format("edgelist", extensions=(".csv", ".edges", ".edgelist"),
-                 sniffer=_sniff, display_name="edge list / CSV",
-                 summary="parent,child[,cost] rows; 'task id work mem' lines")
 def import_edgelist(text: str, *, name: Optional[str] = None,
                     path: Optional[str] = None, data: Any = None) -> Workflow:
     asm = WorkflowAssembler(str(name or "workflow"), path=path,

@@ -11,7 +11,7 @@ Workflow *names* matter here: the request fingerprint the result cache
 keys on includes the workflow name, so names must not depend on where
 the file happened to sit. Precedence: an explicit ``name`` argument,
 else the name recorded inside the document, else the file's base name
-with the format's registered extension stripped — never the full path.
+with the format's extension stripped — never the full path.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def ingest_text(text: str, *, fmt: Optional[str] = None,
                 options: Optional[NormalizeOptions] = None) -> Workflow:
     """Import workflow ``text`` and run it through the validation gate.
 
-    ``fmt`` forces a registered format; otherwise :func:`detect_format`
+    ``fmt`` forces a format by name; otherwise :func:`detect_format`
     sniffs the content (and falls back to the extension of ``path``).
     ``data`` feeds template expansion and is rejected for formats that
     cannot use it.

@@ -31,7 +31,6 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ingest.normalize import WorkflowAssembler
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
@@ -363,15 +362,12 @@ def build_from_document(doc: Any, *, name: Optional[str] = None,
     return asm.finish()
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     if "{{" in text or "{%" in text:
         return True
     return bool(re.search(r"(?m)^tasks:\s*$", text))
 
 
-@register_format("template", extensions=(".tpl", ".wft", ".wft.yaml"),
-                 sniffer=_sniff, display_name="workflow template",
-                 summary="{{var}}/{% for %} task list with after/before deps")
 def import_template(text: str, *, name: Optional[str] = None,
                     path: Optional[str] = None, data: Any = None) -> Workflow:
     rendered = render_template(text, data, path=path)

@@ -27,12 +27,11 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ingest.normalize import WorkflowAssembler
-from repro.ingest.registry import register_format
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 
 
-def _sniff(text: str) -> bool:
+def sniff(text: str) -> bool:
     stripped = text.lstrip()
     if not stripped.startswith("{"):
         return False
@@ -62,9 +61,6 @@ def _file_size(entry: Dict[str, Any]) -> float:
     return _first_number(entry.get("sizeInBytes"), entry.get("size")) or 0.0
 
 
-@register_format("wfcommons", extensions=(".wfformat.json", ".wfformat"),
-                 sniffer=_sniff, display_name="WfCommons JSON",
-                 summary="wfformat traces: runtime=work, bytes=edge cost")
 def import_wfcommons(text: str, *, name: Optional[str] = None,
                      path: Optional[str] = None,
                      data: Any = None) -> Workflow:

@@ -1,7 +1,7 @@
 """Scheduling-as-a-service: the async HTTP layer over ``repro.api``.
 
 Over the JSON wire format of ``ScheduleRequest`` / ``ScenarioSpec`` and
-the pluggable execution backends, this package adds the front door: a
+the execution backends, this package adds the front door: a
 long-running asyncio HTTP/JSON server (``repro serve``) with a durable
 job store, live stats and streaming progress. Its held-burst throughput gate lives in
 ``benchmarks/test_service_burst_gate.py``.

@@ -4,8 +4,9 @@ Replays a computed mapping under a virtual clock while a seeded
 perturbation stream — job arrivals, processor fail/leave/join,
 stochastic runtime inflation — disturbs it, and measures robustness:
 makespan degradation against the undisturbed plan, re-solve latency,
-and task migrations. Reaction policies (``static`` / ``warmstart`` /
-``resolve``) share the registry mechanism behind ``@register_algorithm``.
+and task migrations. The reaction policies (``static`` / ``warmstart`` /
+``resolve``) are plain functions in one fixed name table
+(:mod:`repro.sim.policies`).
 
 A replay is requested like any solve: a
 :class:`~repro.api.envelopes.ScheduleRequest` (or a scenario spec) with a
@@ -13,7 +14,7 @@ A replay is requested like any solve: a
 :class:`~repro.sim.engine.SimEngine`, so caching, backends and the
 service treat it as one more request.
 
-Only the frozen event models (and the policy registry they validate
+Only the frozen event models (and the policy table they validate
 against) are imported eagerly; the engine loads lazily so that
 ``repro.api`` can depend on :class:`DynamicsSpec` without a cycle. The warm-start vs cold re-solve gate lives in
 ``benchmarks/test_sim_warmstart_gate.py``.
@@ -46,8 +47,6 @@ __all__ = [
     "SimReport",
     "available_policies",
     "get_policy",
-    "policy_infos",
-    "register_policy",
 ]
 
 _LAZY = {
@@ -55,8 +54,6 @@ _LAZY = {
     "SimReport": "repro.sim.engine",
     "available_policies": "repro.sim.policies",
     "get_policy": "repro.sim.policies",
-    "policy_infos": "repro.sim.policies",
-    "register_policy": "repro.sim.policies",
 }
 
 

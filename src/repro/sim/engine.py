@@ -50,7 +50,7 @@ from repro.generators.families import generate_workflow
 from repro.memdag.requirement import RequirementCache
 from repro.platform.processor import Processor
 from repro.sim.events import DynamicsSpec, SimEvent
-from repro.sim.policies import ReactionContext, get_policy
+from repro.sim.policies import get_policy
 from repro.utils.errors import NoFeasibleMappingError
 from repro.utils.rng import make_rng
 
@@ -80,8 +80,17 @@ class SimReport:
         return 100.0 * (self.realized / self.baseline - 1.0)
 
 
-class _EngineContext(ReactionContext):
-    """The engine's live view handed to a reaction policy at one event."""
+class EngineContext:
+    """The engine's live view handed to a reaction policy at one event.
+
+    Read surface: ``time``, ``event``, ``wf``, ``q``, ``cluster``,
+    ``evaluator``, ``algorithm``, ``warm_sweep``, ``free_processors()``,
+    ``pending()``, ``movable()``, ``requirement(bid)``,
+    ``block_tasks(bid)``. Write surface: ``place(bid, proc)`` (assign a
+    pending or movable block to a *free* processor) and
+    ``replace_remaining(assignments)`` (swap the whole not-yet-started
+    plan for a new block structure).
+    """
 
     def __init__(self, engine: "SimEngine", event: SimEvent,
                  started: Set[BlockId]):
@@ -210,7 +219,7 @@ class SimEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> SimReport:
-        policy = get_policy(self.policy_name)
+        react = get_policy(self.policy_name)
         self._schedule = self._forward()
         if len(self._schedule) != len(self.q.blocks):
             raise NoFeasibleMappingError(
@@ -228,9 +237,9 @@ class SimEngine:
             started = self._started(t)
             resolved = self._apply(replace(ev0, time=t), started)
             self.counts[resolved.kind] += 1
-            ctx = _EngineContext(self, resolved, started)
+            ctx = EngineContext(self, resolved, started)
             tic = perf_counter()
-            policy.react(ctx)
+            react(ctx)
             latency = perf_counter() - tic
             self.react_total += latency
             self.react_max = max(self.react_max, latency)
@@ -243,10 +252,10 @@ class SimEngine:
 
         self._drain()
         realized = self._projected()
-        report = SimReport(policy=policy.name, baseline=self.baseline,
+        report = SimReport(policy=react.__name__, baseline=self.baseline,
                            realized=realized, events=self.log)
         report.metrics = {
-            "sim_policy": policy.name,
+            "sim_policy": react.__name__,
             "sim_events": len(self.log),
             "sim_arrivals": self.counts["arrival"],
             "sim_failures": self.counts["fail"],
@@ -440,7 +449,7 @@ class SimEngine:
             self.migrations += len(blk.tasks)
         self._prev_proc.pop(bid, None)
 
-    def _replace_remaining(self, ctx: _EngineContext, assignments) -> None:
+    def _replace_remaining(self, ctx: EngineContext, assignments) -> None:
         """Swap the whole not-yet-started plan for ``assignments``.
 
         ``assignments`` is a list of ``(tasks, processor)`` pairs that

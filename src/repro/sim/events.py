@@ -233,7 +233,7 @@ model_from_dict = tagged_decoder("event model", EVENT_MODEL_KINDS)
 class DynamicsSpec(Record):
     """Everything dynamic about a scenario: perturbations + reaction.
 
-    ``policy`` names a registered reaction policy (``static`` /
+    ``policy`` names a reaction policy (``static`` /
     ``resolve`` / ``warmstart``); ``algorithm`` is the cold re-solve
     algorithm (``None`` = the request's own). With ``relative_times``
     (the default) every model time is a fraction of the undisturbed

@@ -1,11 +1,12 @@
-"""One name registry shared by algorithms, backends, policies and formats.
+"""Name lookup shared by algorithms, backends, policies and formats.
 
-Every pluggable kind of thing the library dispatches on by name keeps one
-module-level :class:`Registry` of its ``*Info`` entries. The registry
+Every kind of thing the library dispatches on by name keeps one
+module-level ``{canonical name: entry}`` table: a fixed one for the
+execution backends, reaction policies and workflow formats, and the one
+that :func:`repro.api.registry.register_algorithm` fills. :func:`lookup`
 owns the parts that must behave identically everywhere: name
-canonicalization, empty-name and duplicate rejection, sorted listings,
-and the single ``unknown <kind> ...; available: ...`` error. Each entry
-carries its canonical key as ``info.name``.
+canonicalization and the single ``unknown <kind> ...; available: ...``
+error listing the sorted valid names.
 
 :func:`canonical_name` output is part of the result-cache fingerprint
 (:func:`repro.api.cache.request_fingerprint` hashes the canonical
@@ -14,9 +15,9 @@ algorithm name), so changing it would orphan every stored cache entry.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Tuple, TypeVar
+from typing import Mapping, TypeVar
 
-Info = TypeVar("Info")
+Entry = TypeVar("Entry")
 
 
 def canonical_name(name: str) -> str:
@@ -26,50 +27,12 @@ def canonical_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch not in "-_ ")
 
 
-class Registry(Generic[Info]):
-    """Canonical-name → ``Info`` map with loud, uniform errors.
-
-    ``kind`` names the entries in messages (``"algorithm"``,
-    ``"execution backend"``, ...).
-    """
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self._entries: Dict[str, Info] = {}
-
-    def key(self, name: str) -> str:
-        """The canonical key of a name about to be registered."""
-        key = canonical_name(name)
-        if not key:
-            raise ValueError(
-                f"{self.kind} name {name!r} is empty after canonicalization")
-        return key
-
-    def add(self, info: Info) -> None:
-        """Register ``info`` under ``info.name``; duplicates are rejected."""
-        key = info.name
-        if key in self._entries:
-            raise ValueError(
-                f"{self.kind} {key!r} already registered; unregister it "
-                f"first to replace it")
-        self._entries[key] = info
-
-    def remove(self, name: str) -> None:
-        """Drop an entry (plugin teardown / tests); unknown names are a no-op."""
-        self._entries.pop(canonical_name(name), None)
-
-    def get(self, name: str) -> Info:
-        """Resolve a (canonicalized) name; unknown names list the valid ones."""
-        info = self._entries.get(canonical_name(name))
-        if info is None:
-            valid = ", ".join(self.names()) or "(none registered)"
-            raise ValueError(f"unknown {self.kind} {name!r}; available: {valid}")
-        return info
-
-    def names(self) -> Tuple[str, ...]:
-        """Sorted canonical names of every entry."""
-        return tuple(sorted(self._entries))
-
-    def infos(self) -> Tuple[Info, ...]:
-        """Every entry, sorted by canonical name."""
-        return tuple(self._entries[k] for k in self.names())
+def lookup(kind: str, table: Mapping[str, Entry], name: str) -> Entry:
+    """The entry ``name`` canonicalizes to; unknown names list the valid
+    ones. ``kind`` names the entries in the message (``"algorithm"``,
+    ``"execution backend"``, ...)."""
+    entry = table.get(canonical_name(name))
+    if entry is None:
+        valid = ", ".join(sorted(table)) or "(none registered)"
+        raise ValueError(f"unknown {kind} {name!r}; available: {valid}")
+    return entry

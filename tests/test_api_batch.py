@@ -226,11 +226,18 @@ class TestIterSolveBatch:
 
 
 class TestResolveParallelEnv:
-    def test_unparsable_env_value_warns_and_runs_serial(self, monkeypatch):
+    def test_unparsable_env_value_is_an_error(self, monkeypatch):
         from repro.api import resolve_parallel
         monkeypatch.setenv("REPRO_PARALLEL", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL='lots'"):
-            assert resolve_parallel(None) == 0
+        with pytest.raises(ValueError, match="REPRO_PARALLEL='lots'"):
+            resolve_parallel(None)
+        # an explicit worker count never reads the variable
+        assert resolve_parallel(2) == 2
+
+    def test_blank_env_value_is_serial(self, monkeypatch):
+        from repro.api import resolve_parallel
+        monkeypatch.setenv("REPRO_PARALLEL", " ")
+        assert resolve_parallel(None) == 0
 
     def test_valid_env_value_does_not_warn(self, monkeypatch):
         import warnings

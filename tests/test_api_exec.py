@@ -25,12 +25,10 @@ from repro.api import (
     get_backend,
     iter_solve_batch,
     register_algorithm,
-    register_backend,
     route,
     solve_batch,
     solve_with_policy,
     unregister_algorithm,
-    unregister_backend,
 )
 from repro.api.exec.routing import BACKEND_ENV
 from repro.core.heuristic import DagHetPartConfig
@@ -169,27 +167,6 @@ class TestBackendRegistry:
     def test_unknown_backend_lists_valid_names(self):
         with pytest.raises(ValueError, match="serial"):
             get_backend("quantum")
-
-    def test_duplicate_rejected_and_unregister(self):
-        @register_backend("testdummy")
-        class Dummy:
-            name = "testdummy"
-
-            def open(self, workers):
-                pass
-
-            def submit(self, request):
-                raise NotImplementedError
-
-            def close(self):
-                pass
-
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("test-dummy")(Dummy)
-        finally:
-            unregister_backend("testdummy")
-        assert "testdummy" not in available_backends()
 
 
 # ----------------------------------------------------------------------

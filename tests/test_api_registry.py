@@ -1,4 +1,5 @@
-"""Tests of the algorithm registry: registration, lookup, rejection."""
+"""Tests of the name lookups: algorithm registration (the one plug-in),
+and the lookup contract every name table shares."""
 
 import pytest
 
@@ -59,6 +60,8 @@ class TestNameResolution:
 
 
 class TestRegistration:
+    """The algorithm registration contract."""
+
     def test_register_and_solve_through_every_entry_point(self):
         from repro.api import ScheduleRequest, solve
 
@@ -94,15 +97,24 @@ class TestRegistration:
         @register_algorithm("dup-test")
         def algo(workflow, cluster, config):  # pragma: no cover - never run
             raise AssertionError
+
+        def other(workflow, cluster, config):  # pragma: no cover
+            raise AssertionError
         try:
+            first = get_algorithm("dup-test").scheduler
             with pytest.raises(ValueError, match="already registered"):
-                register_algorithm("DUP_TEST")(algo)
+                register_algorithm("DUP_TEST")(other)
+            assert get_algorithm("dup-test").scheduler is first
         finally:
             unregister_algorithm("dup-test")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             register_algorithm("--__")
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(TypeError):
+            register_algorithm(7)
 
     def test_function_must_return_output_or_mapping(self):
         @register_algorithm("bad-return-test")
@@ -121,91 +133,64 @@ class TestRegistration:
 
 
 # ----------------------------------------------------------------------
-# One contract for every name registry (algorithms, execution backends,
-# reaction policies, workflow formats)
+# One lookup contract for every name table (algorithms, execution
+# backends, reaction policies, workflow formats)
 # ----------------------------------------------------------------------
-def _registry_cases():
+def _lookup_cases():
+    from repro.api import registry as algorithms
     from repro.api.exec import backends
     from repro.ingest import registry as formats
     from repro.sim import policies
 
-    # each case: kind, register(name), resolve(name) -> registered object,
-    # names(), unregister(name)
+    # each case: kind, the {canonical name: entry} table, resolve(name),
+    # names()
     return {
-        "algorithm": ("algorithm", register_algorithm,
-                      lambda n: type(get_algorithm(n).scheduler),
-                      available_algorithms, unregister_algorithm),
-        "backend": ("execution backend", backends.register_backend,
-                    lambda n: backends.get_backend(n).factory,
-                    backends.available_backends, backends.unregister_backend),
-        "policy": ("reaction policy", policies.register_policy,
-                   lambda n: type(policies.get_policy(n)),
-                   policies.available_policies, policies._POLICIES.remove),
-        "format": ("workflow format", formats.register_format,
-                   lambda n: formats.get_format(n).importer,
-                   formats.available_formats, formats.unregister_format),
+        "algorithm": ("algorithm", algorithms._ALGORITHMS, get_algorithm,
+                      available_algorithms),
+        "backend": ("execution backend", backends._BACKENDS,
+                    backends.get_backend, backends.available_backends),
+        "policy": ("reaction policy", policies._POLICIES,
+                   policies.get_policy, policies.available_policies),
+        "format": ("workflow format", formats._FORMATS, formats.get_format,
+                   formats.available_formats),
     }
-
-
-def _throwaway():
-    """A fresh class every registry accepts (it has ``run`` and ``name``)."""
-    from repro.sim.policies import ReactionPolicy
-    return type("Throwaway", (ReactionPolicy,),
-                {"run": lambda self, *args: None})
 
 
 @pytest.fixture(params=["algorithm", "backend", "policy", "format"])
 def registry(request):
-    kind, register, resolve, names, unregister = \
-        _registry_cases()[request.param]
-    yield kind, register, resolve, names, unregister
-    unregister("contract-test")
+    return _lookup_cases()[request.param]
 
 
 class TestRegistryContract:
     @pytest.mark.parametrize("alias", [
         "contract-test", "CONTRACT_TEST", "Contract Test", "contracttest",
     ])
-    def test_aliases_resolve(self, registry, alias):
-        _, register, resolve, names, _ = registry
-        cls = register("contract-test")(_throwaway())
-        assert resolve(alias) is cls
+    def test_aliases_resolve(self, registry, monkeypatch, alias):
+        _, table, resolve, names = registry
+        # a key whose spellings differ in case, "-", "_" and spaces; the
+        # shipped keys are single lowercase words
+        entry = object()
+        monkeypatch.setitem(table, "contracttest", entry)
+        assert resolve(alias) is entry
         assert "contracttest" in names()
-        assert isinstance(names(), tuple)
-
-    def test_empty_name_rejected(self, registry):
-        _, register, _, _, _ = registry
-        with pytest.raises(ValueError, match="empty"):
-            register("-_ ")
 
     def test_non_string_name_rejected(self, registry):
-        _, register, resolve, _, _ = registry
-        with pytest.raises(TypeError):
-            register(7)
+        _, _, resolve, _ = registry
         with pytest.raises(TypeError):
             resolve(7)
 
-    def test_duplicate_leaves_first_entry(self, registry):
-        _, register, resolve, _, _ = registry
-        first, second = _throwaway(), _throwaway()
-        register("contract-test")(first)
-        with pytest.raises(ValueError, match="already registered"):
-            register("Contract_Test")(second)
-        assert resolve("contract-test") is first
-        # only the policy registry stamps ``name``; a rejected class keeps
-        # the base default everywhere
-        assert second.name == ""
-
     def test_unknown_name_lists_available(self, registry):
-        kind, _, resolve, names, _ = registry
-        with pytest.raises(ValueError,
-                           match=f"unknown {kind} 'no-such-entry'; "
-                                 f"available: ") as exc:
+        kind, _, resolve, names = registry
+        with pytest.raises(ValueError) as exc:
             resolve("no-such-entry")
-        assert all(name in str(exc.value) for name in names())
+        assert str(exc.value) == (f"unknown {kind} 'no-such-entry'; "
+                                  f"available: {', '.join(names())}")
 
-    def test_unregister_unknown_is_noop(self, registry):
-        _, _, _, names, unregister = registry
-        before = names()
-        unregister("never-registered")
-        assert names() == before
+    def test_listing_is_sorted_canonical_keys(self, registry):
+        _, table, resolve, names = registry
+        listed = names()
+        assert isinstance(listed, tuple) and listed
+        assert list(listed) == sorted(table)
+        for name in listed:
+            assert canonical_name(name) == name
+            assert resolve(name.upper()) is table[name]

@@ -369,6 +369,18 @@ class TestExecutionSettingErrors:
         self._one_error_line(capsys, f"unknown execution backend {backend!r}",
                              "available: process, queue, serial")
 
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", _TINY],
+        ["simulate", _DYNAMICS],
+        ["experiment", "fig3_left"],
+    ], ids=["run", "simulate", "experiment"])
+    def test_bad_parallel_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_PARALLEL", "abc")
+        monkeypatch.setenv("REPRO_SCALE", "400")
+        assert main(argv) == 2
+        self._one_error_line(capsys, "REPRO_PARALLEL='abc' is not an "
+                                     "integer worker count")
+
     @pytest.mark.parametrize("name,value", [
         ("REPRO_QUEUE_LEASE_S", "soon"),
         ("REPRO_QUEUE_LEASE_S", "-1"),

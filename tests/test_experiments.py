@@ -64,6 +64,14 @@ class TestInstances:
         sizes = synthetic_sizes()
         assert sizes["big"][-1] == 300
 
+    def test_sizes_rounded_alike_are_listed_once(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "2000")
+        assert synthetic_sizes() == {"small": (16,), "mid": (16,),
+                                     "big": (16,)}
+        monkeypatch.setenv("REPRO_SCALE", "400")
+        assert synthetic_sizes()["small"] == (16, 20)
+
     @pytest.mark.parametrize("raw", ["0", "-4", "abc", "nan", "inf", "1e999"])
     def test_bad_repro_scale_names_the_variable(self, monkeypatch, raw):
         monkeypatch.delenv("REPRO_FULL", raising=False)
@@ -240,8 +248,8 @@ class TestParallelRunner:
         assert resolve_parallel(None) == 3
         assert resolve_parallel(2) == 2
         monkeypatch.setenv("REPRO_PARALLEL", "junk")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL='junk'"):
-            assert resolve_parallel(None) == 0
+        with pytest.raises(ValueError, match="REPRO_PARALLEL='junk'"):
+            resolve_parallel(None)
         monkeypatch.delenv("REPRO_PARALLEL")
         assert resolve_parallel(None) == 0
         assert resolve_parallel(-1) >= 1

@@ -22,6 +22,27 @@ TINY = dict(
 )
 
 
+class TestScaledCorpus:
+    """At ``REPRO_SCALE=2000`` every synthetic size rounds to ``MIN_TASKS``,
+    so each category holds one ``blast-16``; no category may hide
+    another's records."""
+
+    @pytest.fixture(autouse=True)
+    def _scale(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "2000")
+
+    def test_fig3_left_keeps_every_category(self):
+        out = figures.fig3_left(families=("blast",))
+        assert [r["workflow_type"] for r in out["rows"]] == \
+            ["real", "small", "mid", "big", "all"]
+
+    def test_fig8_has_one_row_per_daghetpart_run(self):
+        out = figures.fig8(families=("blast",))
+        runs = [r for r in out["records"] if r.algorithm == "DagHetPart"]
+        assert len(out["rows"]) == len(runs)
+
+
 class TestStaticTables:
     def test_table2_rows(self):
         rows = figures.table2()["rows"]
@@ -183,6 +204,15 @@ def standalone():
     """Each driver called on its own, without a cache."""
     return {name: driver(**TINY)
             for name, driver in figures.EXPERIMENTS.items()}
+
+
+class TestRefinementGain:
+    def test_anneal_is_never_worse_than_its_seed(self, standalone):
+        # TINY's config sweeps explicit k' values; the daghetpart column
+        # must still run the sweep the annealer seeds from
+        rows = standalone["refinement_gain"]["rows"]
+        assert rows
+        assert all(r["anneal_vs_daghetpart_pct"] <= 100.0 for r in rows)
 
 
 class TestFullEvaluation:

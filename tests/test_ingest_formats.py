@@ -10,8 +10,6 @@ from repro.ingest import (
     get_format,
     ingest_path,
     ingest_text,
-    register_format,
-    unregister_format,
     workflow_fingerprint,
 )
 from repro.utils.errors import IngestError
@@ -42,24 +40,6 @@ class TestRegistry:
     def test_canonical_name_lookup(self):
         assert get_format("WfCommons").name == "wfcommons"
         assert get_format("wf_commons").name == "wfcommons"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_format("dax", extensions=(".x",))
-            def importer(text, *, name=None, path=None, data=None):
-                raise AssertionError
-
-    def test_register_unregister_roundtrip(self):
-        @register_format("mini", extensions=(".mini",),
-                         sniffer=lambda t: t.startswith("MINI"))
-        def import_mini(text, *, name=None, path=None, data=None):
-            raise AssertionError
-        try:
-            assert "mini" in available_formats()
-            assert detect_format("MINIFORMAT").name == "mini"
-        finally:
-            unregister_format("mini")
-        assert "mini" not in available_formats()
 
     def test_detect_never_misroutes_bundled_samples(self):
         for filename, expected in SAMPLES.items():
