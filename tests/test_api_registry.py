@@ -98,13 +98,9 @@ class TestRegistration:
         def algo(workflow, cluster, config):  # pragma: no cover - never run
             raise AssertionError
 
-        def other(workflow, cluster, config):  # pragma: no cover
-            raise AssertionError
         try:
-            first = get_algorithm("dup-test").scheduler
             with pytest.raises(ValueError, match="already registered"):
-                register_algorithm("DUP_TEST")(other)
-            assert get_algorithm("dup-test").scheduler is first
+                register_algorithm("DUP_TEST")(algo)
         finally:
             unregister_algorithm("dup-test")
 
@@ -161,6 +157,30 @@ def registry(request):
     return _lookup_cases()[request.param]
 
 
+def _registration_cases():
+    # each case: register(name), resolve(name) -> registered class,
+    # names(), unregister(name); the algorithm table is the only one that
+    # takes registrations
+    return {
+        "algorithm": (register_algorithm,
+                      lambda n: type(get_algorithm(n).scheduler),
+                      available_algorithms, unregister_algorithm),
+    }
+
+
+def _throwaway():
+    """A fresh scheduler class (anything with ``run``)."""
+    return type("Throwaway", (), {"run": lambda self, *args: None})
+
+
+@pytest.fixture(params=["algorithm"])
+def registrable(request):
+    register, resolve, names, unregister = \
+        _registration_cases()[request.param]
+    yield register, resolve, names, unregister
+    unregister("contract-test")
+
+
 class TestRegistryContract:
     @pytest.mark.parametrize("alias", [
         "contract-test", "CONTRACT_TEST", "Contract Test", "contracttest",
@@ -178,6 +198,25 @@ class TestRegistryContract:
         _, _, resolve, _ = registry
         with pytest.raises(TypeError):
             resolve(7)
+
+    def test_empty_name_rejected(self, registrable):
+        register, _, _, _ = registrable
+        with pytest.raises(ValueError, match="empty"):
+            register("-_ ")
+
+    def test_duplicate_leaves_first_entry(self, registrable):
+        register, resolve, _, _ = registrable
+        first, second = _throwaway(), _throwaway()
+        register("contract-test")(first)
+        with pytest.raises(ValueError, match="already registered"):
+            register("Contract_Test")(second)
+        assert resolve("contract-test") is first
+
+    def test_unregister_unknown_is_noop(self, registrable):
+        _, _, names, unregister = registrable
+        before = names()
+        unregister("never-registered")
+        assert names() == before
 
     def test_unknown_name_lists_available(self, registry):
         kind, _, resolve, names = registry
