@@ -1,6 +1,6 @@
 """Benchmark: the refinement suite on the (tiny) paper grid.
 
-Three contracts are enforced, matching the acceptance criteria of the
+Two contracts are enforced, matching the acceptance criteria of the
 local-search suite:
 
 * **determinism + monotonicity** — with the same seed, ``anneal``
@@ -8,10 +8,7 @@ local-search suite:
   its ``dag_het_part_sweep`` seed mapping;
 * **delta-only pricing** — the instrumented full bottom-weight counter
   records *zero* passes during refinement (every Metropolis trial is
-  priced by the incremental evaluator);
-* **portfolio argmin** — on the tiny grid the ``portfolio``
-  meta-scheduler returns exactly the per-request minimum of its member
-  algorithms.
+  priced by the incremental evaluator).
 
 The printed table reports seed vs refined makespans per instance and the
 ``refinement_gain`` experiment rows (geometric-mean anneal/DagHetPart
@@ -24,7 +21,7 @@ import importlib
 
 from benchutil import BENCH_SIZES, bench_families, show
 
-from repro.api import AnnealConfig, PortfolioConfig, ScheduleRequest, solve
+from repro.api import AnnealConfig
 from repro.core.anneal import anneal_refine
 from repro.core.evaluator import MakespanEvaluator
 from repro.core.heuristic import dag_het_part_sweep
@@ -110,31 +107,3 @@ def test_refinement_gain_table(benchmark):
         # never worse than the seed: every geometric mean is <= 100%
         assert row["anneal_vs_daghetpart_pct"] <= 100.0 + 1e-9
 
-
-def test_portfolio_argmin_on_tiny_grid(benchmark):
-    """portfolio == per-request argmin of its members across the grid."""
-    members = ("daghetmem", "daghetpart")
-    grid = [(family, n) for family in bench_families()
-            for n in BENCH_SIZES["small"]]
-
-    def run():
-        mismatches = []
-        for family, n in grid:
-            wf = generate_workflow(family, n, seed=6)
-            cluster = scaled_cluster_for(wf, default_cluster())
-            individual = {
-                m: solve(ScheduleRequest(workflow=wf, cluster=cluster,
-                                         algorithm=m)).makespan
-                for m in members}
-            port = solve(ScheduleRequest(
-                workflow=wf, cluster=cluster, algorithm="portfolio",
-                config=PortfolioConfig(algorithms=members)))
-            best = min(individual.values())
-            if port.makespan != best:
-                mismatches.append((family, n, port.makespan, individual))
-        return mismatches
-
-    mismatches = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nportfolio argmin over {len(grid)} requests "
-          f"x {len(members)} members: {len(mismatches)} mismatches")
-    assert mismatches == []

@@ -1,11 +1,9 @@
-"""Refinement study: DagHetPart seed vs simulated annealing vs portfolio.
+"""Refinement study: DagHetPart seed vs simulated annealing.
 
-Maps one genome-like workflow with three registered algorithms — the
-four-step ``daghetpart`` heuristic, its simulated-annealing refinement
+Maps one genome-like workflow with two registered algorithms — the
+four-step ``daghetpart`` heuristic and its simulated-annealing refinement
 ``anneal`` (seeded from the best sweep mapping, priced entirely by the
-incremental makespan evaluator), and the ``portfolio`` meta-scheduler
-that keeps the best feasible mapping of its members — then shows what
-each one achieved and who won the portfolio.
+incremental makespan evaluator) — then shows what each one achieved.
 
 Run:  python examples/refinement_study.py
 (set REPRO_EXAMPLE_SCALE=10 for a tiny smoke-test corpus, as CI does)
@@ -14,12 +12,7 @@ Run:  python examples/refinement_study.py
 import os
 
 from repro import default_cluster, generate_workflow
-from repro.api import (
-    AnnealConfig,
-    PortfolioConfig,
-    ScheduleRequest,
-    solve_batch,
-)
+from repro.api import AnnealConfig, ScheduleRequest, solve_batch
 
 #: divisor for task counts; CI's examples smoke job sets this to 10
 SCALE = int(os.environ.get("REPRO_EXAMPLE_SCALE", "1"))
@@ -31,9 +24,7 @@ def main() -> None:
     print(f"workflow: {wf.name}  tasks={wf.n_tasks}  "
           f"cluster: {cluster.name}  k={cluster.k}")
 
-    # One request per algorithm; anneal is deterministic per seed, and the
-    # portfolio filters its members by capability (no memory-oblivious
-    # baselines, no nested meta-schedulers).
+    # One request per algorithm; anneal is deterministic per seed.
     anneal_config = AnnealConfig(seed=3, iterations=max(50, 400 // SCALE),
                                  restarts=2)
     requests = [
@@ -42,10 +33,6 @@ def main() -> None:
         ScheduleRequest(workflow=wf, cluster=cluster, algorithm="anneal",
                         config=anneal_config, scale_memory=True,
                         validate=True),
-        ScheduleRequest(workflow=wf, cluster=cluster, algorithm="portfolio",
-                        config=PortfolioConfig(
-                            algorithms=("daghetmem", "daghetpart", "anneal")),
-                        scale_memory=True, validate=True),
     ]
     results = solve_batch(requests)
 
@@ -55,17 +42,12 @@ def main() -> None:
         print(f"{result.algorithm:10s}: makespan={result.makespan:10.1f}  "
               f"blocks={result.n_blocks}  runtime={result.runtime:.2f}s")
 
-    part, anneal, portfolio = results
+    anneal = results[-1]
     seed_makespan = anneal.extra["anneal_seed_makespan"]
     print(f"\nanneal refinement: {seed_makespan:.1f} -> {anneal.makespan:.1f} "
           f"({anneal.extra['anneal_trials']} trials, "
           f"{anneal.extra['anneal_accepted']} accepted)")
     assert anneal.makespan <= seed_makespan  # the refiner's contract
-
-    print(f"portfolio winner : {portfolio.extra['portfolio_winner']} "
-          f"(members: {portfolio.extra['portfolio_members']})")
-    best_member = min(part.makespan, anneal.makespan)
-    assert portfolio.makespan <= best_member + 1e-9  # argmin of its members
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     # numpy backs the seeded random streams (utils/rng) that the
-    # workflow generators, sim and anneal/portfolio draw from; it loads
+    # workflow generators, sim and anneal draw from; it loads
     # only there, so serve and worker start without it and a decoded
     # request solves without it
     install_requires=["numpy"],

@@ -22,9 +22,9 @@ examples, future serving layers):
 * :mod:`repro.api.cache` — fingerprint-keyed on-disk result cache,
   ``open_cache(URI)`` (resume instead of recompute);
 * :mod:`repro.api.schedulers` — the built-in algorithms: the paper's two
-  plus the memory-oblivious HEFT-style list scheduler, the
-  simulated-annealing refiner (``anneal``), and the best-of-N
-  ``portfolio`` meta-scheduler.
+  plus the memory-oblivious HEFT-style list scheduler (``heftlist``),
+  the critical-path packer (``cpack``), the simulated-annealing refiner
+  (``anneal``) and the tiny-instance reference solver (``exact``).
 """
 
 from repro.api.envelopes import (
@@ -36,14 +36,13 @@ from repro.api.envelopes import (
 from repro.api.registry import (
     AlgorithmInfo,
     Scheduler,
-    algorithm_infos,
     available_algorithms,
     canonical_name,
     get_algorithm,
     register_algorithm,
     unregister_algorithm,
 )
-from repro.api.schedulers import PortfolioConfig  # noqa: F401  (also registers)
+from repro.api import schedulers  # noqa: F401  (registers the built-in algorithms)
 from repro.api.batch import (
     PARALLEL_ENV,
     iter_solve_batch,
@@ -103,7 +102,6 @@ __all__ = [
     "FileWorkflowSource",
     "PARALLEL_ENV",
     "PlatformAxis",
-    "PortfolioConfig",
     "QueueBackend",
     "RealWorkflowSource",
     "ScenarioSpec",
@@ -113,7 +111,6 @@ __all__ = [
     "ScheduleResult",
     "SweepPoint",
     "TemplateWorkflowSource",
-    "algorithm_infos",
     "available_algorithms",
     "available_backends",
     "canonical_name",

@@ -39,7 +39,7 @@ import threading
 from typing import Any, Dict, Iterator, Optional
 
 from repro.api.envelopes import ScheduleRequest, ScheduleResult
-from repro.api.registry import canonical_name, get_algorithm
+from repro.api.registry import canonical_name
 
 #: file name of the cache a plain directory URI opens
 CACHE_FILENAME = "results.db"
@@ -86,19 +86,10 @@ def _cluster_key(cluster) -> Dict[str, Any]:
 
 
 def _config_key(config) -> Any:
-    """Canonical description of an algorithm config (None, dataclass, dict).
-
-    A config may define ``fingerprint_fields()`` to control what the
-    cache keys on — e.g. ``PortfolioConfig`` hashes its *resolved* member
-    list (the registry state matters) and drops its execution-only
-    ``parallel`` knob.
-    """
+    """Canonical description of an algorithm config (None, dataclass, dict)."""
     if config is None:
         return None
-    fingerprint_fields = getattr(config, "fingerprint_fields", None)
-    if callable(fingerprint_fields):
-        fields = dict(fingerprint_fields())
-    elif dataclasses.is_dataclass(config) and not isinstance(config, type):
+    if dataclasses.is_dataclass(config) and not isinstance(config, type):
         fields = dataclasses.asdict(config)
     elif isinstance(config, dict):
         fields = dict(config)
@@ -110,21 +101,11 @@ def _config_key(config) -> Any:
 
 def request_fingerprint(request: ScheduleRequest) -> str:
     """Stable hex digest identifying the computation a request describes."""
-    config = request.config
-    if config is None:
-        # an algorithm whose config class customises its fingerprint
-        # (PortfolioConfig: registry-dependent membership) must key the
-        # default-config request the same way as an explicit default —
-        # config=None and config=PortfolioConfig() are one computation
-        config_cls = get_algorithm(request.algorithm).config_cls
-        if config_cls is not None and \
-                callable(getattr(config_cls, "fingerprint_fields", None)):
-            config = config_cls()
     payload = {
         "workflow": _workflow_key(request.workflow),
         "cluster": _cluster_key(request.cluster),
         "algorithm": canonical_name(request.algorithm),
-        "config": _config_key(config),
+        "config": _config_key(request.config),
         "scale_memory": bool(request.scale_memory),
         "validate": bool(request.validate),
     }
@@ -190,7 +171,7 @@ class CacheBackend:
 
         Tags belong to the caller, so they are replaced wholesale; the
         stored ``extra`` (``SchedulerOutput.extra`` — e.g. the
-        portfolio's winner) is kept, since it describes the computation,
+        annealer's seed makespan) is kept, since it describes the computation,
         which is what the fingerprint keys.
         """
         with self._lock:

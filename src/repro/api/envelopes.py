@@ -215,7 +215,7 @@ class SchedulerOutput:
     Algorithms without a ``k'`` sweep leave ``k_prime``/``sweep`` at their
     defaults; the façade fills in timing, failure capture, and envelope
     metadata around this. ``extra`` carries algorithm-specific outcome
-    metadata (the portfolio's winner, the annealer's seed makespan); the
+    metadata (the annealer's seed makespan, the exact solver's counters); the
     façade surfaces it as ``ScheduleResult.extra``, so it survives JSON
     round-trips and cache hits without mixing into the caller's ``tags``.
     Values must be JSON-serializable and finite.
@@ -244,7 +244,7 @@ class ScheduleResult:
     failure: Optional[FailureInfo] = None
     tags: TMapping[str, Any] = field(default_factory=dict)
     #: algorithm-reported outcome metadata (``SchedulerOutput.extra``):
-    #: the portfolio's winner, the annealer's seed makespan. Determined
+    #: the annealer's seed makespan, the exact solver's counters. Determined
     #: by the computation — unlike ``tags``, which belong to the caller —
     #: so cache hits keep the stored ``extra`` while retagging.
     extra: TMapping[str, Any] = field(default_factory=dict)

@@ -30,14 +30,13 @@ from repro.api.exec.backends import (
 )
 from repro.api.exec.policy import ON_TIMEOUT_CHOICES, ExecutionPolicy
 from repro.api.exec.queue import QueueBackend, Spool
-from repro.api.exec.routing import BACKEND_ENV, NESTED_ENV, route
+from repro.api.exec.routing import BACKEND_ENV, route
 from repro.api.exec.worker import run_worker
 
 __all__ = [
     "BACKEND_ENV",
     "ExecutionBackend",
     "ExecutionPolicy",
-    "NESTED_ENV",
     "ON_TIMEOUT_CHOICES",
     "ProcessBackend",
     "QueueBackend",

@@ -103,9 +103,6 @@ def _attempt(request: ScheduleRequest,
             box["error"] = exc
 
     start = time.perf_counter()
-    # the "repro-exec" prefix is route()'s nested-batch guard: an
-    # algorithm that itself calls solve_batch (the portfolio) must not
-    # fork a process pool from this now multithreaded parent
     watchdog = threading.Thread(target=target, daemon=True,
                                 name="repro-exec-attempt")
     watchdog.start()

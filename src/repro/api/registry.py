@@ -133,11 +133,6 @@ def available_algorithms() -> Tuple[str, ...]:
     return tuple(sorted(_ALGORITHMS))
 
 
-def algorithm_infos() -> Tuple[AlgorithmInfo, ...]:
-    """Every registered algorithm, sorted by canonical name."""
-    return tuple(_ALGORITHMS[key] for key in available_algorithms())
-
-
 def get_algorithm(name: str) -> AlgorithmInfo:
     """Resolve a (canonicalized) name; unknown names list the valid ones."""
     return lookup("algorithm", _ALGORITHMS, name)

@@ -339,7 +339,9 @@ class AlgorithmSpec(Record):
     ``config`` may be given as the algorithm's config dataclass instance —
     it is normalised to a plain field dict so the spec stays serializable;
     at expansion time the dict is instantiated back through the registry's
-    ``config_cls``.
+    ``config_cls``. The spec builds that config once when it is made, so
+    an unknown algorithm or a config it cannot take is refused where the
+    spec is loaded or submitted, not halfway through a run.
     """
 
     name: str = "daghetpart"
@@ -352,6 +354,7 @@ class AlgorithmSpec(Record):
                 config = dataclasses.asdict(config)
             config = {str(k): listed(v) for k, v in dict(config).items()}
             object.__setattr__(self, "config", config)
+        self.build_config()
 
     def build_config(self) -> Optional[Any]:
         info = get_algorithm(self.name)  # raises on unknown names

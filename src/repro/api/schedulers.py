@@ -4,24 +4,19 @@ Importing :mod:`repro.api` loads this module, which populates the registry
 with ``daghetmem`` (Section 4.1 baseline), ``daghetpart`` (Section 4.2
 four-step heuristic), ``heftlist`` — a memory-oblivious HEFT-style
 list scheduler that bounds how much the memory constraint costs —,
-``anneal`` — simulated-annealing refinement of the DagHetPart mapping on
-the incremental makespan evaluator — and ``portfolio`` — a meta-scheduler
-that runs a capability-filtered set of registered algorithms and keeps
-the best feasible mapping. Third-party algorithms register the same way;
+``cpack`` — a greedy memory-aware critical-path packer —, ``anneal`` —
+simulated-annealing refinement of the DagHetPart mapping on the
+incremental makespan evaluator — and ``exact`` — an exhaustive reference
+solver for tiny instances. Third-party algorithms register the same way;
 see :func:`repro.api.registry.register_algorithm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.api.envelopes import SchedulerOutput
-from repro.api.registry import (
-    algorithm_infos,
-    get_algorithm,
-    register_algorithm,
-)
+from repro.api.registry import register_algorithm
 from repro.core.anneal import AnnealConfig, anneal_refine
 from repro.core.baseline import dag_het_mem
 from repro.core.cpack import critical_path_pack, rank_order, upward_ranks
@@ -31,7 +26,6 @@ from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.mapping import BlockAssignment, Mapping
 from repro.memdag.requirement import RequirementCache
 from repro.platform.cluster import Cluster
-from repro.utils.errors import NoFeasibleMappingError
 from repro.workflow.graph import Workflow
 
 
@@ -166,8 +160,8 @@ class CPackScheduler:
     """The cheap contender (see :mod:`repro.core.cpack`); takes no config.
 
     Unlike ``heftlist`` it is memory-aware — every emitted block fits its
-    processor — so it qualifies for the portfolio's default membership
-    and gives the expensive heuristics a floor to beat on big instances.
+    processor — so it gives the expensive heuristics a floor to beat on
+    big instances.
     """
 
     def run(self, workflow: Workflow, cluster: Cluster,
@@ -241,9 +235,9 @@ class AnnealScheduler:
 class ExactScheduler:
     """The optimality yardstick (see :mod:`repro.core.exact`).
 
-    Carries ``tiny-only`` so the portfolio's default capability filter
-    never drafts it onto instances it would reject with ``ValueError``;
-    searched-space counters ride on ``SchedulerOutput.extra``.
+    Carries ``tiny-only``: it rejects larger instances with
+    ``ValueError``. Searched-space counters ride on
+    ``SchedulerOutput.extra``.
     """
 
     def run(self, workflow: Workflow, cluster: Cluster,
@@ -253,132 +247,3 @@ class ExactScheduler:
                 f"exact expects an ExactConfig, got {type(config).__name__}")
         mapping, stats = exact_schedule(workflow, cluster, config=config)
         return SchedulerOutput(mapping=mapping, extra=dict(stats))
-
-
-@dataclass(frozen=True)
-class PortfolioConfig:
-    """Membership and execution knobs of the portfolio meta-scheduler.
-
-    ``algorithms=None`` selects every registered algorithm whose
-    capabilities avoid ``exclude_capabilities`` (by default: other meta
-    schedulers, to prevent recursion; memory-oblivious baselines, whose
-    mappings may violate the memory constraint the portfolio is supposed
-    to respect; and tiny-only reference solvers, which raise on the
-    instance sizes the portfolio usually sees). Members run with their
-    default configs. ``parallel`` fans the member solves out over worker
-    processes (0/1 = serial).
-    """
-
-    algorithms: Optional[Tuple[str, ...]] = None
-    exclude_capabilities: Tuple[str, ...] = ("meta", "memory-oblivious",
-                                             "tiny-only")
-    parallel: int = 0
-
-    def __post_init__(self):
-        if self.algorithms is not None:
-            object.__setattr__(self, "algorithms", tuple(self.algorithms))
-            if not self.algorithms:
-                raise ValueError("portfolio needs at least one algorithm")
-        object.__setattr__(self, "exclude_capabilities",
-                           tuple(self.exclude_capabilities))
-
-    def fingerprint_fields(self) -> Dict[str, object]:
-        """What the result cache should key on (see ``_config_key``).
-
-        The *resolved* member list, not the raw fields: with
-        ``algorithms=None`` the membership depends on the live registry,
-        so registering a new algorithm must miss old cache lines instead
-        of serving a stale winner. ``parallel`` is execution-only — two
-        runs differing only in worker count compute the same result — so
-        it is deliberately excluded.
-        """
-        return {"algorithms": list(resolve_portfolio_members(self))}
-
-
-def resolve_portfolio_members(config: PortfolioConfig) -> Tuple[str, ...]:
-    """The portfolio's member algorithms (canonical names, stable order).
-
-    Explicit ``algorithms`` are resolved through the registry (unknown
-    names raise, nested meta schedulers are rejected); ``None`` selects
-    by capability filter in registry order.
-    """
-    if config.algorithms is not None:
-        names = []
-        for name in config.algorithms:
-            info = get_algorithm(name)  # raises on unknown names
-            if "meta" in info.capabilities:
-                raise ValueError(
-                    f"portfolio member {name!r} is itself a meta "
-                    f"scheduler; nesting is not supported")
-            names.append(info.name)
-        return tuple(names)
-    excluded = set(config.exclude_capabilities)
-    return tuple(info.name for info in algorithm_infos()
-                 if not (set(info.capabilities) & excluded))
-
-
-@register_algorithm(
-    "portfolio", display_name="Portfolio",
-    config_cls=PortfolioConfig,
-    capabilities=("meta", "makespan-optimizing", "configurable"),
-    summary="meta-scheduler: runs a capability-filtered set of registered "
-            "algorithms through solve_batch and keeps the best feasible "
-            "mapping (argmin makespan, first member wins ties); the "
-            "winner's name rides on the result's extra metadata")
-class PortfolioScheduler:
-    """Best-of-N over the registry: the per-request argmin of its members.
-
-    Each member runs on the same (workflow, cluster) request via the
-    batch façade, so member failures are captured per member and a
-    single feasible mapping suffices; only when *every* member fails does
-    the portfolio raise :class:`NoFeasibleMappingError`. The winning
-    member's display name is reported as ``portfolio_winner`` in
-    ``SchedulerOutput.extra`` (and thus on ``ScheduleResult.extra``),
-    along with the winner's ``k_prime``/``sweep``.
-    """
-
-    def members(self, config: PortfolioConfig) -> Tuple[str, ...]:
-        """Resolve the member list (see :func:`resolve_portfolio_members`)."""
-        return resolve_portfolio_members(config)
-
-    def run(self, workflow: Workflow, cluster: Cluster,
-            config: Optional[PortfolioConfig] = None) -> SchedulerOutput:
-        # lazy: repro.api.batch imports the registry this module populates
-        from repro.api.batch import solve_batch
-        from repro.api.envelopes import ScheduleRequest
-
-        if config is not None and not isinstance(config, PortfolioConfig):
-            raise TypeError(
-                f"portfolio expects a PortfolioConfig, got "
-                f"{type(config).__name__}")
-        config = config or PortfolioConfig()
-        members = self.members(config)
-        if not members:
-            raise ValueError(
-                "portfolio has no members after capability filtering; "
-                "pass PortfolioConfig(algorithms=...) explicitly")
-
-        requests = [ScheduleRequest(workflow=workflow, cluster=cluster,
-                                    algorithm=name, want_mapping=True)
-                    for name in members]
-        results = solve_batch(requests, parallel=config.parallel)
-
-        best = None
-        for result in results:
-            if result.success and result.mapping is not None \
-                    and (best is None or result.makespan < best.makespan):
-                best = result
-        if best is None:
-            raise NoFeasibleMappingError(
-                f"portfolio: none of {len(members)} member algorithm(s) "
-                f"({', '.join(members)}) found a feasible mapping of "
-                f"{workflow.name!r} onto {cluster.name!r}",
-                unplaced_tasks=workflow.n_tasks)
-        return SchedulerOutput(
-            mapping=best.mapping,
-            k_prime=best.k_prime,
-            sweep=best.sweep,
-            extra={
-                "portfolio_winner": best.algorithm,
-                "portfolio_members": ",".join(members),
-            })

@@ -71,13 +71,14 @@ from repro.api import (
     solve_with_policy,
 )
 from repro.api.exec.queue import Spool, lease_from_env
-from repro.core.heuristic import DagHetPartConfig
+from repro.core.heuristic import K_PRIME_STRATEGIES, DagHetPartConfig
 from repro.experiments import figures
 from repro.experiments.instances import synthetic_sizes
 from repro.experiments.report import format_table
 from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
 from repro.generators.realworld import REAL_WORKFLOW_NAMES, generate_real_workflow
 from repro.platform.presets import CLUSTER_PRESETS, cluster_by_name
+from repro.sim.policies import available_policies
 from repro.workflow.io import save_workflow_json, workflow_to_dot
 
 
@@ -183,10 +184,6 @@ def cmd_schedule(args) -> int:
     if seed_mu is not None:
         print(f"refined   : {seed_mu:.2f} -> {result.makespan:.2f} "
               f"({result.extra.get('anneal_accepted', 0)} accepted moves/swaps)")
-    winner = result.extra.get("portfolio_winner")
-    if winner is not None:
-        print(f"winner    : {winner} "
-              f"(portfolio: {result.extra.get('portfolio_members', '')})")
     if args.gantt:
         from repro.core.simulate import gantt_text
         print()
@@ -490,7 +487,7 @@ def cmd_serve(args) -> int:
 
 def cmd_worker(args) -> int:
     """``repro worker``: serve a queue-backend spool until stopped."""
-    from repro.api.exec import NESTED_ENV, run_worker
+    from repro.api.exec import run_worker
 
     # every comparison with nan is false, so each check refuses nan; a
     # zero poll would busy-spin a core, and a nan --max-idle would never
@@ -511,10 +508,6 @@ def cmd_worker(args) -> int:
     lease = args.lease if args.lease is not None else _checked(lease_from_env)
     if lease is False or _checked(Spool, args.spool, lease) is False:
         return 2
-    # a batch issued *inside* a worker (portfolio-style algorithms that
-    # call solve_batch) must run serial, not spool into a new queue or
-    # fork pools from a process that is already one worker of many
-    os.environ[NESTED_ENV] = "1"
     print(f"worker    : attaching to {args.spool}", file=sys.stderr)
     completed = run_worker(
         args.spool, worker_id=args.id, poll_s=args.poll,
@@ -647,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="daghetpart",
                    choices=sorted(available_algorithms()))
     p.add_argument("--k-strategy", default="auto",
-                   choices=["auto", "all", "doubling"])
+                   choices=K_PRIME_STRATEGIES)
     p.add_argument("--no-scale-memory", dest="scale_memory",
                    action="store_false",
                    help="disable the paper's proportional memory scaling")
@@ -664,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", help="comma-separated family subset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-strategy", default="doubling",
-                   choices=["auto", "all", "doubling"])
+                   choices=K_PRIME_STRATEGIES)
     p.add_argument("-j", "--parallel", type=int, default=None, metavar="N",
                    help="run corpus instances over N worker processes "
                         "(-1 = all CPUs; default: $REPRO_PARALLEL or serial)")
@@ -719,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a dynamic scenario")
     p.add_argument("spec",
                    help="scenario spec (.json) with a dynamics block")
-    p.add_argument("--policy", choices=["static", "warmstart", "resolve"],
+    p.add_argument("--policy", choices=available_policies(),
                    default=None,
                    help="override the spec's reaction policy")
     p.add_argument("--cache", metavar="URI",

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.evaluator import MakespanEvaluator
+from repro.core.heuristic import check_k_prime_strategy
 from repro.core.quotient import BlockId, QuotientGraph
 from repro.memdag.requirement import RequirementCache
 from repro.platform.cluster import Cluster
@@ -113,6 +114,7 @@ class AnnealConfig:
                              f"got {self.move_fraction}")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError(f"time_budget must be positive, got {self.time_budget}")
+        check_k_prime_strategy(self.k_prime_strategy)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """``cpack``: the greedy critical-path packer (cheap O(n log n) contender).
 
 The ROADMAP's "greedy critical-path packer" leftover: a scheduler that
-spends O(n log n) on its packing decisions, as a portfolio member that
-gives the expensive heuristics a floor to beat on large instances.
+spends O(n log n) on its packing decisions and gives the expensive
+heuristics a floor to beat on large instances.
 
 The idea is HEFT's priority order with DagHetPart's validity rules:
 
@@ -28,11 +28,10 @@ one could hold — and three packing attempts trade schedule quality for
 feasibility (critical-path order, peak-minimizing traversal, peak-min
 without load-balancing closes). The packer never needs a repair pass,
 and — unlike ``heftlist`` — never emits a mapping that violates the
-memory constraint, which is what qualifies it for the portfolio's
-default membership. On instances where no contiguous cut of any
+memory constraint. On instances where no contiguous cut of any
 traversal fits the cluster (co-scheduling structurally required), it
-raises :class:`NoFeasibleMappingError`; the portfolio simply drops the
-contender for that instance.
+raises :class:`NoFeasibleMappingError`, which the façade reports as a
+structured failure for that instance.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ The solver is exact only under :class:`~repro.platform.bandwidth.
 UniformBandwidth` (kind-interchangeability breaks on per-link models)
 and refuses anything else — like it refuses oversized instances — with
 a loud ``ValueError`` rather than a silently wrong "optimum". It is
-registered with the ``tiny-only`` capability, which the portfolio's
-default membership filter excludes.
+registered with the ``tiny-only`` capability.
 """
 
 from __future__ import annotations

@@ -45,6 +45,17 @@ from repro.workflow.graph import Workflow
 Node = Hashable
 
 
+#: the ``k'`` sweeps :class:`DagHetPartConfig` knows
+K_PRIME_STRATEGIES = ("auto", "all", "doubling")
+
+
+def check_k_prime_strategy(strategy: str) -> None:
+    """Refuse an unknown ``k'`` strategy when a config is built."""
+    if strategy not in K_PRIME_STRATEGIES:
+        raise ValueError(f"unknown k' strategy {strategy!r}; "
+                         f"valid: {', '.join(K_PRIME_STRATEGIES)}")
+
+
 @dataclass(frozen=True)
 class DagHetPartConfig:
     """Tuning knobs of DagHetPart; defaults follow the paper.
@@ -83,6 +94,9 @@ class DagHetPartConfig:
     prefer_off_critical_path: bool = True
     traversal_methods: Tuple[str, ...] = ("best_first", "layered", "sp")
 
+    def __post_init__(self):
+        check_k_prime_strategy(self.k_prime_strategy)
+
 
 def _k_prime_candidates(k: int, config: DagHetPartConfig) -> List[int]:
     if config.k_prime_values is not None:
@@ -95,15 +109,13 @@ def _k_prime_candidates(k: int, config: DagHetPartConfig) -> List[int]:
         strategy = "all" if k <= 12 else "doubling"
     if strategy == "all":
         return list(range(1, k + 1))
-    if strategy == "doubling":
-        values = []
-        kp = 1
-        while kp < k:
-            values.append(kp)
-            kp *= 2
-        values.append(k)
-        return values
-    raise ValueError(f"unknown k' strategy {strategy!r}")
+    values = []  # doubling
+    kp = 1
+    while kp < k:
+        values.append(kp)
+        kp *= 2
+    values.append(k)
+    return values
 
 
 @dataclass(frozen=True)

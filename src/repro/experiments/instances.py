@@ -169,22 +169,20 @@ PAPER_SCENARIO = ScenarioSpec(
 
 
 #: The local-search refinement companion grid: the same corpus on the
-#: default cluster, run with the DagHetPart seed, its simulated-annealing
-#: refinement, and the best-of-N portfolio — the two registry-unlocked
-#: contenders beyond the paper. ``figures.refinement_gain`` aggregates the
+#: default cluster, run with the DagHetPart seed and its
+#: simulated-annealing refinement. ``figures.refinement_gain`` aggregates the
 #: anneal-vs-seed ratios; ``repro scenario run`` on this spec's JSON dump
 #: executes the whole suite resumably (fresh results cached per request).
 REFINEMENT_SCENARIO = ScenarioSpec(
     name="icpp24-refinement-suite",
     description="Refinement suite: corpus x default cluster x "
-                "{DagHetPart, Anneal, Portfolio}",
+                "{DagHetPart, Anneal}",
     workflows=(RealWorkflowSource(seed=0),
                FamilyGridSource(seed=0)),
     platforms=(PlatformAxis(preset="default"),),
     algorithms=(
         AlgorithmSpec("daghetpart", config={"k_prime_strategy": "doubling"}),
         AlgorithmSpec("anneal", config={"k_prime_strategy": "doubling"}),
-        AlgorithmSpec("portfolio"),
     ),
     tags={"scenario": "{scenario}"},
     scale_memory=True,

@@ -14,12 +14,6 @@ enforcement as ``repro scenario run`` — which is what makes the
 service's records bit-identical to offline ones (modulo measured
 runtimes).
 
-Worker threads are named ``repro-serve-*`` on purpose: the nested-batch
-guard in :func:`repro.api.exec.routing.route` forces *serial* routing
-only inside ``repro-exec*`` threads, so a job running on a service
-worker can still fan out over a process pool exactly as it would
-offline.
-
 Concurrency notes: every worker thread drives the one shared
 :class:`~repro.api.cache.CacheBackend` directly — the backend's own lock
 serializes its get/put/stats/close, and the job store has its own lock —
@@ -45,11 +39,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.service.jobs import JobResult, JobSpec, JobStatus
 from repro.service.store import JobStore
-
-#: worker threads carry this prefix so the nested-batch guard in
-#: ``route()`` (which keys on "repro-exec") never fires for service jobs
-WORKER_THREAD_PREFIX = "repro-serve"
-
 
 class ServiceDraining(RuntimeError):
     """Raised on submission once shutdown has begun (the HTTP 503)."""
@@ -109,7 +98,7 @@ class Dispatcher:
         """
         self._loop = asyncio.get_running_loop()
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix=WORKER_THREAD_PREFIX)
+            max_workers=self.workers, thread_name_prefix="repro-serve")
         requeued, crashed = self.store.recover()
         for job_id in requeued:
             self._enqueue(job_id)

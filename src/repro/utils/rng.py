@@ -7,7 +7,7 @@ whole sweep bit-for-bit, regardless of execution order.
 
 numpy is imported inside :func:`make_rng` and :func:`spawn_rngs`, so it
 loads only where random numbers are drawn: the workflow generators, ``sim``
-and ``anneal``/``portfolio``. ``repro serve`` and ``repro worker`` start
+and ``anneal``. ``repro serve`` and ``repro worker`` start
 without it and a ``solve()`` of a decoded request never loads it, which
 keeps their process start short and their memory small.
 """

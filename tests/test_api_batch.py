@@ -74,8 +74,8 @@ class TestOversizedTasks:
         monkeypatch.setattr(heuristic, "acyclic_partition", counting)
         return calls
 
-    @pytest.mark.parametrize("algorithm", ["daghetpart", "anneal", "portfolio",
-                                           "daghetmem", "cpack", "exact"])
+    @pytest.mark.parametrize("algorithm", ["daghetpart", "anneal", "daghetmem",
+                                           "cpack", "exact"])
     def test_unscaled_blast_fails_without_partitioning(self, algorithm,
                                                        partition_calls):
         from repro.generators.families import generate_workflow

@@ -26,6 +26,25 @@ def _request(**overrides) -> ScheduleRequest:
     return ScheduleRequest(**base)
 
 
+def _golden_request(algorithm, config=None) -> ScheduleRequest:
+    """A fixed 4-task request on a 2-processor cluster."""
+    from repro.platform.cluster import Cluster
+    from repro.platform.processor import Processor
+    from repro.workflow.graph import Workflow
+
+    wf = Workflow(name="golden")
+    for u, (work, mem) in enumerate([(4.0, 2.0), (3.0, 1.5),
+                                     (2.0, 1.0), (5.0, 2.5)]):
+        wf.add_task(u, work=work, memory=mem)
+    for u, v, c in [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0), (2, 3, 1.0)]:
+        wf.add_edge(u, v, c)
+    cluster = Cluster([Processor("fast", 2.0, 8.0, kind="A"),
+                       Processor("big", 1.0, 16.0, kind="B")],
+                      bandwidth=1.0, name="golden-cluster")
+    return ScheduleRequest(workflow=wf, cluster=cluster, algorithm=algorithm,
+                           config=config)
+
+
 class TestFingerprint:
     def test_stable_across_identical_requests(self):
         assert request_fingerprint(_request()) == request_fingerprint(_request())
@@ -56,23 +75,38 @@ class TestFingerprint:
     def test_golden_fingerprint(self):
         # every stored cache entry is keyed by this digest:
         # a change to the payload or to canonical_name orphans them all
-        from repro.platform.cluster import Cluster
-        from repro.platform.processor import Processor
-        from repro.workflow.graph import Workflow
-
-        wf = Workflow(name="golden")
-        for u, (work, mem) in enumerate([(4.0, 2.0), (3.0, 1.5),
-                                         (2.0, 1.0), (5.0, 2.5)]):
-            wf.add_task(u, work=work, memory=mem)
-        for u, v, c in [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0), (2, 3, 1.0)]:
-            wf.add_edge(u, v, c)
-        cluster = Cluster([Processor("fast", 2.0, 8.0, kind="A"),
-                           Processor("big", 1.0, 16.0, kind="B")],
-                          bandwidth=1.0, name="golden-cluster")
-        request = ScheduleRequest(workflow=wf, cluster=cluster,
-                                  algorithm="Dag-Het_Part")
-        assert request_fingerprint(request) == (
+        assert request_fingerprint(_golden_request("Dag-Het_Part")) == (
             "5b12ab967f50064f2f6c60d272fea5781da7cc25e1f33bd5de3105d6dade35eb")
+
+    @pytest.mark.parametrize("algorithm, default_config, digest", [
+        ("daghetmem", False, "7297d3c2c9fe7f8acb34537f1e5506b6"
+                             "b51fc7562855e341de42e1c2f06c6915"),
+        ("daghetpart", False, "5b12ab967f50064f2f6c60d272fea578"
+                              "1da7cc25e1f33bd5de3105d6dade35eb"),
+        ("daghetpart", True, "d7c4b7047a5ccdde2cf8ad5814900095"
+                             "44fd182e6a394172094a41caca318b26"),
+        ("heftlist", False, "fab95d6ce2f643749b27cddc34ca29f5"
+                            "6d5c6996111842f1bc89b69757ddebe7"),
+        ("cpack", False, "1788f2c3a5015651d5326e8c8562d7b0"
+                         "8861018e1fb004582e97943f640ffade"),
+        ("anneal", False, "d7a9d1839738052286db973df4e40d66"
+                          "5a67bbe13a65a6a6771ad78a57252622"),
+        ("anneal", True, "26fd3cd12afd46fba122f79d6b6fcfde"
+                         "8a7465c3f7c1385462aef6f1278586e4"),
+        ("exact", False, "7de9fac0f1253ab81d42fcd7230b364c"
+                         "98b7c123169a032b06c68af02431ce24"),
+        ("exact", True, "fe93278c89177f7e5206125e36c5f40a"
+                        "11773335df07298f19fa99c706e8caf3"),
+    ])
+    def test_pinned_fingerprints(self, algorithm, default_config, digest):
+        # digests of existing cache lines, one per algorithm, with
+        # config=None and (where the algorithm takes one) its explicit
+        # default config: a result cache written earlier must still hit
+        from repro.api import get_algorithm
+        config = get_algorithm(algorithm).config_cls() if default_config \
+            else None
+        request = _golden_request(algorithm, config=config)
+        assert request_fingerprint(request) == digest
 
 
 class TestResultCache:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.api import (
     AnnealConfig,
     FailureInfo,
-    PortfolioConfig,
     ScheduleRequest,
     ScheduleResult,
     SweepPoint,
@@ -193,8 +192,7 @@ _failure = st.one_of(
 
 _results = st.builds(
     ScheduleResult,
-    algorithm=st.sampled_from(["DagHetMem", "DagHetPart", "Anneal",
-                               "Portfolio"]),
+    algorithm=st.sampled_from(["DagHetMem", "DagHetPart", "Anneal"]),
     workflow=st.text(max_size=12),
     n_tasks=st.integers(0, 10**6),
     cluster=st.text(max_size=12),
@@ -271,19 +269,10 @@ _anneal_configs = st.builds(
     move_fraction=st.floats(0.0, 1.0),
     schedule=st.sampled_from(["geometric", "linear"]),
 )
-_portfolio_configs = st.builds(
-    PortfolioConfig,
-    algorithms=st.one_of(
-        st.none(),
-        st.lists(st.sampled_from(["daghetmem", "daghetpart", "heftlist"]),
-                 min_size=1, max_size=3, unique=True).map(tuple)),
-    parallel=st.integers(0, 4),
-)
 _algorithm_and_config = st.one_of(
     st.tuples(st.sampled_from(["daghetmem", "heftlist"]), st.none()),
     st.tuples(st.just("daghetpart"), st.one_of(st.none(), _part_configs)),
     st.tuples(st.just("anneal"), st.one_of(st.none(), _anneal_configs)),
-    st.tuples(st.just("portfolio"), st.one_of(st.none(), _portfolio_configs)),
 )
 
 

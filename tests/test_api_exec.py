@@ -196,42 +196,6 @@ class TestRouting:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert route(workers=4) == "process"
 
-    def test_nested_batch_inside_watchdog_thread_is_serial(self,
-                                                           monkeypatch):
-        """A timeout policy runs the solve in a watchdog thread; an
-        algorithm that itself calls solve_batch (portfolio, parallel>1)
-        must not fork a process pool from that threaded parent."""
-        import repro.api.exec.backends as backends_module
-        from repro.api import PortfolioConfig
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        created = []
-        real = backends_module.create_backend
-        monkeypatch.setattr(backends_module, "create_backend",
-                            lambda name: created.append(name) or real(name))
-        request = _request(algorithm="portfolio",
-                           config=PortfolioConfig(parallel=2),
-                           policy=ExecutionPolicy(timeout_s=60.0))
-        [result] = solve_batch([request])
-        assert result.success
-        assert created == ["serial", "serial"]  # outer batch + nested one
-
-    def test_route_inside_policy_watchdog_thread_is_serial(self,
-                                                          monkeypatch):
-        """route() called on the policy's repro-exec-attempt watchdog
-        thread must not fork a process pool out of a multithreaded
-        parent, even with REPRO_BACKEND asking for one."""
-        import threading
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        routed = {}
-
-        def target():
-            routed["name"] = route(workers=8)
-
-        worker = threading.Thread(target=target, name="repro-exec-attempt")
-        worker.start()
-        worker.join()
-        assert routed["name"] == "serial"
-
 
 # ----------------------------------------------------------------------
 # Policy enforcement on every backend
@@ -430,29 +394,6 @@ class TestBackendEquivalence:
                 reference = stripped
             else:
                 assert stripped == reference
-
-    def test_nested_batch_in_process_worker_routes_serial(self, monkeypatch):
-        """REPRO_BACKEND must not make a pool worker fork grandchildren:
-        the portfolio meta-scheduler calls solve_batch from inside a
-        daemonic process-backend worker, which cannot have children."""
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        request = _request(algorithm="portfolio", config=None)
-        [result] = solve_batch([request], parallel=2)
-        assert result.success
-        assert "portfolio_winner" in result.extra
-
-    def test_daemonic_process_routes_serial(self, monkeypatch):
-        class FakeDaemon:
-            daemon = True
-
-        import multiprocessing
-        monkeypatch.setattr(multiprocessing, "current_process", FakeDaemon)
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert route(workers=4) == "serial"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert route(workers=4) == "serial"
-        # an explicit argument is still honoured as written
-        assert route(backend="process", workers=4) == "process"
 
     def test_explicit_backend_object_lifecycle(self):
         backend = create_backend("process")

@@ -28,7 +28,7 @@ from repro.api import (
     solve_batch,
     unregister_algorithm,
 )
-from repro.api.exec import NESTED_ENV, QueueBackend, Spool, run_worker
+from repro.api.exec import QueueBackend, Spool, run_worker
 from repro.api.exec.queue import (
     DEFAULT_MAX_RECLAIMS,
     POISON_KIND,
@@ -279,10 +279,6 @@ class TestQueueEquivalence:
         assert "queue" in available_backends()
         assert route(workers=8) != "queue"
         assert route(backend="queue", workers=8) == "queue"
-
-    def test_nested_env_routes_serial(self, monkeypatch):
-        monkeypatch.setenv(NESTED_ENV, "1")
-        assert route(workers=8) == "serial"
 
     def test_serial_and_queue_sweeps_are_bit_identical(self):
         requests = _sweep_requests(6)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import (
     SchedulerOutput,
-    algorithm_infos,
     available_algorithms,
     canonical_name,
     get_algorithm,
@@ -33,8 +32,9 @@ class TestBuiltins:
         assert info.summary
 
     def test_infos_sorted(self):
-        infos = algorithm_infos()
-        assert [i.name for i in infos] == sorted(i.name for i in infos)
+        names = available_algorithms()
+        assert list(names) == sorted(names)
+        assert [get_algorithm(name).name for name in names] == list(names)
 
 
 class TestNameResolution:

@@ -76,9 +76,9 @@ class TestSpecConstruction:
         assert rebuilt == DagHetPartConfig(k_prime_values=(1, 4))
 
     def test_config_on_configless_algorithm_rejected(self):
-        alg = AlgorithmSpec("daghetmem", config={"x": 1})
+        # refused where the block is built, before any build_config call
         with pytest.raises(ValueError, match="takes no config"):
-            alg.build_config()
+            AlgorithmSpec("daghetmem", config={"x": 1})
 
     def test_unknown_source_kind_rejected(self):
         from repro.api.scenario import source_from_dict
@@ -207,9 +207,9 @@ class TestExpand:
         assert requests[0].workflow.n_tasks >= 20
 
     def test_unknown_algorithm_fails_eagerly(self):
-        spec = tiny_spec(algorithms=(AlgorithmSpec("nope"),))
+        # refused where the spec is built, before anything expands
         with pytest.raises(ValueError, match="unknown algorithm"):
-            next(iter(expand(spec)))
+            tiny_spec(algorithms=(AlgorithmSpec("nope"),))
 
 
 class TestFig5Equivalence:
@@ -390,7 +390,7 @@ class TestPaperScenario:
         spec = ScenarioSpec.from_json(REFINEMENT_SCENARIO.to_json())
         assert spec == REFINEMENT_SCENARIO
         instances = sum(src.count() for src in spec.workflows)
-        assert spec.size() == instances * 3  # daghetpart, anneal, portfolio
+        assert spec.size() == instances * 2  # daghetpart, anneal
         # the per-algorithm configs rebuild through the registry
         for alg in spec.algorithms:
             alg.build_config()

@@ -300,13 +300,35 @@ def _bad_specs():
         "unknown-top-level-field": json.dumps(dict(_GOOD_SPEC, dynamic={})),
         "missing-name": json.dumps({"workflows": _GOOD_SPEC["workflows"]}),
         "missing-workflows": json.dumps({"name": "bad-spec"}),
+        **{case: json.dumps(dict(_GOOD_SPEC, algorithms=[block]))
+           for case, block in _BAD_ALGORITHMS.items()},
     }
 
+
+#: algorithm blocks that cannot run: refused when the spec loads
+_BAD_ALGORITHMS = {
+    "unknown-algorithm": {"name": "daghetprt"},
+    "removed-algorithm": {"name": "portfolio"},
+    "unknown-config-field": {"name": "daghetpart",
+                             "config": {"k_prime_strat": "all"}},
+    "config-for-configless": {"name": "daghetmem", "config": {"x": 1}},
+    "unknown-k-prime-strategy": {"name": "daghetpart",
+                                 "config": {"k_prime_strategy": "dubling"}},
+}
+
+_ALGORITHM_NAMES = "anneal, cpack, daghetmem, daghetpart, exact, heftlist"
 
 #: what a bad spec's one error line must also say, where it matters
 _BAD_SPEC_FRAGMENTS = {
     "thread-backend": "unknown execution backend 'thread'; "
                       "available: process, queue, serial",
+    "unknown-algorithm": f"unknown algorithm 'daghetprt'; "
+                         f"available: {_ALGORITHM_NAMES}",
+    "removed-algorithm": f"unknown algorithm 'portfolio'; "
+                         f"available: {_ALGORITHM_NAMES}",
+    "unknown-config-field": "'k_prime_strat'",
+    "config-for-configless": "algorithm 'daghetmem' takes no config",
+    "unknown-k-prime-strategy": "unknown k' strategy 'dubling'",
 }
 
 
@@ -455,12 +477,10 @@ class TestExecutionSettingErrors:
         """A worker started without --lease beats by the lease its parent
         judges by; an explicit --lease still wins."""
         import repro.api.exec as exec_module
-        from repro.api.exec import NESTED_ENV
         leases = []
         monkeypatch.setattr(
             exec_module, "run_worker",
             lambda spool, **kw: leases.append(kw["lease_timeout_s"]) or 0)
-        monkeypatch.setenv(NESTED_ENV, "")  # restored: the verb sets it
         monkeypatch.setenv("REPRO_QUEUE_LEASE_S", "0.5")
         assert main(["worker", str(tmp_path / "spool")]) == 0
         assert main(["worker", str(tmp_path / "spool"), "--lease", "3"]) == 0

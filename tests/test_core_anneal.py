@@ -39,6 +39,7 @@ class TestAnnealConfig:
         {"move_fraction": -0.1},
         {"move_fraction": 1.1},
         {"time_budget": 0.0},
+        {"k_prime_strategy": "dubling"},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

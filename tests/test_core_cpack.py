@@ -69,7 +69,7 @@ class TestCriticalPathPack:
 
     def test_infeasible_instance_raises(self):
         """epigenomics-60 cannot be packed; the contract is a clean raise
-        (the portfolio drops the member instead of crashing)."""
+        (the façade reports it as a structured failure)."""
         wf, cluster = _instance("epigenomics", 60)
         with pytest.raises(NoFeasibleMappingError):
             critical_path_pack(wf, cluster)
@@ -109,13 +109,11 @@ class TestCriticalPathPack:
 
 
 class TestRegistration:
-    def test_registered_and_in_portfolio_defaults(self):
+    def test_registered_as_memory_packing(self):
         from repro.api import available_algorithms, get_algorithm
-        from repro.api.schedulers import PortfolioConfig, resolve_portfolio_members
         assert "cpack" in available_algorithms()
         spec = get_algorithm("cpack")
         assert "memory-packing" in spec.capabilities
-        assert "cpack" in resolve_portfolio_members(PortfolioConfig())
 
     def test_runs_through_the_facade(self):
         from repro.api import ScheduleRequest, solve

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.api import ExactConfig, ScheduleRequest, solve
-from repro.api.schedulers import PortfolioConfig, resolve_portfolio_members
 from repro.core.exact import (
     DEFAULT_MAX_TASKS,
     _partitions,
@@ -169,10 +168,3 @@ class TestRegistryIntegration:
                                        algorithm="exact"))
         assert not result.success
         assert result.failure.kind == "NoFeasibleMappingError"
-
-    def test_portfolio_default_membership_excludes_tiny_only(self):
-        assert "exact" not in resolve_portfolio_members(PortfolioConfig())
-        # but an explicit opt-in still works
-        members = resolve_portfolio_members(
-            PortfolioConfig(algorithms=("exact", "daghetpart")))
-        assert members == ("exact", "daghetpart")

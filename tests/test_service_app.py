@@ -301,6 +301,24 @@ class TestErrorSurfaces:
         assert "unknown scenario field(s) ['algorithm']" in \
             err.value.payload["error"]
 
+    @pytest.mark.parametrize("algorithm", [
+        {"name": "daghetprt"},
+        {"name": "portfolio"},
+        {"name": "daghetpart", "config": {"k_prime_strat": "all"}},
+        {"name": "daghetmem", "config": {"x": 1}},
+        {"name": "daghetpart", "config": {"k_prime_strategy": "dubling"}},
+    ], ids=["unknown-algorithm", "removed-algorithm", "unknown-config-field",
+            "config-for-configless", "unknown-k-prime-strategy"])
+    def test_algorithm_block_that_cannot_run_gets_400(self, service,
+                                                      algorithm):
+        # refused at submission, not accepted and failed as a job
+        spec = {"name": "bad-algorithm", "algorithms": [algorithm],
+                "workflows": [{"kind": "real", "names": ["airrflow"]}]}
+        with pytest.raises(ServiceError) as err:
+            service.client.submit_scenario(spec)
+        assert err.value.status == 400
+        assert service.client.stats()["peak_active"] == 0  # none accepted
+
     def test_unknown_ids_and_routes_get_404(self, service):
         with pytest.raises(ServiceError) as err:
             service.client.job("no-such-job")
