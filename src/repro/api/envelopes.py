@@ -174,10 +174,12 @@ class ScheduleRequest:
         from repro.workflow.io import workflow_from_dict
 
         algorithm = data.get("algorithm", "daghetpart")
+        # resolved even without a config, so an unknown name is refused
+        # here rather than by the job that runs it
+        config_cls = get_algorithm(algorithm).config_cls
         config = None
         stored = data.get("config")
         if stored is not None:
-            config_cls = get_algorithm(algorithm).config_cls
             if config_cls is None or config_cls.__name__ != stored["type"]:
                 expected = "no config" if config_cls is None \
                     else config_cls.__name__

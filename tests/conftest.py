@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.platform.cluster import Cluster
@@ -92,3 +94,16 @@ def fork_workflow() -> Workflow:
         wf.add_task(f"leaf{i}", work=float(i + 1), memory=1.0)
         wf.add_edge("root", f"leaf{i}", 1.0)
     return wf
+
+
+@pytest.fixture
+def in_process_sweep(monkeypatch):
+    """Run every k' pipeline of a DagHetPart sweep in this process.
+
+    A sweep may fork its pipelines over processes, and work done in a
+    child is invisible to the counters a test patches in; a count test
+    asks for this fixture so it counts the whole sweep.
+    """
+    heuristic = importlib.import_module("repro.core.heuristic")
+    monkeypatch.setattr(heuristic, "_sweep_workers",
+                        lambda n_tasks, n_candidates: 1)

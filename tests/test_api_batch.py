@@ -61,7 +61,7 @@ class TestOversizedTasks:
     """A task that fits no processor fails the request in O(n)."""
 
     @pytest.fixture
-    def partition_calls(self, monkeypatch):
+    def partition_calls(self, monkeypatch, in_process_sweep):
         import importlib
         heuristic = importlib.import_module("repro.core.heuristic")
         calls = []

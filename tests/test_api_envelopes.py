@@ -324,6 +324,15 @@ class TestRequestRoundTripProperty:
         with pytest.raises(TypeError):
             request.to_dict()
 
+    def test_unknown_algorithm_rejected_on_load_without_config(self):
+        request = ScheduleRequest(workflow=generate_workflow("blast", 16, seed=0),
+                                  cluster=default_cluster())
+        data = request.to_dict()
+        assert data["config"] is None
+        data["algorithm"] = "daghetprt"
+        with pytest.raises(ValueError, match="daghetprt"):
+            ScheduleRequest.from_dict(data)
+
     def test_config_type_mismatch_rejected_on_load(self):
         wf = generate_workflow("blast", 16, seed=0)
         request = ScheduleRequest(workflow=wf, cluster=default_cluster(),

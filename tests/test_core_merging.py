@@ -383,7 +383,7 @@ class TestEvaluatorPricing:
 class TestStep3Counts:
     """What Step 3 does in one sweep, counted rather than timed."""
 
-    def test_genome_200_doubling_sweep(self, monkeypatch):
+    def test_genome_200_doubling_sweep(self, monkeypatch, in_process_sweep):
         from repro.api import ScheduleRequest, solve
         from repro.generators.families import generate_workflow
         from repro.platform.presets import default_cluster

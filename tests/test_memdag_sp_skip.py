@@ -286,7 +286,7 @@ class TestSweepCounts:
         ("genome", 276, 54),
     ])
     def test_doubling_sweep_engine_runs(self, family, layered_runs, sp_runs,
-                                        monkeypatch):
+                                        monkeypatch, in_process_sweep):
         """One doubling sweep at 1000 tasks (seed 4, memory-scaled) runs
         ``sp`` only where ``layered`` did not settle it; without the skip
         it ran once per ``layered`` run."""

@@ -175,15 +175,6 @@ class TestScheduleJobs:
         assert [e["event"] for e in events] == ["end"]
         assert events[0]["state"] == "done"
 
-    def test_unknown_algorithm_fails_the_job_not_the_server(self, service):
-        payload = _request_dict()
-        payload["algorithm"] = "not-a-registered-algorithm"
-        accepted = service.client.submit_schedule(payload)
-        status = service.client.wait(accepted["id"], timeout=60)["status"]
-        assert status["state"] == "failed"
-        assert "not-a-registered-algorithm" in status["error"]
-        assert service.client.healthz()["status"] == "ok"
-
 
 class TestScenarioJobs:
     def _spec(self):
@@ -300,6 +291,17 @@ class TestErrorSurfaces:
         assert err.value.status == 400
         assert "unknown scenario field(s) ['algorithm']" in \
             err.value.payload["error"]
+
+    def test_unknown_algorithm_without_config_gets_400(self, service):
+        payload = _request_dict()
+        payload["algorithm"] = "daghetprt"
+        assert payload["config"] is None
+        with pytest.raises(ServiceError) as err:
+            service.client.submit_schedule(payload)
+        assert err.value.status == 400
+        assert "daghetprt" in err.value.payload["error"]
+        assert service.client.stats()["peak_active"] == 0  # none accepted
+        assert service.client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize("algorithm", [
         {"name": "daghetprt"},
