@@ -81,7 +81,6 @@ from repro.api.scenario import (
     expand,
     load_scenario,
     run_scenario,
-    save_scenario,
 )
 from repro.core.anneal import AnnealConfig
 from repro.core.exact import ExactConfig
@@ -131,7 +130,6 @@ __all__ = [
     "route",
     "run_scenario",
     "run_worker",
-    "save_scenario",
     "solve",
     "solve_batch",
     "solve_with_policy",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping as TMapping, Optional, Tuple
 
 from repro.core.heuristic import SweepPoint
@@ -263,10 +263,6 @@ class ScheduleResult:
         if self.failure is not None:
             raise self.failure.to_exception()
         return self
-
-    def without_mapping(self) -> "ScheduleResult":
-        """A copy with the live mapping dropped (cheap to pickle/store)."""
-        return replace(self, mapping=None)
 
     # ------------------------------------------------------------------
     # JSON round trip

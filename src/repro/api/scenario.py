@@ -484,11 +484,6 @@ _SPEC_LAYOUT = ("name", "description", "workflows", "platforms",
                 "execution", "dynamics")
 
 
-def save_scenario(spec: ScenarioSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json() + "\n")
-
-
 def load_scenario(path: str) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return ScenarioSpec.from_json(fh.read())

@@ -40,12 +40,6 @@ class AssignmentState:
     def next_id(self) -> int:
         return next(self._ids)
 
-    def all_tasks_covered(self, wf: Workflow) -> bool:
-        covered: Set[Node] = set()
-        for tasks in self.blocks.values():
-            covered |= tasks
-        return covered == set(wf.tasks())
-
 
 def fit_block(wf: Workflow, block_id: int, state: AssignmentState,
               queue: AddressableMaxPQ, proc: Processor, do_map: bool,

@@ -22,7 +22,7 @@ every memory-respecting mapping.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Hashable, List
 
 from repro.core.mapping import Mapping
 from repro.platform.cluster import Cluster
@@ -101,16 +101,6 @@ def makespan_lower_bound(wf: Workflow, cluster: Cluster) -> float:
     return max(work_bound(wf, cluster),
                critical_path_bound(wf, cluster),
                bottleneck_task_bound(wf, cluster))
-
-
-def bound_report(wf: Workflow, cluster: Cluster) -> Dict[str, float]:
-    """All bounds by name, plus the combined one."""
-    return {
-        "work": work_bound(wf, cluster),
-        "critical_path": critical_path_bound(wf, cluster),
-        "bottleneck_task": bottleneck_task_bound(wf, cluster),
-        "combined": makespan_lower_bound(wf, cluster),
-    }
 
 
 def optimality_gap(mapping: Mapping) -> float:

@@ -10,10 +10,9 @@ each processor runs its block's tasks in the block's recorded traversal
 order, and a task starts as soon as its processor is free and all parent
 outputs have arrived (parent finish time plus link transfer time for
 cross-processor edges). The resulting makespan quantifies how loose the
-block-level bound is on real mappings (:func:`overestimation_factor`);
-:mod:`tests.test_core_simulate` checks that the block-level makespan is
-never below it on DagHetMem and DagHetPart mappings. No bench reports
-the gap.
+block-level bound is on real mappings; the tests check that the
+block-level makespan is never below it on DagHetMem and DagHetPart
+mappings. No bench reports the gap.
 
 This is a separate, finer model, not a view of the block-level replay in
 :mod:`repro.sim.engine`, which prices plans under the paper's model.
@@ -110,17 +109,6 @@ def simulate_task_level(mapping: Mapping) -> Tuple[float, List[TaskEvent]]:
     makespan = max((e.finish for e in events), default=0.0)
     events.sort(key=lambda e: (e.start, e.processor))
     return makespan, events
-
-
-def overestimation_factor(mapping: Mapping) -> float:
-    """Block-level makespan divided by the task-level simulated makespan.
-
-    Values >= 1 quantify the slack of the paper's bound on this mapping.
-    """
-    simulated, _ = simulate_task_level(mapping)
-    if simulated <= 0:
-        return 1.0
-    return mapping.makespan() / simulated
 
 
 def schedule_to_dict(mapping: Mapping) -> Dict:

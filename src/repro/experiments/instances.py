@@ -66,20 +66,24 @@ def _env_scale() -> float:
 def synthetic_sizes(full: Optional[bool] = None) -> Dict[str, Tuple[int, ...]]:
     """Per-category task counts, honouring ``REPRO_FULL``/``REPRO_SCALE``.
 
-    Scaling can round several sizes of a category to one count (all of
-    them to :data:`MIN_TASKS` at a large ``REPRO_SCALE``); each count is
-    listed once per category.
+    Scaling can round several sizes to one count (all of them to
+    :data:`MIN_TASKS` at a large ``REPRO_SCALE``). An instance is seeded
+    and named by family and count only, so each count is listed once over
+    the whole corpus, in the first category (in :data:`PAPER_SIZES`
+    order) that has it; a later category can be left empty.
     """
     if full is None:
         full = os.environ.get("REPRO_FULL", "") == "1"
     if full:
         return dict(PAPER_SIZES)
     scale = _env_scale()
-    return {
-        cat: tuple(dict.fromkeys(max(MIN_TASKS, round(n / scale))
-                                 for n in sizes))
-        for cat, sizes in PAPER_SIZES.items()
-    }
+    seen: set = set()
+    out: Dict[str, Tuple[int, ...]] = {}
+    for cat, sizes in PAPER_SIZES.items():
+        counts = dict.fromkeys(max(MIN_TASKS, round(n / scale)) for n in sizes)
+        out[cat] = tuple(n for n in counts if n not in seen)
+        seen.update(counts)
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from repro.generators.weights import (
 from repro.generators.realworld import (
     REAL_WORKFLOW_NAMES,
     generate_real_workflow,
-    all_real_workflows,
 )
 from repro.generators.random_dag import random_layered_dag, random_workflow
 
@@ -42,7 +41,6 @@ __all__ = [
     "PAPER_WEIGHTS",
     "REAL_WORKFLOW_NAMES",
     "generate_real_workflow",
-    "all_real_workflows",
     "random_layered_dag",
     "random_workflow",
 ]

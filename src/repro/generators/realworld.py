@@ -152,8 +152,3 @@ def generate_real_workflow(name: str, seed: SeedLike = None,
     wf.check_acyclic()
     return wf
 
-
-def all_real_workflows(seed: SeedLike = None, work_factor: float = 1.0) -> List[Workflow]:
-    """All five real-world-like workflows."""
-    return [generate_real_workflow(name, seed=seed, work_factor=work_factor)
-            for name in REAL_WORKFLOW_NAMES]

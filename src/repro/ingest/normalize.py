@@ -51,8 +51,6 @@ class WorkflowAssembler:
         self.path = path
         self.allow_implicit_tasks = allow_implicit_tasks
         self._declared = set()
-        self._weighted_work = set()
-        self._weighted_memory = set()
 
     def error(self, message: str, *, line: Optional[int] = None) -> "IngestError":
         raise IngestError(message, path=self.path, line=line)
@@ -63,29 +61,6 @@ class WorkflowAssembler:
             self.error(f"duplicate task id {task_id!r}", line=line)
         self._declared.add(task_id)
         self.workflow.add_task(task_id, work, memory)
-
-    def set_weights(self, task_id: Any, work: Optional[float] = None,
-                    memory: Optional[float] = None,
-                    *, line: Optional[int] = None) -> None:
-        """Update a declared task's weights; conflicting re-definitions fail."""
-        if task_id not in self.workflow:
-            self.error(f"weights for unknown task {task_id!r}", line=line)
-        if work is not None:
-            current = self.workflow.work(task_id)
-            if task_id in self._weighted_work and current != float(work):
-                self.error(
-                    f"conflicting work for task {task_id!r}: "
-                    f"{current:g} vs {float(work):g}", line=line)
-            self.workflow.set_work(task_id, work)
-            self._weighted_work.add(task_id)
-        if memory is not None:
-            current = self.workflow.memory(task_id)
-            if task_id in self._weighted_memory and current != float(memory):
-                self.error(
-                    f"conflicting memory for task {task_id!r}: "
-                    f"{current:g} vs {float(memory):g}", line=line)
-            self.workflow.set_memory(task_id, memory)
-            self._weighted_memory.add(task_id)
 
     def add_edge(self, u: Any, v: Any, cost: float = 0.0,
                  *, line: Optional[int] = None) -> None:

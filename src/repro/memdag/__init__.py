@@ -16,8 +16,9 @@ a valid traversal):
   one pass per block;
 * :mod:`repro.memdag.segments` — hill-valley profile decomposition and the
   optimal merge of independent segment sequences (Liu-style);
-* :mod:`repro.memdag.sp_tree` — recognition + decomposition of two-terminal
-  series-parallel DAGs;
+* :mod:`repro.memdag.sp_tree` — recognition of two-terminal
+  series-parallel DAGs by reduction, yielding the SP-tree the SP engine
+  walks;
 * :mod:`repro.memdag.spize` — level-based SP-ization: the layered
   traversal of any block, with a certificate that the SP engine would
   return the same order;
@@ -41,7 +42,6 @@ from repro.memdag.segments import (
     decompose_profile,
     merge_segment_sequences,
 )
-from repro.memdag.sp_tree import SPTree, sp_decompose, is_series_parallel
 from repro.memdag.spize import layered_traversal
 from repro.memdag.traversal import (
     best_first_traversal,
@@ -61,9 +61,6 @@ __all__ = [
     "profile_of_traversal",
     "decompose_profile",
     "merge_segment_sequences",
-    "SPTree",
-    "sp_decompose",
-    "is_series_parallel",
     "layered_traversal",
     "best_first_traversal",
     "sp_traversal",

@@ -124,19 +124,6 @@ def decompose_profile(order: Sequence[Node], a, delta) -> List[Segment]:
     return segments
 
 
-def normalize_segments(segments: Sequence[Segment]) -> List[Segment]:
-    """Fuse adjacent segments until merge keys are non-decreasing.
-
-    The greedy k-way merge is only optimal when each sequence presents its
-    segments in key order; fusing an out-of-order pair into one atomic
-    segment preserves the sequence's internal order while restoring
-    monotonicity (stack-based, O(n) amortized).
-    """
-    stack: List[Segment] = []
-    _normalize_onto(segments, stack, [])
-    return stack
-
-
 def _normalize_onto(segments: Sequence[Segment], stack: List[Segment],
                     keys: List[Tuple[int, float]]) -> None:
     """Push ``segments``, normalized, onto ``stack`` (and their keys onto

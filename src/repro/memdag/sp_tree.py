@@ -14,17 +14,13 @@ tree, concatenating series children and optimally interleaving parallel
 children (:mod:`repro.memdag.traversal`).
 
 :func:`sp_reduce` works on integer-labelled vertices and builds light
-tuple nodes; :func:`sp_decompose` labels arbitrary vertices, calls it, and
-converts the result to :class:`SPTree`.
+tuple nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-Node = Hashable
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: the light nodes :func:`sp_reduce` builds: ``EDGE`` (a leaf),
 #: ``(SERIES, left, w, right)`` and ``(PARALLEL, first, second)``
@@ -33,39 +29,6 @@ SERIES = 0
 PARALLEL = 1
 
 LightTree = Tuple
-
-
-@dataclass
-class SPTree:
-    """A node of the series-parallel decomposition tree.
-
-    ``kind`` is ``"leaf"``, ``"series"`` or ``"parallel"``. For a series
-    node, ``via`` lists the junction vertices between consecutive children
-    (``len(via) == len(children) - 1``); these vertices were removed by
-    series reductions and must execute between the corresponding children.
-    ``source``/``sink`` are the terminals of the sub-DAG this node spans.
-    """
-
-    kind: str
-    source: Node
-    sink: Node
-    children: List["SPTree"] = field(default_factory=list)
-    via: List[Node] = field(default_factory=list)
-
-    def internal_vertices(self) -> List[Node]:
-        """All vertices strictly between source and sink, in some valid order."""
-        if self.kind == "leaf":
-            return []
-        out: List[Node] = []
-        if self.kind == "series":
-            for i, child in enumerate(self.children):
-                out.extend(child.internal_vertices())
-                if i < len(self.via):
-                    out.append(self.via[i])
-            return out
-        for child in self.children:
-            out.extend(child.internal_vertices())
-        return out
 
 
 def sp_reduce(n: int, tails: Sequence[int], heads: Sequence[int],
@@ -77,7 +40,7 @@ def sp_reduce(n: int, tails: Sequence[int], heads: Sequence[int],
     ``(SERIES, left, w, right)`` for ``left`` then vertex ``w`` then
     ``right``, and ``(PARALLEL, first, second)`` for two parallel
     branches; nested nodes of one kind stand for one flattened node
-    (:func:`_series_parts`, :func:`parallel_branches`).
+    (:func:`parallel_branches`).
 
     Each reduction removes an edge, so there are fewer reductions than
     edges. Series candidates are kept on a stack seeded in order of the
@@ -196,60 +159,3 @@ def parallel_branches(tree: LightTree) -> List[LightTree]:
         else:
             branches.append(node)
     return branches
-
-
-def _series_parts(tree: LightTree) -> Tuple[List[LightTree], List[int]]:
-    """``(children, via)`` of a series node, nested series nodes flattened."""
-    children: List[LightTree] = []
-    via: List[int] = []
-    pending: List = [tree]
-    while pending:
-        node = pending.pop()
-        if type(node) is int:
-            via.append(node)
-        elif node and node[0] == SERIES:
-            pending.append(node[3])
-            pending.append(node[2])
-            pending.append(node[1])
-        else:
-            children.append(node)
-    return children, via
-
-
-def _to_sptree(tree: LightTree, source: Node, sink: Node,
-               nodes: List[Node]) -> SPTree:
-    if not tree:
-        return SPTree("leaf", source, sink)
-    if tree[0] == PARALLEL:
-        return SPTree("parallel", source, sink,
-                      [_to_sptree(b, source, sink, nodes)
-                       for b in parallel_branches(tree)])
-    parts, via = _series_parts(tree)
-    ends = [source] + [nodes[w] for w in via] + [sink]
-    return SPTree("series", source, sink,
-                  [_to_sptree(part, ends[i], ends[i + 1], nodes)
-                   for i, part in enumerate(parts)], ends[1:-1])
-
-
-def sp_decompose(edges: List[Tuple[Node, Node]], source: Node, sink: Node) -> Optional[SPTree]:
-    """Decompose the two-terminal DAG given by ``edges`` into an SP-tree.
-
-    Returns ``None`` if the DAG is not TTSP. Performs fewer reductions
-    than there are edges (:func:`sp_reduce`).
-    """
-    labels: Dict[Node, int] = {}
-    for u, v in edges:
-        labels.setdefault(u, len(labels))
-        labels.setdefault(v, len(labels))
-    s = labels.setdefault(source, len(labels))
-    t = labels.setdefault(sink, len(labels))
-    tree = sp_reduce(len(labels), [labels[u] for u, _ in edges],
-                     [labels[v] for _, v in edges], s, t)
-    if tree is None:
-        return None
-    return _to_sptree(tree, source, sink, list(labels))
-
-
-def is_series_parallel(edges: List[Tuple[Node, Node]], source: Node, sink: Node) -> bool:
-    """Whether the two-terminal DAG is series-parallel."""
-    return sp_decompose(edges, source, sink) is not None

@@ -30,7 +30,7 @@ both, exactly as DagHetPart's Step 2 does.
 """
 
 from repro.partition.contraction import CGraph
-from repro.partition.coarsen import coarsen, CoarseningLevel
+from repro.partition.coarsen import CoarseningLevel
 from repro.partition.initial import initial_partition, dfs_topological_order
 from repro.partition.refine import refine, edge_cut
 from repro.partition.api import (
@@ -42,7 +42,6 @@ from repro.partition.api import (
 
 __all__ = [
     "CGraph",
-    "coarsen",
     "CoarseningLevel",
     "initial_partition",
     "dfs_topological_order",

@@ -74,7 +74,8 @@ class PartitionContext:
         return self._graph
 
     def levels(self, target: int) -> List[CoarseningLevel]:
-        """``coarsen(self.graph, target)``, from the hierarchy of its cap."""
+        """The coarsening levels of the graph for ``target``, from the
+        hierarchy of its default cap."""
         g = self.graph
         cap = default_balance_cap(g, target)
         hierarchy = self._hierarchies.get(cap)

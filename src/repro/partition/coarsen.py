@@ -16,7 +16,7 @@ workflow DAGs are made of, so coarsening converges quickly in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.partition.contraction import CGraph
 
@@ -114,8 +114,9 @@ def _swap_node_identity(g: CGraph, old: Node, new: Node) -> None:
 
 
 def default_balance_cap(g: CGraph, target_size: int) -> float:
-    """Cluster weight cap of :func:`coarsen` when none is given: one ideal
-    block (total weight / ``target_size``), or the heaviest node if larger."""
+    """Default cluster weight cap of a coarsening towards ``target_size``
+    nodes: one ideal block (total weight / ``target_size``), or the
+    heaviest node if larger."""
     return max(g.total_weight() / max(target_size, 1),
                max(g.weight.values(), default=1.0))
 
@@ -125,8 +126,8 @@ class CoarseningHierarchy:
     built lazily and shared by every target size.
 
     A pass depends only on its input graph and the cap, never on the
-    target: the target only decides where :func:`coarsen` stops (the
-    first level with at most ``target_size`` nodes). So the hierarchy for
+    target: the target only decides where coarsening stops (the first
+    level with at most ``target_size`` nodes). So the hierarchy for
     a larger target is a prefix of the one for a smaller target, and one
     hierarchy per cap serves them all. Levels are extended on demand and
     never mutated once built.
@@ -143,7 +144,12 @@ class CoarseningHierarchy:
         self._stalled = False
 
     def levels_for(self, target_size: int) -> List[CoarseningLevel]:
-        """The levels :func:`coarsen` returns for ``target_size``."""
+        """The hierarchy for ``target_size``, bottom-up.
+
+        Passes repeat until a level has at most ``target_size`` nodes, a
+        pass stagnates, or ``max_levels`` is reached. ``levels[0]``
+        coarsens the input graph; ``levels[-1].graph`` is the coarsest.
+        """
         levels = self._levels
         depth = 0
         current = self.graph
@@ -159,17 +165,3 @@ class CoarseningHierarchy:
             current = levels[depth].graph
             depth += 1
         return levels[:depth]
-
-
-def coarsen(g: CGraph, target_size: int, balance_cap: Optional[float] = None,
-            max_levels: int = 30) -> List[CoarseningLevel]:
-    """Full coarsening: repeat passes until ``target_size`` or stagnation.
-
-    ``balance_cap`` limits cluster weight (default: total weight divided by
-    ``target_size``, i.e. clusters never exceed one ideal block). Returns
-    the hierarchy bottom-up: ``levels[0]`` coarsens the input graph,
-    ``levels[-1].graph`` is the coarsest.
-    """
-    if balance_cap is None:
-        balance_cap = default_balance_cap(g, target_size)
-    return CoarseningHierarchy(g, balance_cap, max_levels).levels_for(target_size)

@@ -93,14 +93,6 @@ class Cluster:
             return self.bandwidth_model.default
         return self.bandwidth_model.between(p, q)
 
-    def communication_time(self, volume: float, p=None, q=None) -> float:
-        """Transfer time of ``volume`` data units between two processors."""
-        return volume / self.link_bandwidth(p, q)
-
-    def with_bandwidth(self, beta: float) -> "Cluster":
-        """Copy of this cluster with a uniform bandwidth (CCR sweeps, Fig. 7)."""
-        return Cluster(self._procs, bandwidth=beta, name=self.name)
-
     def with_bandwidth_model(self, model) -> "Cluster":
         """Copy of this cluster with a heterogeneous interconnect model."""
         return Cluster(self._procs, name=self.name, bandwidth_model=model)

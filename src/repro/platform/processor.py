@@ -35,10 +35,6 @@ class Processor:
         if self.memory <= 0:
             raise ValueError(f"processor {self.name!r}: memory must be positive, got {self.memory}")
 
-    def execution_time(self, work: float) -> float:
-        """Time to run ``work`` operations on this processor."""
-        return work / self.speed
-
     def fits(self, requirement: float) -> bool:
         """Whether a block with peak-memory ``requirement`` fits here."""
         return requirement <= self.memory

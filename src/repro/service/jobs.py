@@ -172,9 +172,3 @@ class JobResult(Record):
         for name in ("n_ok", "n_failed", "n_timeout",
                      "cache_hits", "cache_misses"):
             _require(getattr(self, name) >= 0, f"{name} must be >= 0")
-
-    def schedule_results(self):
-        """The stored records rehydrated as ``ScheduleResult`` envelopes."""
-        from repro.api.envelopes import ScheduleResult
-
-        return [ScheduleResult.from_dict(r) for r in self.results]

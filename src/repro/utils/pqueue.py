@@ -53,18 +53,6 @@ class AddressableMaxPQ:
         entry = self._entries.pop(key)
         entry[2] = self._REMOVED
 
-    def priority(self, key: Hashable) -> float:
-        """Current priority of ``key``."""
-        return -self._entries[key][0]
-
-    def peek(self) -> Tuple[Hashable, float]:
-        """Return ``(key, priority)`` of the max element without removing it."""
-        self._purge()
-        if not self._heap:
-            raise IndexError("peek from an empty priority queue")
-        neg, _, key = self._heap[0]
-        return key, -neg
-
     def extract_max(self) -> Tuple[Hashable, float]:
         """Pop and return the ``(key, priority)`` with the largest priority."""
         self._purge()

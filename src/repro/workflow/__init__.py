@@ -8,10 +8,8 @@ the acyclic partitioner and the mapping heuristics — consume this class.
 """
 
 from repro.workflow.graph import Workflow
-from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.analysis import (
     critical_path,
-    critical_path_length,
     topological_levels,
     fanout_statistics,
     WorkflowStats,
@@ -22,23 +20,13 @@ from repro.workflow.io import (
     workflow_to_dict,
     workflow_from_dict,
     save_workflow_json,
-    load_workflow_json,
     workflow_to_dot,
 )
-from repro.workflow.transform import (
-    scale_work,
-    scale_memory,
-    normalize_memory_to,
-    induced_subworkflow,
-    relabel_tasks,
-    merge_linear_chains,
-)
+from repro.workflow.transform import scale_memory, normalize_memory_to
 
 __all__ = [
     "Workflow",
-    "WorkflowBuilder",
     "critical_path",
-    "critical_path_length",
     "topological_levels",
     "fanout_statistics",
     "WorkflowStats",
@@ -47,12 +35,7 @@ __all__ = [
     "workflow_to_dict",
     "workflow_from_dict",
     "save_workflow_json",
-    "load_workflow_json",
     "workflow_to_dot",
-    "scale_work",
     "scale_memory",
     "normalize_memory_to",
-    "induced_subworkflow",
-    "relabel_tasks",
-    "merge_linear_chains",
 ]

@@ -2,8 +2,9 @@
 
 The paper classifies workflow families as "fanned-out" (BWA, BLAST,
 Seismology) vs "chain-like" (SoyKB, Epigenomics) and correlates this with
-DagHetPart's improvement (Sections 5.2.5-5.2.6). The statistics here back
-those groupings in the experiment harness.
+DagHetPart's improvement (Sections 5.2.5-5.2.6). The statistics here
+measure those traits for one workflow; ``examples/quickstart.py`` prints
+them.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def critical_path(wf: Workflow, beta: float = 1.0) -> Tuple[List[Node], float]:
     while path[-1] in best_child:
         path.append(best_child[path[-1]])
     return path, value[start]
-
-
-def critical_path_length(wf: Workflow, beta: float = 1.0) -> float:
-    """Length of the critical path (lower bound on any makespan at speed 1)."""
-    return critical_path(wf, beta)[1]
 
 
 def fanout_statistics(wf: Workflow) -> Dict[str, float]:

@@ -70,12 +70,6 @@ def save_workflow_json(wf: Workflow, path: PathLike) -> None:
     Path(path).write_text(json.dumps(workflow_to_dict(wf), indent=1))
 
 
-def load_workflow_json(path: PathLike) -> Workflow:
-    """Read a workflow previously saved with :func:`save_workflow_json`."""
-    return workflow_from_dict(json.loads(Path(path).read_text()),
-                              path=str(path))
-
-
 def workflow_to_dot(wf: Workflow) -> str:
     """Render as GraphViz DOT with weights in attribute lists."""
     lines = [f'digraph "{wf.name}" {{']

@@ -1,29 +1,15 @@
-"""Workflow transformations used by the experiment harness.
+"""Memory scaling of workflows.
 
-* :func:`scale_work` — the 4x computational-demand experiment (Sec. 5.2.4);
-* :func:`normalize_memory_to` — the paper normalizes real-workflow memory
-  weights "to the maximum size of 192 to make sure they fit" (Sec. 5.1.2);
-* :func:`induced_subworkflow` — block extraction for the partitioner and the
-  memDag requirement computation;
-* :func:`merge_linear_chains` — the pseudo-task cleanup the paper applies to
-  nextflow exports (internal chain nodes collapsed).
+:func:`normalize_memory_to` is the paper's normalization of real-workflow
+memory weights "to the maximum size of 192 to make sure they fit"
+(Sec. 5.1.2), which :mod:`repro.generators.realworld` applies.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional, Set
+from typing import Optional
 
 from repro.workflow.graph import Workflow
-
-Node = Hashable
-
-
-def scale_work(wf: Workflow, factor: float, name: Optional[str] = None) -> Workflow:
-    """Return a copy with every ``w_u`` multiplied by ``factor``."""
-    out = wf.copy(name or f"{wf.name}-work{factor:g}x")
-    for u in out.tasks():
-        out.set_work(u, wf.work(u) * factor)
-    return out
 
 
 def scale_memory(wf: Workflow, factor: float, name: Optional[str] = None) -> Workflow:
@@ -51,75 +37,3 @@ def normalize_memory_to(wf: Workflow, max_requirement: float, name: Optional[str
     if peak <= max_requirement or peak == 0.0:
         return wf.copy(name)
     return scale_memory(wf, max_requirement / peak, name or f"{wf.name}-norm{max_requirement:g}")
-
-
-def induced_subworkflow(wf: Workflow, nodes: Iterable[Node], name: str = "block") -> Workflow:
-    """Induced sub-DAG on ``nodes`` with internal edges only.
-
-    External edges are intentionally dropped here; block-level memory
-    accounting of cut edges is handled by
-    :func:`repro.memdag.requirement.block_requirement`, which receives the
-    full workflow plus the block set.
-    """
-    node_set: Set[Node] = set(nodes)
-    sub = Workflow(name)
-    for u in wf.tasks():
-        if u in node_set:
-            sub.add_task(u, wf.work(u), wf.memory(u))
-    for u in sub.tasks():
-        for v, c in wf.out_edges(u):
-            if v in node_set:
-                sub.add_edge(u, v, c)
-    return sub
-
-
-def relabel_tasks(wf: Workflow, mapping: Optional[Dict[Node, Node]] = None,
-                  key: Optional[Callable[[Node], Node]] = None) -> Workflow:
-    """Relabel tasks via an explicit ``mapping`` or a ``key`` function."""
-    if (mapping is None) == (key is None):
-        raise ValueError("provide exactly one of 'mapping' or 'key'")
-    fn = (lambda u: mapping[u]) if mapping is not None else key
-    out = Workflow(wf.name)
-    seen: Set[Node] = set()
-    for u in wf.tasks():
-        new = fn(u)
-        if new in seen:
-            raise ValueError(f"relabeling collides on {new!r}")
-        seen.add(new)
-        out.add_task(new, wf.work(u), wf.memory(u))
-    for u, v, c in wf.edges():
-        out.add_edge(fn(u), fn(v), c)
-    return out
-
-
-def merge_linear_chains(wf: Workflow, protect: Optional[Set[Node]] = None) -> Workflow:
-    """Collapse maximal linear chains ``a -> b -> c`` into single tasks.
-
-    A task is absorbed into its predecessor when it has exactly one parent
-    and that parent has exactly one child. Work and memory weights are
-    summed; the chain's internal edge cost is added to the merged task's
-    memory (the file still exists, it just never leaves the node). Used to
-    strip nextflow pseudo-task chains from exported DAGs.
-    """
-    protect = protect or set()
-    out = wf.copy(f"{wf.name}-chained")
-    changed = True
-    while changed:
-        changed = False
-        for v in list(out.tasks()):
-            if v in protect:
-                continue
-            parents = list(out.parents(v))
-            if len(parents) != 1:
-                continue
-            u = parents[0]
-            if out.out_degree(u) != 1 or u in protect:
-                continue
-            cost_uv = out.edge_cost(u, v)
-            out.set_work(u, out.work(u) + out.work(v))
-            out.set_memory(u, out.memory(u) + out.memory(v) + cost_uv)
-            for w, c in list(out.out_edges(v)):
-                out.add_edge(u, w, c)
-            out.remove_task(v)
-            changed = True
-    return out

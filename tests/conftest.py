@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import threading
+import time
 
 import pytest
 
@@ -107,3 +109,33 @@ def in_process_sweep(monkeypatch):
     heuristic = importlib.import_module("repro.core.heuristic")
     monkeypatch.setattr(heuristic, "_sweep_workers",
                         lambda n_tasks, n_candidates: 1)
+
+
+#: the thread a policy watchdog runs each timed attempt in
+_ATTEMPT_THREAD = "repro-exec-attempt"
+
+
+def _attempt_threads():
+    return {t for t in threading.enumerate()
+            if t.name == _ATTEMPT_THREAD and t.is_alive()}
+
+
+@pytest.fixture(autouse=True)
+def no_abandoned_attempts():
+    """Fail a test that leaves a timed-out solve attempt running.
+
+    A policy watchdog abandons its attempt thread at the timeout. While
+    one is alive the process has more than one thread, so every later
+    DagHetPart sweep stays in process instead of forking; a test whose
+    algorithm outlives its timeout releases it in its teardown.
+    """
+    before = _attempt_threads()
+    yield
+    left = _attempt_threads() - before
+    deadline = time.monotonic() + 2.0
+    for thread in left:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(t.ident for t in left if t.is_alive())
+    if alive:
+        pytest.fail(f"{len(alive)} {_ATTEMPT_THREAD} thread(s) still "
+                    f"running after the test (idents {alive})")

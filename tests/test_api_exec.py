@@ -9,6 +9,7 @@ without hanging the batch; retries are deterministic.
 
 import dataclasses
 import json
+import threading
 import time
 
 import hypothesis.strategies as st
@@ -202,14 +203,17 @@ class TestRouting:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def slow_algorithm():
-    """An algorithm that sleeps far longer than any test timeout."""
+    """An algorithm that blocks far longer than any test timeout, until
+    the teardown releases the watchdog's abandoned attempt."""
+    release = threading.Event()
 
     @register_algorithm("slowpoke", summary="sleeps (timeout tests)")
     def slowpoke(workflow, cluster, config=None):
-        time.sleep(30.0)
-        raise AssertionError("unreachable: the watchdog should have fired")
+        release.wait(30.0)
+        raise RuntimeError("released after the watchdog fired")
 
     yield "slowpoke"
+    release.set()
     unregister_algorithm("slowpoke")
 
 

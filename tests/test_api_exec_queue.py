@@ -227,10 +227,12 @@ class TestWorkerLoop:
 class TestQueuePolicies:
     def test_timeout_is_structured_and_identical_to_serial(
             self, attach_spool):
+        release = threading.Event()
+
         @register_algorithm("slowq", summary="sleeps (queue timeout tests)")
         def slowq(workflow, cluster, config=None):
-            time.sleep(30.0)
-            raise AssertionError("unreachable: the watchdog should fire")
+            release.wait(30.0)
+            raise RuntimeError("released after the watchdog fired")
 
         try:
             request = _request(algorithm="slowq", config=None,
@@ -244,6 +246,7 @@ class TestQueuePolicies:
             assert "timeout_s=0.2" in via_queue.failure.message
             assert _strip(via_queue) == _strip(via_serial)
         finally:
+            release.set()
             unregister_algorithm("slowq")
 
     def test_retries_are_deterministic_through_the_queue(self, attach_spool,

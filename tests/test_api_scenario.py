@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.api import (
     expand,
     load_scenario,
     run_scenario,
-    save_scenario,
 )
 from repro.core.heuristic import DagHetPartConfig
 
@@ -128,7 +128,7 @@ class TestJsonRoundTrip:
     def test_save_load(self, tmp_path):
         path = str(tmp_path / "spec.json")
         spec = tiny_spec()
-        save_scenario(spec, path)
+        Path(path).write_text(spec.to_json())
         assert load_scenario(path) == spec
         # the file is plain, editable JSON
         with open(path) as fh:
@@ -231,7 +231,7 @@ class TestFig5Equivalence:
         spec = figures.corpus_scenario(
             "fig5", preset="default", include_real=False, **self.KWARGS)
         path = str(tmp_path / "fig5.json")
-        save_scenario(spec, path)  # the whole workload as one JSON file
+        Path(path).write_text(spec.to_json())  # the whole workload as one JSON file
         spec_records = scenario_records(load_scenario(path))
 
         assert [self._strip(r) for r in spec_records] == \

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +163,7 @@ class TestExperimentAndInfo:
 class TestScenario:
     def _write_spec(self, tmp_path):
         from repro.api import (AlgorithmSpec, FamilyGridSource, PlatformAxis,
-                               ScenarioSpec, save_scenario)
+                               ScenarioSpec)
         spec = ScenarioSpec(
             name="cli-tiny",
             workflows=(FamilyGridSource(families=("blast",),
@@ -172,7 +174,7 @@ class TestScenario:
                                       config={"k_prime_values": [1, 4]})),
         )
         path = str(tmp_path / "spec.json")
-        save_scenario(spec, path)
+        Path(path).write_text(spec.to_json())
         return path
 
     def test_scenario_run(self, tmp_path, capsys):
@@ -250,16 +252,15 @@ class TestScenario:
 
     def test_scenario_run_timeout_flag_reports_timeouts(self, tmp_path,
                                                         capsys):
-        import time as time_module
-
         from repro.api import register_algorithm, unregister_algorithm
-        from repro.api import (AlgorithmSpec, FamilyGridSource, ScenarioSpec,
-                               save_scenario)
+        from repro.api import AlgorithmSpec, FamilyGridSource, ScenarioSpec
+
+        release = threading.Event()
 
         @register_algorithm("clislow", summary="sleeps (CLI timeout test)")
         def clislow(workflow, cluster, config=None):
-            time_module.sleep(30.0)
-            raise AssertionError("unreachable")
+            release.wait(30.0)
+            raise RuntimeError("released after the watchdog fired")
 
         spec = ScenarioSpec(
             name="cli-timeout",
@@ -268,11 +269,12 @@ class TestScenario:
             algorithms=(AlgorithmSpec("clislow"),),
         )
         path = str(tmp_path / "slow.json")
-        save_scenario(spec, path)
+        Path(path).write_text(spec.to_json())
         try:
             rc = main(["scenario", "run", path, "--timeout", "0.2",
                        "--json", str(tmp_path / "out.jsonl")])
         finally:
+            release.set()
             unregister_algorithm("clislow")
         assert rc == 0
         out = capsys.readouterr().out
@@ -702,7 +704,7 @@ class TestPolicyOverrideMerge:
     def test_retries_flag_keeps_spec_timeout(self, tmp_path, monkeypatch):
         """--retries alone must not discard the spec's hang guard."""
         from repro.api import (AlgorithmSpec, ExecutionPolicy, ExecutionSpec,
-                               FamilyGridSource, ScenarioSpec, save_scenario)
+                               FamilyGridSource, ScenarioSpec)
         import repro.cli as cli_module
 
         spec = ScenarioSpec(
@@ -714,7 +716,7 @@ class TestPolicyOverrideMerge:
                 timeout_s=300.0, retry_backoff=0.5, on_timeout="requeue")),
         )
         path = str(tmp_path / "spec.json")
-        save_scenario(spec, path)
+        Path(path).write_text(spec.to_json())
 
         seen = {}
         real = cli_module.run_scenario
@@ -736,19 +738,20 @@ class TestPolicyOverrideMerge:
 
 class TestScheduleTimeout:
     def test_schedule_timeout_exit_code(self, capsys):
-        import time as time_module
-
         from repro.api import register_algorithm, unregister_algorithm
+
+        release = threading.Event()
 
         @register_algorithm("schedslow", summary="sleeps (CLI timeout test)")
         def schedslow(workflow, cluster, config=None):
-            time_module.sleep(30.0)
-            raise AssertionError("unreachable")
+            release.wait(30.0)
+            raise RuntimeError("released after the watchdog fired")
 
         try:
             rc = main(["schedule", "--family", "blast", "-n", "24",
                        "--algorithm", "schedslow", "--timeout", "0.2"])
         finally:
+            release.set()
             unregister_algorithm("schedslow")
         assert rc == 3
         assert "timed out" in capsys.readouterr().err

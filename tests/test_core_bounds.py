@@ -5,7 +5,6 @@ import pytest
 from repro.core.baseline import dag_het_mem
 from repro.core.bounds import (
     bottleneck_task_bound,
-    bound_report,
     critical_path_bound,
     makespan_lower_bound,
     optimality_gap,
@@ -46,12 +45,6 @@ class TestIndividualBounds:
         cluster = Cluster([Processor("p", 1.0, 10.0)])
         assert bottleneck_task_bound(wf, cluster) == float("inf")
 
-    def test_report_keys(self, diamond_workflow, unit_cluster):
-        report = bound_report(diamond_workflow, unit_cluster)
-        assert set(report) == {"work", "critical_path", "bottleneck_task",
-                               "combined"}
-        assert report["combined"] == max(report["work"], report["critical_path"],
-                                         report["bottleneck_task"])
 
 
 class TestBoundsAreValid:

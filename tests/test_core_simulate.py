@@ -8,7 +8,6 @@ from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.mapping import BlockAssignment, Mapping
 from repro.core.simulate import (
     gantt_text,
-    overestimation_factor,
     schedule_to_dict,
     simulate_task_level,
 )
@@ -69,15 +68,16 @@ class TestSimulation:
             wf = generate_workflow(family, 80, seed=19)
             cluster = scaled_cluster_for(wf, default_cluster())
             mapping = dag_het_mem(wf, cluster)
-            factor = overestimation_factor(mapping)
-            assert factor >= 1.0 - 1e-9, family
+            simulated, _ = simulate_task_level(mapping)
+            assert mapping.makespan() >= simulated * (1.0 - 1e-9), family
 
     def test_overestimation_on_heuristic_output(self):
         wf = generate_workflow("bwa", 100, seed=23)
         cluster = scaled_cluster_for(wf, default_cluster())
         mapping = dag_het_part_sweep(
             wf, cluster, DagHetPartConfig(k_prime_strategy="doubling")).mapping
-        assert overestimation_factor(mapping) >= 1.0 - 1e-9
+        simulated, _ = simulate_task_level(mapping)
+        assert mapping.makespan() >= simulated * (1.0 - 1e-9)
 
 
 class TestExports:

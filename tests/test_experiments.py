@@ -65,12 +65,31 @@ class TestInstances:
         assert sizes["big"][-1] == 300
 
     def test_sizes_rounded_alike_are_listed_once(self, monkeypatch):
+        """An instance is seeded and named by family and count only, so a
+        count is listed once over the whole corpus, by its first category."""
         monkeypatch.delenv("REPRO_FULL", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "2000")
-        assert synthetic_sizes() == {"small": (16,), "mid": (16,),
-                                     "big": (16,)}
+        assert synthetic_sizes() == {"small": (16,), "mid": (), "big": ()}
         monkeypatch.setenv("REPRO_SCALE", "400")
-        assert synthetic_sizes()["small"] == (16, 20)
+        assert synthetic_sizes() == {"small": (16, 20), "mid": (25, 38, 45),
+                                     "big": (50, 62, 75)}
+        for scale in ("2000", "400", "50", "10"):
+            monkeypatch.setenv("REPRO_SCALE", scale)
+            counts = [n for sizes in synthetic_sizes().values() for n in sizes]
+            assert len(counts) == len(set(counts)), scale
+
+    def test_paper_scales_round_no_two_sizes_alike(self, monkeypatch):
+        """At ÷50 and ÷10 no two paper sizes round to one count, so the
+        corpus and its seeds are the per-category rounding's."""
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "50")
+        assert synthetic_sizes() == {"small": (16, 20, 40, 80, 160),
+                                     "mid": (200, 300, 360),
+                                     "big": (400, 500, 600)}
+        monkeypatch.setenv("REPRO_SCALE", "10")
+        assert synthetic_sizes() == {"small": (20, 100, 200, 400, 800),
+                                     "mid": (1000, 1500, 1800),
+                                     "big": (2000, 2500, 3000)}
 
     @pytest.mark.parametrize("raw", ["0", "-4", "abc", "nan", "inf", "1e999"])
     def test_bad_repro_scale_names_the_variable(self, monkeypatch, raw):

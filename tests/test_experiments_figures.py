@@ -23,19 +23,25 @@ TINY = dict(
 
 
 class TestScaledCorpus:
-    """At ``REPRO_SCALE=2000`` every synthetic size rounds to ``MIN_TASKS``,
-    so each category holds one ``blast-16``; no category may hide
-    another's records."""
+    """At ``REPRO_SCALE=2000`` every synthetic size rounds to ``MIN_TASKS``:
+    ``small`` holds the one ``blast-16`` and ``mid`` and ``big`` are empty,
+    so no workflow is measured twice under two categories."""
 
     @pytest.fixture(autouse=True)
     def _scale(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "2000")
 
-    def test_fig3_left_keeps_every_category(self):
+    def test_fig3_left_rows_skip_empty_categories(self):
         out = figures.fig3_left(families=("blast",))
         assert [r["workflow_type"] for r in out["rows"]] == \
-            ["real", "small", "mid", "big", "all"]
+            ["real", "small", "all"]
+
+    def test_no_workflow_appears_twice(self):
+        records = figures.fig3_left(families=("blast",))["records"]
+        keys = [(r.instance, r.algorithm, r.cluster) for r in records]
+        assert len(keys) == len(set(keys))
+        assert {r.category for r in records if r.family == "blast"} == {"small"}
 
     def test_fig8_has_one_row_per_daghetpart_run(self):
         out = figures.fig8(families=("blast",))

@@ -5,7 +5,6 @@ import pytest
 from repro.generators.realworld import (
     REAL_WORKFLOW_NAMES,
     _stage_key,
-    all_real_workflows,
     generate_real_workflow,
 )
 from repro.workflow.validation import validate_workflow
@@ -27,7 +26,7 @@ class TestCatalogue:
             generate_real_workflow("nf-core/doesnotexist")
 
     def test_all_valid_dags(self):
-        for wf in all_real_workflows():
+        for wf in map(generate_real_workflow, REAL_WORKFLOW_NAMES):
             validate_workflow(wf)
 
 
@@ -39,7 +38,7 @@ class TestWeightFingerprint:
 
     def test_long_tail_of_weight_one_tasks(self):
         """Tasks without historical data get weight 1 (40-60% of stages)."""
-        for wf in all_real_workflows():
+        for wf in map(generate_real_workflow, REAL_WORKFLOW_NAMES):
             ones = sum(1 for u in wf.tasks() if wf.work(u) == 1.0)
             assert ones >= 0.2 * wf.n_tasks, wf.name
 
@@ -60,7 +59,7 @@ class TestWeightFingerprint:
             assert len(values) == 1, f"stage {stage} has divergent weights"
 
     def test_memory_normalized_to_192(self):
-        for wf in all_real_workflows():
+        for wf in map(generate_real_workflow, REAL_WORKFLOW_NAMES):
             assert wf.max_task_requirement() <= 192.0 + 1e-9
 
     def test_work_factor(self):

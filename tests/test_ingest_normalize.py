@@ -44,14 +44,6 @@ class TestAssembler:
         with pytest.raises(IngestError, match="self-loop"):
             asm.add_edge("a", "a")
 
-    def test_conflicting_weight_redefinition(self):
-        asm = WorkflowAssembler("w")
-        asm.add_task("a", 1.0)
-        asm.set_weights("a", work=5.0)
-        asm.set_weights("a", work=5.0)  # identical is fine
-        with pytest.raises(IngestError, match="conflicting work"):
-            asm.set_weights("a", work=6.0)
-
 
 class TestNormalize:
     def test_scaling_knobs(self):

@@ -10,7 +10,7 @@ from repro.core.heuristic import DagHetPartConfig, dag_het_part_sweep
 from repro.core.mapping import simulate_mapping
 from repro.experiments.instances import scaled_cluster_for
 from repro.generators.families import WORKFLOW_FAMILIES, generate_workflow
-from repro.generators.realworld import all_real_workflows
+from repro.generators.realworld import REAL_WORKFLOW_NAMES, generate_real_workflow
 from repro.platform.cluster import Cluster
 from repro.platform.presets import (
     default_cluster,
@@ -41,7 +41,7 @@ class TestFullPipelinePerFamily:
 class TestRealWorkflows:
     def test_all_real_workflows_schedule_on_default_cluster(self):
         cluster = default_cluster()
-        for wf in all_real_workflows():
+        for wf in map(generate_real_workflow, REAL_WORKFLOW_NAMES):
             base = dag_het_mem(wf, cluster)
             part = dag_het_part_sweep(wf, cluster, FAST).mapping
             base.validate()
@@ -52,7 +52,7 @@ class TestRealWorkflows:
         simulated traces reproduce a clearly-better-than-baseline geomean."""
         cluster = default_cluster()
         ratios = []
-        for wf in all_real_workflows():
+        for wf in map(generate_real_workflow, REAL_WORKFLOW_NAMES):
             base = dag_het_mem(wf, cluster)
             part = dag_het_part_sweep(
                 wf, cluster, DagHetPartConfig(k_prime_strategy="all")).mapping

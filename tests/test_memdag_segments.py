@@ -8,7 +8,7 @@ from repro.memdag.segments import (
     Segment,
     decompose_profile,
     merge_segment_sequences,
-    normalize_segments,
+    merged_segments,
     peak_of_segments,
     profile_of_traversal,
 )
@@ -58,14 +58,14 @@ class TestSegmentAlgebra:
     def test_normalize_fuses_out_of_order(self):
         # producer followed by releaser within one sequence must fuse
         segs = [Segment(("p",), h=2.0, v=2.0), Segment(("r",), h=1.0, v=-3.0)]
-        normalized = normalize_segments(segs)
+        normalized = merged_segments([segs])
         assert len(normalized) == 1
         assert normalized[0].tasks == ("p", "r")
 
     def test_normalize_keeps_sorted(self):
         segs = [Segment(("a",), 1.0, -1.0), Segment(("b",), 2.0, -1.0),
                 Segment(("c",), 3.0, 3.0)]
-        assert normalize_segments(segs) == segs
+        assert merged_segments([segs]) == segs
 
 
 class TestMerging:

@@ -2,66 +2,85 @@
 
 import pytest
 
-from repro.memdag.sp_tree import SPTree, is_series_parallel, sp_decompose
+from repro.memdag.sp_tree import EDGE, PARALLEL, SERIES, parallel_branches, sp_reduce
+
+
+def _reduce(edges, source="s", sink="t"):
+    """``sp_reduce`` of ``edges`` on named vertices: ``(tree, names)``,
+    where ``names[i]`` is the vertex labelled ``i``."""
+    labels = {}
+    for u, v in edges:
+        labels.setdefault(u, len(labels))
+        labels.setdefault(v, len(labels))
+    s = labels.setdefault(source, len(labels))
+    t = labels.setdefault(sink, len(labels))
+    tree = sp_reduce(len(labels), [labels[u] for u, _ in edges],
+                     [labels[v] for _, v in edges], s, t)
+    return tree, list(labels)
+
+
+def _internal_vertices(tree, names):
+    """The vertices strictly between the terminals, series junctions in order."""
+    if tree == EDGE:
+        return []
+    if tree[0] == SERIES:
+        return (_internal_vertices(tree[1], names) + [names[tree[2]]]
+                + _internal_vertices(tree[3], names))
+    return _internal_vertices(tree[1], names) + _internal_vertices(tree[2], names)
 
 
 class TestRecognition:
     def test_single_edge(self):
-        tree = sp_decompose([("s", "t")], "s", "t")
-        assert tree is not None
-        assert tree.kind == "leaf"
+        tree, _ = _reduce([("s", "t")])
+        assert tree == EDGE
 
     def test_chain(self):
-        edges = [("s", "a"), ("a", "b"), ("b", "t")]
-        tree = sp_decompose(edges, "s", "t")
+        tree, names = _reduce([("s", "a"), ("a", "b"), ("b", "t")])
         assert tree is not None
-        assert tree.kind == "series"
-        assert tree.via == ["a", "b"] or sorted(tree.via) == ["a", "b"]
+        assert tree[0] == SERIES
+        assert _internal_vertices(tree, names) == ["a", "b"]
 
     def test_diamond(self):
         edges = [("s", "x"), ("s", "y"), ("x", "t"), ("y", "t")]
-        tree = sp_decompose(edges, "s", "t")
+        tree, _ = _reduce(edges)
         assert tree is not None
-        assert tree.kind == "parallel"
-        assert len(tree.children) == 2
+        assert tree[0] == PARALLEL
+        assert len(parallel_branches(tree)) == 2
 
     def test_nested_fork_join(self):
         edges = [("s", "a"), ("a", "t"), ("s", "b"), ("b", "c"), ("c", "t"),
                  ("s", "t")]
-        tree = sp_decompose(edges, "s", "t")
+        tree, names = _reduce(edges)
         assert tree is not None
-        internal = set(tree.internal_vertices())
-        assert internal == {"a", "b", "c"}
+        assert set(_internal_vertices(tree, names)) == {"a", "b", "c"}
 
     def test_non_sp_n_graph(self):
         """The 'N' (crossing) graph is the canonical non-TTSP DAG."""
         edges = [("s", "a"), ("s", "b"), ("a", "x"), ("a", "y"), ("b", "y"),
                  ("x", "t"), ("y", "t")]
-        assert not is_series_parallel(edges, "s", "t")
+        assert _reduce(edges)[0] is None
 
     def test_empty_edges(self):
-        assert sp_decompose([], "s", "t") is None
+        assert sp_reduce(2, [], [], 0, 1) is None
 
     def test_montage_like_not_sp(self):
         # project i feeds diff i and diff i-1: the overlap breaks SP-ness
         edges = [("s", "p0"), ("s", "p1"), ("s", "p2"),
                  ("p0", "d0"), ("p1", "d0"), ("p1", "d1"), ("p2", "d1"),
                  ("d0", "t"), ("d1", "t")]
-        assert not is_series_parallel(edges, "s", "t")
+        assert _reduce(edges)[0] is None
 
 
 class TestInternalVertices:
     def test_chain_order_respects_series(self):
-        edges = [("s", "a"), ("a", "b"), ("b", "t")]
-        tree = sp_decompose(edges, "s", "t")
-        order = tree.internal_vertices()
-        assert order == ["a", "b"]
+        tree, names = _reduce([("s", "a"), ("a", "b"), ("b", "t")])
+        assert _internal_vertices(tree, names) == ["a", "b"]
 
     def test_all_vertices_covered(self):
         edges = [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"),
                  ("s", "c"), ("c", "d"), ("d", "t")]
-        tree = sp_decompose(edges, "s", "t")
-        assert set(tree.internal_vertices()) == {"a", "b", "c", "d"}
+        tree, names = _reduce(edges)
+        assert set(_internal_vertices(tree, names)) == {"a", "b", "c", "d"}
 
 
 class TestWorkflowFamiliesAreSP:

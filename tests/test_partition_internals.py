@@ -3,7 +3,8 @@ initial partitioning, refinement."""
 
 import pytest
 
-from repro.partition.coarsen import CoarseningLevel, coarsen, coarsen_pass, safe_to_contract
+from repro.partition.coarsen import (CoarseningHierarchy, coarsen_pass,
+                                    default_balance_cap, safe_to_contract)
 from repro.partition.contraction import CGraph
 from repro.partition.initial import dfs_topological_order, initial_partition
 from repro.partition.refine import edge_cut, refine
@@ -86,7 +87,7 @@ class TestCoarsen:
         from repro.generators.families import generate_workflow
         wf = generate_workflow("blast", 200, seed=0)
         g = CGraph.from_workflow(wf, lambda u: 1.0)
-        levels = coarsen(g, target_size=32)
+        levels = CoarseningHierarchy(g, default_balance_cap(g, 32)).levels_for(32)
         assert levels
         sizes = [len(g)] + [len(lvl.graph) for lvl in levels]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
@@ -95,7 +96,7 @@ class TestCoarsen:
         from repro.generators.random_dag import random_layered_dag
         wf = random_layered_dag(80, seed=1)
         g = CGraph.from_workflow(wf, lambda u: 1.0)
-        levels = coarsen(g, target_size=16)
+        levels = CoarseningHierarchy(g, default_balance_cap(g, 16)).levels_for(16)
         if levels:
             assert set(levels[0].assignment) == set(g.nodes())
             assert set(levels[0].assignment.values()) == set(levels[0].graph.nodes())

@@ -19,10 +19,6 @@ from repro.platform.processor import Processor
 
 
 class TestProcessor:
-    def test_execution_time(self):
-        p = Processor("p", speed=4.0, memory=16.0)
-        assert p.execution_time(8.0) == 2.0
-
     def test_fits(self):
         p = Processor("p", speed=1.0, memory=16.0)
         assert p.fits(16.0)
@@ -58,20 +54,10 @@ class TestCluster:
     def test_smallest_memory_processor(self, tiny_hetero_cluster):
         assert tiny_hetero_cluster.smallest_memory_processor().name == "tiny"
 
-    def test_with_bandwidth(self, tiny_hetero_cluster):
-        c2 = tiny_hetero_cluster.with_bandwidth(5.0)
-        assert c2.bandwidth == 5.0
-        assert c2.k == tiny_hetero_cluster.k
-        assert tiny_hetero_cluster.bandwidth == 1.0  # original unchanged
-
     def test_scaled_memories(self, tiny_hetero_cluster):
         scaled = tiny_hetero_cluster.scaled_memories(2.0)
         assert scaled["big"].memory == 200.0
         assert scaled["big"].speed == tiny_hetero_cluster["big"].speed
-
-    def test_communication_time(self, tiny_hetero_cluster):
-        assert tiny_hetero_cluster.communication_time(10.0) == 10.0
-        assert tiny_hetero_cluster.with_bandwidth(2.0).communication_time(10.0) == 5.0
 
     def test_lookup(self, tiny_hetero_cluster):
         assert "fast" in tiny_hetero_cluster

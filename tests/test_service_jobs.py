@@ -126,7 +126,6 @@ class TestJobResult:
             workflow=wf, cluster=default_cluster(),
             algorithm="daghetpart", scale_memory=True))
         stored = JobResult(id="j", results=(offline.to_dict(),), n_ok=1)
-        (back,) = stored.schedule_results()
-        assert isinstance(back, ScheduleResult)
+        (back,) = [ScheduleResult.from_dict(r) for r in stored.results]
         assert back.makespan == offline.makespan
         assert back.algorithm == offline.algorithm

@@ -42,21 +42,9 @@ class TestAddressableMaxPQ:
         with pytest.raises(KeyError):
             AddressableMaxPQ().remove("ghost")
 
-    def test_peek_does_not_remove(self):
-        pq = AddressableMaxPQ([("a", 1)])
-        assert pq.peek() == ("a", 1.0)
-        assert len(pq) == 1
-
     def test_empty_operations_raise(self):
-        pq = AddressableMaxPQ()
         with pytest.raises(IndexError):
-            pq.peek()
-        with pytest.raises(IndexError):
-            pq.extract_max()
-
-    def test_priority_lookup(self):
-        pq = AddressableMaxPQ([("a", 4.5)])
-        assert pq.priority("a") == 4.5
+            AddressableMaxPQ().extract_max()
 
     def test_bool_and_len(self):
         pq = AddressableMaxPQ()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.workflow.analysis import (
     critical_path,
-    critical_path_length,
     fanout_statistics,
     topological_levels,
     workflow_statistics,
@@ -52,7 +51,9 @@ class TestCriticalPath:
 
     def test_length_matches_path(self, fig1_workflow):
         path, length = critical_path(fig1_workflow)
-        assert length == pytest.approx(critical_path_length(fig1_workflow))
+        expected = sum(fig1_workflow.work(u) for u in path) + sum(
+            fig1_workflow.edge_cost(u, v) for u, v in zip(path, path[1:]))
+        assert length == pytest.approx(expected)
         assert path[0] == 1
 
     def test_empty_workflow(self):

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.ingest.dot import import_dot
+from repro.ingest.load import ingest_path
 from repro.utils.errors import IngestError
 from repro.workflow.graph import Workflow
 from repro.workflow.io import (
-    load_workflow_json,
     save_workflow_json,
     workflow_from_dict,
     workflow_to_dict,
@@ -25,7 +25,7 @@ class TestJson:
     def test_file_roundtrip(self, tmp_path, diamond_workflow):
         path = tmp_path / "wf.json"
         save_workflow_json(diamond_workflow, path)
-        back = load_workflow_json(path)
+        back = ingest_path(str(path))
         assert back.name == "diamond"
         assert back.work("y") == 3.0
         assert back.memory("y") == 6.0
@@ -50,7 +50,7 @@ class TestJson:
         path = tmp_path / "bad.json"
         path.write_text('{"tasks": [{"id": 1}, {"id": 1}], "edges": []}')
         with pytest.raises(IngestError, match="bad.json"):
-            load_workflow_json(path)
+            ingest_path(str(path))
 
 
 class TestDot:

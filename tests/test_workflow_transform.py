@@ -2,24 +2,10 @@
 
 import pytest
 
-from repro.workflow.graph import Workflow
-from repro.workflow.transform import (
-    induced_subworkflow,
-    merge_linear_chains,
-    normalize_memory_to,
-    relabel_tasks,
-    scale_memory,
-    scale_work,
-)
+from repro.workflow.transform import normalize_memory_to, scale_memory
 
 
 class TestScaling:
-    def test_scale_work_4x(self, diamond_workflow):
-        scaled = scale_work(diamond_workflow, 4.0)
-        for u in diamond_workflow.tasks():
-            assert scaled.work(u) == 4.0 * diamond_workflow.work(u)
-            assert scaled.memory(u) == diamond_workflow.memory(u)
-
     def test_scale_memory_scales_edges_too(self, diamond_workflow):
         scaled = scale_memory(diamond_workflow, 0.5)
         assert scaled.memory("x") == 2.0
@@ -42,59 +28,3 @@ class TestScaling:
         for o, n in zip(orig, new):
             assert n == pytest.approx(o * factor)
 
-
-class TestSubworkflow:
-    def test_induced_keeps_internal_edges_only(self, fig1_workflow):
-        sub = induced_subworkflow(fig1_workflow, {6, 7, 8})
-        assert sub.n_tasks == 3
-        assert sorted((u, v) for u, v, _ in sub.edges()) == [(6, 7), (6, 8), (7, 8)]
-
-    def test_induced_preserves_weights(self, diamond_workflow):
-        sub = induced_subworkflow(diamond_workflow, {"x", "t"})
-        assert sub.work("x") == 2.0
-        assert sub.edge_cost("x", "t") == 3.0
-
-
-class TestRelabel:
-    def test_relabel_with_mapping(self, chain_workflow):
-        out = relabel_tasks(chain_workflow, mapping={"a": 0, "b": 1, "c": 2, "d": 3})
-        assert out.has_edge(0, 1)
-        assert out.work(3) == 4.0
-
-    def test_relabel_with_key(self, chain_workflow):
-        out = relabel_tasks(chain_workflow, key=str.upper)
-        assert out.has_edge("A", "B")
-
-    def test_relabel_collision_raises(self, chain_workflow):
-        with pytest.raises(ValueError):
-            relabel_tasks(chain_workflow, key=lambda u: "same")
-
-    def test_requires_exactly_one_argument(self, chain_workflow):
-        with pytest.raises(ValueError):
-            relabel_tasks(chain_workflow)
-
-
-class TestChainMerge:
-    def test_merges_linear_chain(self):
-        wf = Workflow()
-        wf.add_task("a", work=1, memory=1)
-        wf.add_task("b", work=2, memory=2)
-        wf.add_task("c", work=3, memory=3)
-        wf.add_edge("a", "b", 5.0)
-        wf.add_edge("b", "c", 7.0)
-        out = merge_linear_chains(wf)
-        assert out.n_tasks == 1
-        (u,) = out.tasks()
-        assert out.work(u) == 6.0
-        # chain-internal file sizes are folded into memory
-        assert out.memory(u) == 1 + 2 + 3 + 5 + 7
-
-    def test_does_not_merge_across_forks(self, diamond_workflow):
-        out = merge_linear_chains(diamond_workflow)
-        assert out.n_tasks == 4  # nothing is a pure chain here
-
-    def test_protect_set(self):
-        wf = Workflow()
-        wf.add_edge("a", "b", 1.0)
-        out = merge_linear_chains(wf, protect={"b"})
-        assert out.n_tasks == 2
